@@ -17,7 +17,6 @@ interleaving unobservable in the credentials).
 """
 
 import gc
-import os
 import time
 
 import pytest
@@ -38,28 +37,6 @@ WORKERS = 8
 #: the largest fleet size (full mode); smoke mode uses a lenient gate
 #: since it runs tiny fleets on loaded CI machines.
 SPEEDUP_GATE = 0.9 if smoke_mode() else 0.5
-
-#: Kernel-pool width for the multi-core axis.  Smoke mode keeps the CI
-#: fork bill small; full mode matches the four-core gate below.
-PROCESSES = 2 if smoke_mode() else 4
-#: On a machine with at least this many cores, the process-pool run must
-#: finish in at most ``MULTICORE_GATE`` of the thread-pool run at the
-#: largest fleet size.  Fewer cores (or smoke mode) still run the axis —
-#: byte-identity and dispatch accounting are asserted everywhere — but
-#: the wall-clock gate is meaningless without real parallel hardware.
-MULTICORE_MIN_CORES = 4
-MULTICORE_GATE = 0.6
-
-#: Both E12 tests feed one report — ``BenchReport.write()`` replaces the
-#: whole ``BENCH_E12.json``, so per-test writes would drop the other
-#: test's rows.  The autouse module fixture flushes once at teardown.
-_REPORT = BenchReport("E12")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _flush_report():
-    yield
-    _REPORT.write()
 
 
 def _build(vnf_count):
@@ -89,7 +66,7 @@ def _certs(dep):
 
 @pytest.mark.experiment("E12")
 def test_e12_fleet_enrollment():
-    report = _REPORT
+    report = BenchReport("E12")
     table = Table(
         f"E12: serial loop vs. fleet scheduler "
         f"(workers={WORKERS}, IML={IML_ENTRIES})",
@@ -160,6 +137,7 @@ def test_e12_fleet_enrollment():
 
     table.show()
     report.add_table(table)
+    report.write()
 
     # Acceptance gate at the largest fleet (like E11's 3x crypto gate).
     largest = max(SIZES)
@@ -172,84 +150,3 @@ def test_e12_fleet_enrollment():
         # Scaling trend: amortization improves (or holds) as the fleet
         # grows — the per-run costs are spread over more VNFs.
         assert ratios[max(SIZES)] <= ratios[min(SIZES)] * 1.15
-
-
-@pytest.mark.experiment("E12")
-def test_e12_fleet_multicore():
-    """Multi-core axis: thread-pool scheduler vs. the same scheduler with
-    the verify/sign math dispatched to ``PROCESSES`` kernel workers and
-    IAS exchanges batched.  The GIL serializes the thread pool's CPU
-    work; processes escape it — without changing a single issued byte."""
-    report = _REPORT
-    cores = os.cpu_count() or 1
-    table = Table(
-        f"E12: thread pool vs. process kernels "
-        f"(workers={WORKERS}, processes={PROCESSES}, cores={cores})",
-        ["vnfs", "thread_wall_ms", "process_wall_ms", "multicore_ratio",
-         "kernel_dispatched", "ias_batched"],
-    )
-
-    ratios = {}
-    for size in SIZES:
-        thread_wall = process_wall = float("inf")
-        thread_certs = process_certs = None
-        dispatched = batched = 0
-        for _ in range(ROUNDS):
-            dep = _build(size)
-            fleet, wall, _ = _timed(
-                lambda d: d.enroll_fleet(workers=WORKERS), dep
-            )
-            assert fleet.fully_succeeded, fleet.failed
-            thread_wall = min(thread_wall, wall)
-            thread_certs = _certs(dep)
-
-            dep = _build(size)
-            fleet, wall, _ = _timed(
-                lambda d: d.enroll_fleet(workers=WORKERS,
-                                         processes=PROCESSES), dep
-            )
-            assert fleet.fully_succeeded, fleet.failed
-            process_wall = min(process_wall, wall)
-            process_certs = _certs(dep)
-            dispatched = fleet.kernel_dispatches
-            batched = fleet.ias_batched_exchanges
-            # The pool is scoped to the run: nothing stays attached.
-            assert dep.ias._kernel_pool is None
-
-        # Byte-identity: the process boundary (and IAS batching) must be
-        # unobservable in the issued credentials.
-        assert process_certs == thread_certs
-
-        # The offload actually happened: kernels crossed the process
-        # boundary, and the IAS saw batched verifications.
-        assert dispatched > 0
-        assert batched > 0
-
-        ratio = process_wall / thread_wall
-        ratios[size] = ratio
-        table.add_row(size, thread_wall * 1000, process_wall * 1000,
-                      ratio, dispatched, batched)
-        report.add(
-            f"multicore-{size}", vnfs=size, workers=WORKERS,
-            processes=PROCESSES, cpu_count=cores,
-            iml_entries=IML_ENTRIES,
-            thread_wall_seconds=thread_wall,
-            process_wall_seconds=process_wall,
-            multicore_ratio=ratio,
-            kernel_dispatches=dispatched,
-            ias_batched_exchanges=batched,
-        )
-
-    table.show()
-    report.add_table(table)
-
-    # The wall-clock gate needs real parallel hardware; a 1-core CI box
-    # (or a tiny smoke fleet) still ran the axis above, it just cannot
-    # demonstrate the speedup.
-    if cores >= MULTICORE_MIN_CORES and not smoke_mode():
-        largest = max(SIZES)
-        assert ratios[largest] <= MULTICORE_GATE, (
-            f"fleet of {largest} VNFs on {cores} cores: process-pool "
-            f"wall time is {ratios[largest]:.2f}x the thread pool's "
-            f"(gate: <= {MULTICORE_GATE}x)"
-        )

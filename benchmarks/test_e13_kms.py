@@ -22,8 +22,6 @@ link profile) and drained with ``service.quiesce()``, so the numbers are
 machine-independent and byte-deterministic per seed.
 """
 
-import time
-
 import pytest
 
 from repro.bench.harness import BenchReport, Table, smoke_mode
@@ -51,24 +49,10 @@ SECRETS_PER_TENANT = 8 if smoke_mode() else 32
 GATE_2X = 1.2 if smoke_mode() else 1.6
 GATE_4X = 1.5 if smoke_mode() else 2.5
 
-#: Kernel-pool width for the seal wall-clock axis.
-SEAL_WORKERS = 2
-
 ADDRESS = Address("kms.bench", 7100)
 
-#: Both E13 tests feed one report — ``BenchReport.write()`` replaces the
-#: whole ``BENCH_E13.json``, so per-test writes would drop the other
-#: test's rows.  The autouse module fixture flushes once at teardown.
-_REPORT = BenchReport("E13")
 
-
-@pytest.fixture(scope="module", autouse=True)
-def _flush_report():
-    yield
-    _REPORT.write()
-
-
-def _world(tenant_count, shard_count, seal_workers=0):
+def _world(tenant_count, shard_count):
     """A deterministic KMS world: CA, service, endpoint, tenant clients."""
     clock = VirtualClock()
     network = Network(clock, default_profile=LOOPBACK)
@@ -76,8 +60,7 @@ def _world(tenant_count, shard_count, seal_workers=0):
     ca = CertificateAuthority(DistinguishedName("E13-CA", "bench"), now=0,
                               rng=rng)
     service = KeyManagerService(ca, clock, seed=b"e13-kms",
-                                shard_count=shard_count,
-                                seal_workers=seal_workers)
+                                shard_count=shard_count)
     KmsEndpoint(service, network, ADDRESS)
     clients = []
     tokens = []
@@ -129,7 +112,7 @@ def _run(tenant_count, shard_count):
 
 @pytest.mark.experiment("E13")
 def test_e13_kms_throughput():
-    report = _REPORT
+    report = BenchReport("E13")
 
     # ----------------------------------------------------- shard axis
     shard_table = Table(
@@ -170,6 +153,7 @@ def test_e13_kms_throughput():
     tenant_table.show()
     report.add_table(shard_table)
     report.add_table(tenant_table)
+    report.write()
 
     # Near-linear shard scaling: the seal/unseal bill divides across
     # shards while the front end stays fixed.
@@ -189,76 +173,3 @@ def test_e13_kms_throughput():
     # Tenant density: aggregate throughput holds (within 25%) as the
     # same shard set serves more namespaces.
     assert tenant_rates[max(TENANTS)] >= 0.75 * tenant_rates[min(TENANTS)]
-
-
-def _sealed_blobs(service, tenant_count):
-    """Every stored blob's bytes, keyed by storage key — the artefacts
-    the kernel offload must not perturb."""
-    backend = service.store_backend
-    blobs = {}
-    for index in range(tenant_count):
-        tenant = f"tenant-{index:02d}"
-        for secret_index in range(SECRETS_PER_TENANT):
-            name = f"secret-{secret_index:03d}"
-            key = backend.storage_key(tenant, name)
-            blobs[key] = backend.shard_for(tenant, name).sealed_blob(key)
-    return blobs
-
-
-@pytest.mark.experiment("E13")
-def test_e13_seal_wall_clock():
-    """Wall-clock seal axis: the store loop with the sealing AEAD inline
-    vs. dispatched to ``SEAL_WORKERS`` kernel processes.  Simulated time
-    is identical by construction (the shard timeline charges the same
-    enclave bill either way); what this axis records is the *host* CPU
-    cost moving off the request thread — and that the sealed bytes do
-    not change."""
-    tenant_count, shard_count = 2, 2
-    table = Table(
-        f"E13: seal wall clock, inline vs. {SEAL_WORKERS} kernel "
-        f"processes ({tenant_count} tenants x {SECRETS_PER_TENANT} "
-        f"secrets, store only)",
-        ["seal_workers", "ops", "wall_ms", "dispatched", "inline"],
-    )
-
-    blobs = {}
-    for seal_workers in (0, SEAL_WORKERS):
-        network, service, clients, _ = _world(tenant_count, shard_count,
-                                              seal_workers=seal_workers)
-        start = time.perf_counter()
-        ops = 0
-        for secret_index in range(SECRETS_PER_TENANT):
-            for client in clients:
-                client.store(f"secret-{secret_index:03d}",
-                             f"{client.tenant}:{secret_index}".encode())
-                ops += 1
-        service.quiesce()
-        wall = time.perf_counter() - start
-
-        pool = service.kernel_pool
-        dispatched = pool.dispatched if pool is not None else 0
-        inline = pool.inline_calls if pool is not None else ops
-        if seal_workers:
-            # The offload actually happened (inline calls only appear if
-            # the pool degraded, which would still be byte-identical).
-            assert dispatched + inline >= ops
-            assert dispatched > 0
-        blobs[seal_workers] = _sealed_blobs(service, tenant_count)
-
-        table.add_row(seal_workers, ops, wall * 1000, dispatched, inline)
-        _REPORT.add(
-            f"seal-workers-{seal_workers}", seal_workers=seal_workers,
-            tenants=tenant_count, shards=shard_count, ops=ops,
-            seal_wall_seconds=wall, kernel_dispatches=dispatched,
-            kernel_inline_calls=inline,
-        )
-        for client in clients:
-            client.close()
-        service.shutdown_seal_workers()
-
-    table.show()
-    _REPORT.add_table(table)
-
-    # Byte-identity: key_id/nonce are drawn under the shard lock in DRBG
-    # order, so worker sealing reproduces the inline blobs exactly.
-    assert blobs[SEAL_WORKERS] == blobs[0]

@@ -97,43 +97,3 @@ def test_e6_sigrl_scaling(benchmark):
     fill_sigrl(ias, rng, 2048)
     benchmark.pedantic(lambda: ias.verify_quote(quote_bytes),
                        rounds=10, iterations=1)
-
-
-@pytest.mark.experiment("E6")
-def test_e6_batch_verify_amortizes_rl_scan():
-    """``verify_quotes`` pays for one revocation-table build per batch
-    instead of one full scan per quote: the modelled scan counter grows
-    O(|RL| + B) instead of O(B x |RL|) — with byte-identical AVRs."""
-    batch_size, rl_size = 8, 2048
-
-    # Two same-seed worlds: every DRBG draw (RL padding included) lines
-    # up, so the two verification paths start from identical state.
-    rng_seq, ias_seq, _, quote_seq = build_world(b"bench-e6-batch")
-    rng_bat, ias_bat, _, quote_bat = build_world(b"bench-e6-batch")
-    fill_sigrl(ias_seq, rng_seq, rl_size)
-    fill_sigrl(ias_bat, rng_bat, rl_size)
-    quote_bytes = quote_seq.to_bytes()
-    assert quote_bytes == quote_bat.to_bytes()
-
-    nonces = [f"batch-{index}" for index in range(batch_size)]
-    seq_base = ias_seq.rl_entries_scanned
-    seq_avrs = [ias_seq.verify_quote(quote_bytes, nonce=nonce)
-                for nonce in nonces]
-    seq_scanned = ias_seq.rl_entries_scanned - seq_base
-
-    bat_base = ias_bat.rl_entries_scanned
-    bat_avrs = ias_bat.verify_quotes(
-        [(quote_bytes, nonce) for nonce in nonces])
-    bat_scanned = ias_bat.rl_entries_scanned - bat_base
-
-    # Byte-identity between the two paths: same report ids, timestamps,
-    # verdicts, signatures — the batch is unobservable in the AVRs.
-    assert ([avr.to_json() for avr in bat_avrs]
-            == [avr.to_json() for avr in seq_avrs])
-    assert all(avr.quote_status == QuoteStatus.OK for avr in bat_avrs)
-
-    # Sequential: every quote re-scans the full SigRL.
-    assert seq_scanned >= batch_size * rl_size
-    # Batched: one table build plus O(1) lookups per quote.
-    assert bat_scanned <= rl_size + 4 * batch_size
-    assert bat_scanned * (batch_size // 2) < seq_scanned

@@ -50,7 +50,6 @@ ENCLAVE_PREFIXES: Tuple[str, ...] = ("sgx/", "tls/")
 ENCLAVE_MODULES: Tuple[str, ...] = (
     "core/credential_enclave.py",
     "core/attestation_enclave.py",
-    "core/kernels.py",
     "kms/shard.py",
 )
 

@@ -14,13 +14,12 @@ HYG004        ``TlsConfig(...)`` constructed without a ``now=`` time
               clock at 0 once (expired/not-yet-valid certificates and
               CRL windows never fired); every construction site must
               thread the deployment clock
-HYG005        ``ProcessPoolExecutor`` / ``multiprocessing`` outside
-              ``repro.core.kernels`` — process pools fork, and a fork
-              while another thread holds a lock replicates that lock in
-              the held state forever.  All process-level parallelism
-              funnels through :class:`~repro.core.kernels.KernelPool`,
-              which registers fork handlers and ships only pickled
-              bytes (see ``docs/PARALLELISM.md``)
+HYG005        ``ProcessPoolExecutor`` / ``multiprocessing`` anywhere —
+              process pools fork, and a fork while another thread holds
+              a lock replicates that lock in the held state forever;
+              workers would also need key material shipped to them
+              across a pickle boundary.  The simulation stays one
+              process (the fleet overlaps work on threads)
 ============  ==========================================================
 
 The determinism rule exists because the whole repo is a simulation: test
@@ -46,9 +45,6 @@ ENTROPY_MODULES = {"crypto/rng.py"}
 
 MUTABLE_FACTORIES = {"list", "dict", "set", "bytearray"}
 
-#: The one module allowed to spawn worker processes (HYG005).
-KERNEL_POOL_MODULES = {"core/kernels.py"}
-
 
 class HygieneChecker(Checker):
     name = "hygiene"
@@ -58,8 +54,7 @@ class HygieneChecker(Checker):
         "HYG003": "nondeterministic time/entropy source bypasses "
                   "VirtualClock/DRBG",
         "HYG004": "TlsConfig() without a now= time source",
-        "HYG005": "process pool / multiprocessing outside "
-                  "repro.core.kernels",
+        "HYG005": "process pool / multiprocessing",
     }
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
@@ -91,11 +86,9 @@ class HygieneChecker(Checker):
                 findings.extend(
                     _process_pool_findings(self, ctx, line_map, node))
             elif isinstance(node, ast.Attribute):
-                if (node.attr == "ProcessPoolExecutor"
-                        and ctx.relpath not in KERNEL_POOL_MODULES):
+                if node.attr == "ProcessPoolExecutor":
                     finding("HYG005", node,
-                            "route the work through "
-                            "repro.core.kernels.KernelPool")
+                            "keep the work in-process")
                 findings.extend(
                     _entropy_findings(self, ctx, line_map, node))
             elif _is_clockless_tls_config(node):
@@ -124,17 +117,15 @@ def _process_pool_findings(
     checker: HygieneChecker, ctx: ModuleContext,
     line_map: Dict[int, str], node: ast.AST,
 ) -> Iterable[Finding]:
-    """HYG005: only ``repro.core.kernels`` may import process machinery."""
-    if ctx.relpath in KERNEL_POOL_MODULES:
-        return
+    """HYG005: no module may import process machinery."""
 
     def hit(detail: str) -> Finding:
         return Finding(
             rule_id="HYG005", severity="error", relpath=ctx.relpath,
             line=node.lineno, col=node.col_offset,
             symbol=symbol_at(line_map, node.lineno),
-            message=f"{checker.rules['HYG005']}: {detail} — route the "
-                    f"work through repro.core.kernels.KernelPool",
+            message=f"{checker.rules['HYG005']}: {detail} — keep the "
+                    f"work in-process",
         )
 
     if isinstance(node, ast.Import):

@@ -5,9 +5,9 @@
 * **core:**    VM lock → CA lock → cache locks
 * **metrics:** registry lock → family lock → child lock
 
-— plus a set of *leaf* locks (clock, audit, per-host fleet locks, the
-keystore lock, the pooled-IAS lock, the agent-channel lock, …) that must
-be innermost: a thread holding a leaf may not take any chain lock.
+— plus a set of *leaf* locks (clock, audit, the keystore-entries lock,
+the pooled-IAS lock, the agent-channel lock, …) that must be innermost:
+a thread holding a leaf may not take any chain lock.
 
 The checker reconstructs the static lock graph in two steps per function:
 
@@ -49,7 +49,7 @@ ORDER_CHAINS: Dict[str, Tuple[str, ...]] = {
 #: releasing the audit lock.)
 LEAF_DOMAINS: Set[str] = {
     "clock", "audit", "tracer", "simnet", "agent",
-    "ias_pool", "ias_batch", "kernel_pool", "ec_stats",
+    "ias_pool", "ec_stats",
     "kms_shard", "kms_ns", "keystore_entries", "rng",
     "ec_curves",
     "ratls", "fabric", "fabric_log", "fabric_keystore",
@@ -82,19 +82,17 @@ SAFE_NESTINGS: Set[Tuple[str, str]] = {
 #: Fleet-outer locks wrap whole operations *before* the core machinery
 #: runs: the per-host single-flight lock is held across the entire host
 #: attestation (VM lock included — that is the mechanism, not an
-#: accident), and the keystore lock wraps a VM certificate lookup.
-#: They may nest chain locks inside, but never each other and never a
-#: second instance of themselves (see LOCK005).
-OUTER_DOMAINS: Set[str] = {"host", "keystore"}
+#: accident).  It may nest chain locks inside, but never a second
+#: instance of itself (see LOCK005).
+OUTER_DOMAINS: Set[str] = {"host"}
 
 #: Domains guarded by a non-reentrant ``threading.Lock`` (or, for
 #: ``host``, by per-instance leaf locks where a second acquisition means
 #: a *second host's* lock).  A same-domain edge here is a self-deadlock
 #: or a forbidden two-instance hold.
 NON_REENTRANT_DOMAINS: Set[str] = {
-    "clock", "audit", "ec_stats", "host", "keystore", "cache",
-    "kms_shard", "kms_ns", "keystore_entries", "rng",
-    "ratls", "ias_batch", "kernel_pool",
+    "clock", "audit", "ec_stats", "host", "cache",
+    "kms_shard", "kms_ns", "keystore_entries", "rng", "ratls",
     "fabric", "fabric_log", "fabric_keystore",
 }
 
@@ -127,9 +125,6 @@ LOCK_SITES: Dict[Tuple[str, Optional[str], str], str] = {
     ("crypto/rng.py", None, "_lock"): "rng",
     ("crypto/rng.py", None, "_default_lock"): "rng",
     ("core/fleet.py", None, "_pool_lock"): "ias_pool",
-    ("core/fleet.py", None, "_batch_lock"): "ias_batch",
-    ("core/kernels.py", None, "_lock"): "kernel_pool",
-    ("core/fleet.py", None, "_keystore_lock"): "keystore",
     ("core/fleet.py", None, "_host_locks"): "host",
     ("obs/registry.py", "MetricsRegistry", "_lock"): "registry",
     ("obs/registry.py", None, "_family_lock"): "family",
@@ -161,7 +156,6 @@ ATTR_HINTS: Dict[str, str] = {
     "_audit": "audit", "audit": "audit",
     "_tracer": "tracer", "tracer": "tracer",
     "stats": "ec_stats",
-    "_kernel_pool": "kernel_pool",
     "_shards": "kms_shard",
     "_namespaces": "kms_ns",
 }
@@ -287,7 +281,7 @@ class _FunctionLockWalker:
             if outer == inner:
                 if inner in NON_REENTRANT_DOMAINS and not via_call:
                     # Direct re-acquisition of a Lock-guarded domain (or
-                    # a second per-host/keystore instance): LOCK005.
+                    # a second per-host instance): LOCK005.
                     # Hinted *calls* back into the same domain are almost
                     # always a sibling instance's public API and RLock
                     # domains re-enter fine, so only direct nesting fires.

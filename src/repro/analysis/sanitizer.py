@@ -284,11 +284,11 @@ def make_rlock(domain: str):
 def _install_fork_hook() -> None:
     """Reset sanitizer state in forked children.
 
-    ``KernelPool`` forks worker processes (sometimes while locks are
-    held — that is what ``tests/concurrency/test_fork_safety.py``
-    stresses).  A child must not inherit a held ``_STATE_LOCK`` or an
-    active sanitizer: detection is meaningless there and a poisoned
-    state lock would hang the first tracked operation.
+    Any fork (a test harness, a subprocess helper) may happen while
+    another thread holds a lock.  A child must not inherit a held
+    ``_STATE_LOCK`` or an active sanitizer: detection is meaningless
+    there and a poisoned state lock would hang the first tracked
+    operation.
     """
     global _fork_hook_installed
     if _fork_hook_installed or not hasattr(os, "register_at_fork"):

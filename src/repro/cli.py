@@ -88,10 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--no-pooled-ias", action="store_true",
                        help="dial IAS per verification instead of reusing "
                             "one connection")
-    fleet.add_argument("--processes", type=int, default=0,
-                       help="kernel-pool worker processes for quote "
-                            "verification and certificate signing "
-                            "(default 0: in-process)")
 
     metrics = sub.add_parser(
         "metrics",
@@ -133,9 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="enclave-sealed shards (default 4)")
     kms.add_argument("--secrets", type=int, default=8,
                      help="secrets stored per tenant (default 8)")
-    kms.add_argument("--seal-workers", type=int, default=0,
-                     help="kernel-pool worker processes for the sealing "
-                          "AEAD (default 0: seal inline)")
 
     lint = sub.add_parser(
         "lint",
@@ -239,7 +232,6 @@ def _cmd_fleet(args, out) -> int:
     deployment = _build_deployment(args)
     report = deployment.enroll_fleet(
         workers=args.workers, pooled_ias=not args.no_pooled_ias,
-        processes=args.processes,
     )
     for host_name, timing in report.host_attestations.items():
         out.write(
@@ -260,13 +252,6 @@ def _cmd_fleet(args, out) -> int:
         f"(+{report.ias_reused_exchanges} reused), "
         f"sim={report.simulated_seconds * 1000:.3f} ms\n"
     )
-    if report.processes:
-        out.write(
-            f"kernel pool: {report.processes} process(es), "
-            f"{report.kernel_dispatches} dispatched, "
-            f"{report.kernel_inline_calls} inline, "
-            f"{report.ias_batched_exchanges} IAS verifications batched\n"
-        )
     return 0 if report.fully_succeeded else 1
 
 
@@ -361,8 +346,7 @@ def _cmd_sdn(args, out) -> int:
 def _cmd_kms(args, out) -> int:
     deployment = _build_deployment(args)
     deployment.run_workflow()  # enrol VNFs: tenant tokens need credentials
-    service = deployment.build_kms(shard_count=args.shards,
-                                   seal_workers=args.seal_workers)
+    service = deployment.build_kms(shard_count=args.shards)
 
     vnf_names = deployment.vnf_names
     clients = {}
@@ -399,13 +383,6 @@ def _cmd_kms(args, out) -> int:
         f"{service.shard_count()} shard(s), "
         f"sim={deployment.clock.now() * 1000:.3f} ms\n"
     )
-    if service.kernel_pool is not None:
-        out.write(
-            f"seal kernel pool: {args.seal_workers} process(es), "
-            f"{service.kernel_pool.dispatched} dispatched, "
-            f"{service.kernel_pool.inline_calls} inline\n"
-        )
-        service.shutdown_seal_workers()
     return 0
 
 

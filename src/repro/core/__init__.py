@@ -18,9 +18,6 @@ Components, mapping one-to-one onto Figure 1 of the paper:
 - :mod:`repro.core.fleet` — the worker-pool scheduler that enrolls many
   VNFs concurrently (single-flight host attestation, pooled IAS
   connection, deterministic credentials).
-- :mod:`repro.core.kernels` — pure CPU-bound kernels (quote verify,
-  certificate sign, sealing AEAD) and the :class:`KernelPool` process
-  pool that escapes the GIL for them (see ``docs/PARALLELISM.md``).
 - :mod:`repro.core.revocation` — credential/platform revocation.
 - :mod:`repro.core.workflow` — the executable Figure 1 deployment.
 - :mod:`repro.core.events` — the audit log.
@@ -38,7 +35,6 @@ from repro.core.fleet import (
     PooledIasClient,
 )
 from repro.core.host_agent import HostAgent, HostAgentClient
-from repro.core.kernels import KernelPool
 from repro.core.policy import DeploymentPolicy
 from repro.core.provisioning import CredentialBundle
 from repro.core.verification_manager import VerificationManager
@@ -60,7 +56,6 @@ __all__ = [
     "PooledIasClient",
     "HostAgent",
     "HostAgentClient",
-    "KernelPool",
     "DeploymentPolicy",
     "CredentialBundle",
     "VerificationManager",

@@ -51,34 +51,10 @@ from repro.core.enrollment import (
     EnrollmentSession,
     StepTiming,
 )
-from repro.core.kernels import KernelPool
 from repro.errors import ChannelClosed, NetError, ReproError, VnfSgxError
 from repro.ias.api import IasClient
-from repro.net.retry import RetryPolicy
 
 HOST_ATTESTATION_STEP = "host-attestation (steps 1-2)"
-
-
-class _IasBatch:
-    """One in-flight coalescing window of report requests.
-
-    The first thread to submit becomes the *leader*: it waits out the
-    window (or until the batch fills), performs one batched exchange,
-    and publishes the results; *followers* park on ``done`` and read
-    their slot.  All mutation of ``items`` happens under the client's
-    ``_batch_lock``; ``results``/``error`` are written by the leader
-    before ``done`` is set and only read after it.
-    """
-
-    __slots__ = ("items", "sealed", "full", "done", "results", "error")
-
-    def __init__(self) -> None:
-        self.items: List = []  # (quote_bytes, nonce), submission order
-        self.sealed = False    # leader took ownership; no more joiners
-        self.full = threading.Event()
-        self.done = threading.Event()
-        self.results = None
-        self.error: Optional[BaseException] = None
 
 
 class PooledIasClient(IasClient):
@@ -105,80 +81,6 @@ class PooledIasClient(IasClient):
         self.reused_exchanges = 0
         #: Connections (re-)established, including the first.
         self.connects = 0
-        # Time-window batcher (off by default; enable_batching() arms it).
-        self._batch_lock = make_lock("ias_batch")
-        self._batch: Optional[_IasBatch] = None
-        self._batch_window = 0.0
-        self._batch_max = 1
-        #: Report requests that travelled inside a coalesced batch.
-        self.batched_exchanges = 0
-
-    # --------------------------------------------------------- batching
-
-    def enable_batching(self, window_seconds: float = 0.002,
-                        max_batch: int = 16) -> None:
-        """Coalesce concurrent :meth:`verify_quote` calls into one
-        batched IAS round trip (``POST /attestation/v4/reports``).
-
-        The first caller in a window leads: it waits up to
-        ``window_seconds`` (wall clock — the window exists to overlap
-        *real* thread scheduling, so the virtual clock is the wrong
-        ruler) for up to ``max_batch - 1`` followers, then performs one
-        exchange for everyone.  A lone caller just pays the window.
-        """
-        if window_seconds <= 0 or max_batch < 2:
-            raise VnfSgxError("batching needs a positive window and "
-                              "a batch size of at least 2")
-        with self._batch_lock:
-            self._batch_window = window_seconds
-            self._batch_max = max_batch
-
-    def disable_batching(self) -> None:
-        """Back to one request per verification (idempotent)."""
-        with self._batch_lock:
-            self._batch_window = 0.0
-            self._batch_max = 1
-            self._batch = None
-
-    def verify_quote(self, quote_bytes, nonce=""):
-        if self._batch_window <= 0:
-            return super().verify_quote(quote_bytes, nonce)
-        with self._batch_lock:
-            batch = self._batch
-            leader = (batch is None or batch.sealed
-                      or len(batch.items) >= self._batch_max)
-            if leader:
-                batch = _IasBatch()
-                self._batch = batch
-            index = len(batch.items)
-            batch.items.append((quote_bytes, nonce))
-            if len(batch.items) >= self._batch_max:
-                batch.full.set()
-            window = self._batch_window
-        if not leader:
-            batch.done.wait()
-            if batch.error is not None:
-                raise batch.error
-            return batch.results[index]
-        batch.full.wait(window)
-        with self._batch_lock:
-            batch.sealed = True
-            if self._batch is batch:
-                self._batch = None
-        try:
-            batch.results = self._retrying(
-                lambda: self._verify_batch_once(batch.items),
-                operation="ias-verify", clock=self._network.clock,
-            )
-        except Exception as exc:
-            batch.error = exc
-            raise
-        finally:
-            batch.done.set()
-        if len(batch.items) > 1:
-            with self._batch_lock:
-                self.batched_exchanges += len(batch.items)
-        return batch.results[index]
 
     # ----------------------------------------------- pooled connection
 
@@ -218,11 +120,6 @@ class PooledIasClient(IasClient):
     def _verify_once(self, quote_bytes, nonce):
         return self._pooled_exchange(
             lambda conn: self._exchange_on(conn, quote_bytes, nonce)
-        )
-
-    def _verify_batch_once(self, items):
-        return self._pooled_exchange(
-            lambda conn: self._exchange_batch_on(conn, items)
         )
 
     def close(self) -> None:
@@ -274,11 +171,6 @@ class FleetReport:
     clock_charges: Dict[str, float] = field(default_factory=dict)
     ias_connects: int = 0
     ias_reused_exchanges: int = 0
-    #: Process-pool axis (0 = everything ran in-process on the GIL).
-    processes: int = 0
-    kernel_dispatches: int = 0
-    kernel_inline_calls: int = 0
-    ias_batched_exchanges: int = 0
 
     @property
     def per_vnf(self) -> Dict[str, List[StepTiming]]:
@@ -323,56 +215,25 @@ class FleetScheduler:
         deployment: a wired :class:`~repro.core.workflow.Deployment`.
         workers: pool width (bounded concurrency; 1 degenerates to a
             serial loop over the same code path).
-        retry_policy: per-VNF step retry/deadline budget; defaults to
-            the deployment's configured policy.
         pooled_ias: reuse one persistent IAS connection for the whole
             run (the E12 speedup lever); disable to keep the
             connection-per-verification behaviour.
-        processes: kernel-pool width for the CPU-bound work (quote
-            verification, certificate signing) — the E12 *multi-core*
-            lever.  0 (default) keeps everything in-process; N > 0
-            dispatches to N worker processes via
-            :class:`~repro.core.kernels.KernelPool` and arms the pooled
-            client's IAS request batcher so concurrent enrollments
-            coalesce into one round trip.
-        ias_batch_window: coalescing window (wall seconds) for the
-            batcher; only used when ``processes > 0`` with a pooled
-            client.
+
+    Retries follow the deployment's policy
+    (:meth:`~repro.core.workflow.Deployment.set_retry_policy`).
     """
 
     def __init__(self, deployment, workers: int = 4,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 pooled_ias: bool = True, processes: int = 0,
-                 ias_batch_window: float = 0.002) -> None:
+                 pooled_ias: bool = True) -> None:
         if workers < 1:
             raise VnfSgxError("fleet needs at least one worker")
-        if processes < 0:
-            raise VnfSgxError("fleet process count cannot be negative")
         self.deployment = deployment
         self.workers = workers
-        self.retry_policy = (retry_policy if retry_policy is not None
-                             else deployment.retry_policy)
         self.pooled_ias = pooled_ias
-        self.processes = int(processes)
-        self.ias_batch_window = ias_batch_window
         self._host_locks: Dict[str, threading.Lock] = {}
         self._host_errors: Dict[str, Optional[str]] = {}
-        self._keystore_lock = make_lock("keystore")
 
     # ------------------------------------------------------------ internals
-
-    def _pooled_client(self) -> PooledIasClient:
-        from repro.core.workflow import IAS_ADDRESS
-
-        dep = self.deployment
-        client = PooledIasClient(
-            dep.network, IAS_ADDRESS, dep.ias_http.ias_truststore,
-            dep.ias.report_signing_public_key, rng=dep.rng,
-        )
-        client.configure_retries(self.retry_policy, rng=dep._retry_rng)
-        if dep.telemetry is not None:
-            client.instrument(dep.telemetry)
-        return client
 
     def _ensure_host_attested(self, host_name: str) -> StepTiming:
         """Single-flight host attestation.
@@ -435,7 +296,7 @@ class FleetScheduler:
             # timings stay comparable to serial ones.
             sim_now=dep.clock.local_seconds,
             telemetry=dep.telemetry,
-            retry_policy=self.retry_policy,
+            retry_policy=dep.retry_policy,
             clock=dep.clock,
             retry_rng=dep._retry_rng,
             reserved_serial=serial,
@@ -445,10 +306,9 @@ class FleetScheduler:
         try:
             session.provision()
             if dep.client_validation == "keystore":
-                with self._keystore_lock:
-                    dep.keystore.add_trusted(
-                        vnf_name, dep.vm.issued_certificate(vnf_name)
-                    )
+                dep.keystore.add_trusted(
+                    vnf_name, dep.vm.issued_certificate(vnf_name)
+                )
             session.connect(dep.enclave_client(vnf_name))
         except ReproError as exc:
             return FleetResult(
@@ -492,21 +352,9 @@ class FleetScheduler:
         # interleaving and identical to a serial loop's.
         serials = {name: dep.vm.ca.reserve_serial() for name in names}
 
-        pooled = self._pooled_client() if self.pooled_ias else None
+        pooled = dep.pooled_ias_client() if self.pooled_ias else None
         previous_ias = (dep.vm.swap_ias_client(pooled)
                         if pooled is not None else None)
-        # Multi-core axis: one kernel pool serves both CPU-bound paths
-        # every _enroll_one worker hits — quote verification (IAS side)
-        # and certificate signing (CA side).  Workers hold no locks;
-        # order-sensitive state (serials, report ids) was fixed above.
-        kernel_pool = None
-        if self.processes > 0:
-            kernel_pool = KernelPool(self.processes, label="fleet")
-            dep.ias.attach_kernel_pool(kernel_pool)
-            dep.vm.attach_kernel_pool(kernel_pool)
-            if pooled is not None:
-                pooled.enable_batching(window_seconds=self.ias_batch_window)
-        report.processes = self.processes
         sim_start = dep.clock.now()
         wall_start = time.perf_counter()
         dep.clock.reset_charges()
@@ -528,17 +376,10 @@ class FleetScheduler:
                 report.results[outcome.vnf_name] = outcome
             return report
         finally:
-            if kernel_pool is not None:
-                dep.ias.attach_kernel_pool(None)
-                dep.vm.attach_kernel_pool(None)
-                report.kernel_dispatches = kernel_pool.dispatched
-                report.kernel_inline_calls = kernel_pool.inline_calls
-                kernel_pool.shutdown()
             if pooled is not None:
                 dep.vm.swap_ias_client(previous_ias)
                 report.ias_connects = pooled.connects
                 report.ias_reused_exchanges = pooled.reused_exchanges
-                report.ias_batched_exchanges = pooled.batched_exchanges
                 pooled.close()
             report.simulated_seconds = dep.clock.now() - sim_start
             report.wall_seconds = time.perf_counter() - wall_start

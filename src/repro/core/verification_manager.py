@@ -149,18 +149,6 @@ class VerificationManager:
             previous, self._ias = self._ias, client
             return previous
 
-    def attach_kernel_pool(self, pool) -> None:
-        """Dispatch the VM's CPU-bound signing work (certificate
-        issuance via the embedded CA) to a
-        :class:`repro.core.kernels.KernelPool`; ``None`` detaches.
-
-        The pool is consulted *outside* the VM → CA → caches lock chain
-        (the CA signs outside its own lock already), so workers hold no
-        locks and the documented order is untouched.
-        """
-        with self._lock:
-            self.ca.attach_kernel_pool(pool)
-
     # --------------------------------------------------------------- trust
 
     def controller_truststore(self) -> Truststore:

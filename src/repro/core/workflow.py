@@ -407,8 +407,7 @@ class Deployment:
     # ---------------------------------------------------------- key manager
 
     def build_kms(self, shard_count: int = 4, seed: bytes = b"kms-service",
-                  serve: bool = True, address: Address = KMS_ADDRESS,
-                  seal_workers: int = 0):
+                  serve: bool = True, address: Address = KMS_ADDRESS):
         """Attach a :class:`repro.kms.KeyManagerService` to this deployment.
 
         The service hangs off the Verification Manager's CA (tenant
@@ -417,15 +416,12 @@ class Deployment:
         from its *own* DRBG stream — attaching a KMS does not perturb the
         deployment's enrollment transcripts.  With ``serve=True`` the
         REST endpoint listens at ``address`` on the simulated network.
-        ``seal_workers > 0`` runs the sealing AEAD in a shared
-        :class:`~repro.core.kernels.KernelPool` (blob bytes unchanged —
-        the E13 wall-clock axis).
         """
         from repro.kms import KeyManagerService, KmsEndpoint
 
         self.kms = KeyManagerService(
             self.vm.ca, self.clock, seed=seed, shard_count=shard_count,
-            keystore=self.keystore, seal_workers=seal_workers,
+            keystore=self.keystore,
         )
         if serve:
             self.kms_endpoint = KmsEndpoint(self.kms, self.network, address)
@@ -447,8 +443,7 @@ class Deployment:
 
     # --------------------------------------------------------------- RA-TLS
 
-    def build_ratls(self, address: Optional[Address] = None,
-                    pooled_ias: bool = True):
+    def build_ratls(self):
         """Serve the RA-TLS northbound mode (opt-in, idempotent).
 
         Creates a :class:`~repro.tls.ratls.RatlsVerifier` wired to the
@@ -457,12 +452,12 @@ class Deployment:
         sessions), and mounts a ``ratls-https`` northbound endpoint whose
         client validation is the verifier.  Returns the verifier.
 
-        With ``pooled_ias`` (the default) the Verification Manager's IAS
-        client is swapped for a :class:`~repro.core.fleet.PooledIasClient`
-        for the endpoint's lifetime: the verifier is a long-lived
-        controller-side service attesting many handshakes, exactly the
-        amortization the fleet scheduler applies per run (and, per
-        experiment E12, byte-identical to per-verify dialing).
+        The Verification Manager's IAS client is swapped for a
+        :class:`~repro.core.fleet.PooledIasClient` for the endpoint's
+        lifetime: the verifier is a long-lived controller-side service
+        attesting many handshakes, exactly the amortization the fleet
+        scheduler applies per run (and, per experiment E12,
+        byte-identical to per-verify dialing).
         """
         if self.ratls_verifier is not None:
             return self.ratls_verifier
@@ -471,21 +466,8 @@ class Deployment:
         verifier = self.vm.ratls_verifier()
         session_cache = SessionCache()
         verifier.attach_session_cache(session_cache)
-        if pooled_ias:
-            from repro.core.fleet import PooledIasClient
-
-            pool = PooledIasClient(
-                self.network, IAS_ADDRESS, self.ias_http.ias_truststore,
-                self.ias.report_signing_public_key, rng=self.rng,
-            )
-            if self.retry_policy is not None:
-                pool.configure_retries(self.retry_policy,
-                                       rng=self._retry_rng)
-            if self.telemetry is not None:
-                pool.instrument(self.telemetry)
-            self.vm.swap_ias_client(pool)
-            self.ratls_ias_pool = pool
-        address = address or Address(CONTROLLER_HOST, MODE_PORTS[MODE_RATLS])
+        self.ratls_ias_pool = self.pooled_ias_client()
+        self.vm.swap_ias_client(self.ratls_ias_pool)
         tls_config = TlsConfig(
             certificate_chain=[self.server_cert],
             private_key=self.server_key,
@@ -496,7 +478,8 @@ class Deployment:
             now=self.clock.now_seconds,
         )
         self.ratls_endpoint = NorthboundEndpoint(
-            self.controller, self.network, address, MODE_RATLS, tls_config
+            self.controller, self.network,
+            self.controller_address(MODE_RATLS), MODE_RATLS, tls_config,
         )
         self.endpoints[MODE_RATLS] = self.ratls_endpoint
         if self.telemetry is not None:
@@ -583,6 +566,20 @@ class Deployment:
 
     # ------------------------------------------------------------ accessors
 
+    def pooled_ias_client(self):
+        """A fresh :class:`~repro.core.fleet.PooledIasClient` to this
+        deployment's IAS, with its retry policy and telemetry."""
+        from repro.core.fleet import PooledIasClient
+
+        client = PooledIasClient(
+            self.network, IAS_ADDRESS, self.ias_http.ias_truststore,
+            self.ias.report_signing_public_key, rng=self.rng,
+        )
+        client.configure_retries(self.retry_policy, rng=self._retry_rng)
+        if self.telemetry is not None:
+            client.instrument(self.telemetry)
+        return client
+
     def controller_address(self, mode: str = MODE_TRUSTED) -> Address:
         """The northbound address serving ``mode``."""
         return Address(CONTROLLER_HOST, MODE_PORTS[mode])
@@ -633,11 +630,7 @@ class Deployment:
         return session
 
     def enroll_fleet(self, vnf_names: Optional[List[str]] = None,
-                     workers: int = 4,
-                     retry_policy: Optional[RetryPolicy] = None,
-                     pooled_ias: bool = True,
-                     processes: int = 0,
-                     ias_batch_window: float = 0.002):
+                     workers: int = 4, pooled_ias: bool = True):
         """Enroll many VNFs across a bounded worker pool.
 
         The pooled path amortizes what the serial loop repeats per VNF:
@@ -646,24 +639,15 @@ class Deployment:
         are reserved in submission order and key material comes from
         per-VNF DRBGs, so the issued certificates are byte-identical to
         a serial :meth:`enroll` loop's (experiment E12 asserts this).
-
-        ``processes > 0`` additionally dispatches the CPU-bound kernels
-        (EPID quote verification, certificate signing) to a
-        :class:`~repro.core.kernels.KernelPool` of worker processes and
-        batches concurrent IAS verifications into single wire exchanges
-        (window ``ias_batch_window`` simulated seconds) — the
-        multi-core axis of E12.  Certificates stay byte-identical.
+        Retries follow the deployment's :attr:`retry_policy`.
 
         Returns a :class:`repro.core.fleet.FleetReport` with
         partial-failure semantics mirroring :meth:`run_workflow`.
         """
         from repro.core.fleet import FleetScheduler
 
-        scheduler = FleetScheduler(
-            self, workers=workers, retry_policy=retry_policy,
-            pooled_ias=pooled_ias, processes=processes,
-            ias_batch_window=ias_batch_window,
-        )
+        scheduler = FleetScheduler(self, workers=workers,
+                                   pooled_ias=pooled_ias)
         return scheduler.enroll(vnf_names)
 
     def run_workflow(self) -> WorkflowTrace:

@@ -11,7 +11,7 @@ authenticated TLS; :class:`IasClient` is the relying-party stub.
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.crypto.keys import EcPublicKey, generate_keypair
 from repro.crypto.rng import HmacDrbg
@@ -34,7 +34,6 @@ from repro.pki.truststore import Truststore
 from repro.tls import TlsClient, TlsConfig, TlsServer
 
 REPORT_PATH = "/attestation/v4/report"
-REPORTS_PATH = "/attestation/v4/reports"  # batched verify (one RL scan)
 SIGRL_PATH = "/attestation/v4/sigrl"
 
 
@@ -59,7 +58,6 @@ class IasHttpService:
         )
         self._rest = RestServer()
         self._rest.route("POST", REPORT_PATH, self._handle_report)
-        self._rest.route("POST", REPORTS_PATH, self._handle_reports)
         self._rest.route("GET", SIGRL_PATH, self._handle_sigrl)
         tls_config = TlsConfig(
             certificate_chain=[server_cert],
@@ -115,23 +113,6 @@ class IasHttpService:
         avr = self.service.verify_quote(quote_bytes, nonce)
         return HttpResponse(200, headers={"content-type": "application/json"},
                             body=avr.to_json())
-
-    def _handle_reports(self, request: HttpRequest) -> HttpResponse:
-        """Batched verify: a JSON list of report requests in, a JSON list
-        of AVRs out (same order), one amortized revocation-list scan."""
-        try:
-            body = json.loads(request.body.decode("utf-8"))
-            batch = [(bytes.fromhex(entry["isvEnclaveQuote"]),
-                      entry.get("nonce", ""))
-                     for entry in body["reports"]]
-        except (TypeError, ValueError, KeyError) as exc:
-            return HttpResponse(400, body=f"bad request: {exc}".encode())
-        avrs = self.service.verify_quotes(batch)
-        payload = json.dumps(
-            {"reports": [avr.to_json().decode("utf-8") for avr in avrs]}
-        ).encode("utf-8")
-        return HttpResponse(200, headers={"content-type": "application/json"},
-                            body=payload)
 
     def _handle_sigrl(self, request: HttpRequest) -> HttpResponse:
         return HttpResponse(200, body=self.service.sig_rl.to_bytes().hex().encode())
@@ -224,59 +205,6 @@ class IasClient(RetryingMixin):
         if nonce and avr.nonce != nonce:
             raise IasError("AVR nonce mismatch (replayed verdict?)")
         return avr
-
-    def _exchange_batch_on(self, conn,
-                           batch: Sequence[Tuple[bytes, str]]
-                           ) -> List[AttestationVerificationReport]:
-        """One batched report exchange over an *established* connection.
-
-        Every AVR is signature-checked and nonce-matched exactly as in
-        :meth:`_exchange_on`; the server answers in submission order.
-        """
-        payload = json.dumps({
-            "reports": [
-                {"isvEnclaveQuote": quote_bytes.hex(), "nonce": nonce}
-                for quote_bytes, nonce in batch
-            ],
-        }).encode("utf-8")
-        conn.send(HttpRequest(
-            "POST", REPORTS_PATH,
-            headers={"content-type": "application/json"},
-            body=payload,
-        ).encode())
-        parser = HttpParser(is_server_side=False)
-        responses = parser.feed(conn.recv_available())
-        if not responses:
-            raise IasError("no response from IAS")
-        response = responses[0]
-        if response.status in TRANSIENT_STATUSES:
-            raise IasUnavailable(
-                f"IAS returned {response.status}: "
-                f"{response.body.decode(errors='replace')}"
-            )
-        if response.status != 200:
-            raise IasError(
-                f"IAS returned {response.status}: "
-                f"{response.body.decode(errors='replace')}"
-            )
-        try:
-            entries = json.loads(response.body.decode("utf-8"))["reports"]
-        except (ValueError, KeyError) as exc:
-            raise IasError(f"malformed batch response: {exc}") from exc
-        if len(entries) != len(batch):
-            raise IasError(
-                f"batch response carries {len(entries)} AVRs "
-                f"for {len(batch)} quotes"
-            )
-        avrs: List[AttestationVerificationReport] = []
-        for entry, (_quote_bytes, nonce) in zip(entries, batch):
-            avr = AttestationVerificationReport.from_json(
-                entry.encode("utf-8"))
-            avr.verify(self._report_signing_key)
-            if nonce and avr.nonce != nonce:
-                raise IasError("AVR nonce mismatch (replayed verdict?)")
-            avrs.append(avr)
-        return avrs
 
     def _verify_once(self, quote_bytes: bytes,
                      nonce: str) -> AttestationVerificationReport:

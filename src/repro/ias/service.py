@@ -56,21 +56,7 @@ class IasService:
         self._platforms: Dict[bytes, str] = {}  # member id -> platform name
         self._report_counter = 0
         self.quotes_verified = 0
-        # Modelled revocation-list scan cost (entries examined), the
-        # deterministic counter E6's batch-amortization assert reads:
-        # sequential verifies pay O(|RL|) each, a batch pays O(|RL| + B).
-        self.rl_entries_scanned = 0
         self._telemetry = None  # set by instrument()
-        self._kernel_pool = None  # set by attach_kernel_pool()
-
-    def attach_kernel_pool(self, pool) -> None:
-        """Dispatch verification math to a
-        :class:`repro.core.kernels.KernelPool` (``None`` detaches).
-
-        Report ids and AVR timestamps stay in-process (assigned in
-        submission order before dispatch), so pooled verdicts are
-        byte-identical to the inline path."""
-        self._kernel_pool = pool
 
     def instrument(self, telemetry) -> None:
         """Attach telemetry: every verdict increments
@@ -125,21 +111,6 @@ class IasService:
 
     # ---------------------------------------------------------- verification
 
-    def verification_snapshot(self) -> bytes:
-        """The current verification state as one kernel-shippable blob.
-
-        Built fresh per call: the revocation lists mutate in place, so a
-        cached snapshot would verify against stale RLs.
-        """
-        # Runtime import: repro.core's package __init__ imports modules
-        # that import this one, so a module-level import would cycle.
-        from repro.core.kernels import encode_verification_snapshot
-        return encode_verification_snapshot(
-            self.group.group_id, self.group.export_secret(),
-            self.priv_rl.to_bytes(), self.sig_rl.to_bytes(),
-            self.group_revoked, self.min_qe_svn,
-        )
-
     def verify_quote(self, quote_bytes: bytes,
                      nonce: str = "") -> AttestationVerificationReport:
         """Verify a quote and return the signed verdict.
@@ -149,68 +120,25 @@ class IasService:
         """
         self.quotes_verified += 1
         quote = Quote.from_bytes(quote_bytes)
-        pool = self._kernel_pool
-        if pool is None:
-            status = self._status_for(quote)
-            if self._telemetry is not None:
-                self._telemetry.ias_verdicts.labels(status=status).inc()
-            self._report_counter += 1
-            return sign_report(
-                self._report_key,
-                report_id=f"avr-{self._report_counter:08d}",
-                timestamp=int(self._now()),
-                quote_status=status,
-                quote_body_hex=quote.body_bytes().hex(),
-                nonce=nonce,
-            )
-        # Pooled path: assign the order-sensitive pieces (report id,
-        # timestamp) here, ship the math to a worker.
-        self._report_counter += 1
-        report_id = f"avr-{self._report_counter:08d}"
-        avr_bytes, status, scanned = pool.verify_quote(
-            quote_bytes, nonce, self.verification_snapshot(),
-            self._report_key.to_bytes(), report_id, int(self._now()),
-        )
-        self.rl_entries_scanned += scanned
+        status = self._status_for(quote)
         if self._telemetry is not None:
             self._telemetry.ias_verdicts.labels(status=status).inc()
-        return AttestationVerificationReport.from_json(avr_bytes)
+        self._report_counter += 1
+        return sign_report(
+            self._report_key,
+            report_id=f"avr-{self._report_counter:08d}",
+            timestamp=int(self._now()),
+            quote_status=status,
+            quote_body_hex=quote.body_bytes().hex(),
+            nonce=nonce,
+        )
 
     def verify_quotes(self, batch: Sequence[Tuple[bytes, str]]
                       ) -> List[AttestationVerificationReport]:
-        """Verify a batch of ``(quote_bytes, nonce)`` with one amortized
-        revocation-list scan.
-
-        Verdicts and AVR bytes are identical to calling
-        :meth:`verify_quote` once per entry in the same order; only the
-        modelled scan cost (``rl_entries_scanned``) drops from
-        O(B x |RL|) to O(|RL| + B).
-        """
-        if not batch:
-            return []
-        items: List[Tuple[bytes, str, str, int]] = []
-        for quote_bytes, nonce in batch:
-            self.quotes_verified += 1
-            self._report_counter += 1
-            items.append((quote_bytes, nonce,
-                          f"avr-{self._report_counter:08d}",
-                          int(self._now())))
-        from repro.core.kernels import verify_quotes_kernel  # see above
-        snapshot = self.verification_snapshot()
-        key_bytes = self._report_key.to_bytes()
-        pool = self._kernel_pool
-        if pool is None:
-            results, scanned = verify_quotes_kernel(tuple(items), snapshot,
-                                                    key_bytes)
-        else:
-            results, scanned = pool.verify_quotes(items, snapshot, key_bytes)
-        self.rl_entries_scanned += scanned
-        reports: List[AttestationVerificationReport] = []
-        for avr_bytes, status in results:
-            if self._telemetry is not None:
-                self._telemetry.ias_verdicts.labels(status=status).inc()
-            reports.append(AttestationVerificationReport.from_json(avr_bytes))
-        return reports
+        """Verify ``(quote_bytes, nonce)`` pairs in order; each verdict is
+        exactly what :meth:`verify_quote` returns for that pair."""
+        return [self.verify_quote(quote_bytes, nonce)
+                for quote_bytes, nonce in batch]
 
     def _status_for(self, quote: Quote) -> str:
         if self.group_revoked:
@@ -220,11 +148,9 @@ class IasService:
             self.group.verify(signature, quote.body_bytes())
         except (QuoteError, ReproError):
             return QuoteStatus.SIGNATURE_INVALID
-        self.rl_entries_scanned += len(self.priv_rl)
         if self.priv_rl.matches(signature,
                                 self.group.derive_member_secret) is not None:
             return QuoteStatus.KEY_REVOKED
-        self.rl_entries_scanned += len(self.sig_rl)
         if self.sig_rl.matches(signature):
             return QuoteStatus.SIGNATURE_REVOKED
         if quote.qe_svn < self.min_qe_svn:

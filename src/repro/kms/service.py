@@ -51,18 +51,12 @@ class KeyManagerService:
         cost_model: simulated operation costs (default
             :class:`~repro.kms.store.KmsCostModel`).
         keystore: where shard identities are parked (private by default).
-        seal_workers: process-pool width for the sealing AEAD — the
-            wall-clock lever for the E13 seal-throughput axis.  0 (the
-            default) seals inline under each shard lock, as before;
-            N > 0 shares one :class:`~repro.core.kernels.KernelPool`
-            across all shards.  Blob bytes are identical either way.
     """
 
     def __init__(self, ca: CertificateAuthority, clock: VirtualClock,
                  seed: bytes = b"kms-service", shard_count: int = 4,
                  cost_model: Optional[KmsCostModel] = None,
-                 keystore: Optional[Keystore] = None,
-                 seal_workers: int = 0) -> None:
+                 keystore: Optional[Keystore] = None) -> None:
         self._ca = ca
         self._clock = clock
         self._rng = HmacDrbg(seed, personalization=b"repro.kms")
@@ -73,12 +67,6 @@ class KeyManagerService:
         # plain lock (trail creation only — AuditLog has its own lock).
         self._trails: Dict[str, AuditLog] = {}
         self._trails_lock = make_lock("kms_ns")
-        self.kernel_pool = None
-        if seal_workers > 0:
-            # Runtime import — repro.core's __init__ imports modules
-            # that (indirectly) import this package.
-            from repro.core.kernels import KernelPool
-            self.kernel_pool = KernelPool(seal_workers, label="kms-seal")
 
         mrsigner = sha256(b"kms-vendor")
         mrenclave = sha256(b"kms-shard-enclave")
@@ -86,10 +74,7 @@ class KeyManagerService:
         for index in range(shard_count):
             label, identity = shard_identity(index, mrenclave, mrsigner)
             fuse_key = self._rng.random_bytes(16)
-            shard = SecretShard(label, fuse_key, identity, self._rng)
-            if self.kernel_pool is not None:
-                shard.attach_kernel_pool(self.kernel_pool)
-            shards.append(shard)
+            shards.append(SecretShard(label, fuse_key, identity, self._rng))
             self._park_shard_identity(label)
         self.store_backend = ShardedSecretStore(
             shards, clock, cost_model or KmsCostModel())
@@ -284,12 +269,3 @@ class KeyManagerService:
     def shard_count(self) -> int:
         """Number of shards behind the store."""
         return len(self.store_backend.shards())
-
-    def shutdown_seal_workers(self) -> None:
-        """Tear down the seal kernel pool, if one was configured
-        (idempotent; shards fall back to inline sealing)."""
-        if self.kernel_pool is not None:
-            for shard in self.store_backend.shards():
-                shard.attach_kernel_pool(None)
-            self.kernel_pool.shutdown()
-            self.kernel_pool = None

@@ -31,7 +31,7 @@ from repro.analysis.sanitizer import make_lock, shared_state
 from repro.crypto.rng import HmacDrbg
 from repro.errors import SecretNotFound
 from repro.sgx.enclave import EnclaveIdentity
-from repro.sgx.sealing import POLICY_MRENCLAVE, SealedBlob, seal, unseal
+from repro.sgx.sealing import SealedBlob, seal, unseal
 
 
 @shared_state("_blobs", "_busy_until")
@@ -54,16 +54,6 @@ class SecretShard:
         self._blobs: Dict[str, SealedBlob] = {}
         self._busy_until = 0.0
         self._lock = make_lock("kms_shard")
-        # Optional seal-work offload (duck-typed KernelPool; None = the
-        # AEAD runs inline under the shard lock, as before).
-        self._kernel_pool = None
-
-    def attach_kernel_pool(self, pool) -> None:
-        """Run the sealing AEAD in a kernel-pool worker (``None``
-        detaches).  Randomness (key id, nonce) is still drawn under the
-        shard lock in DRBG order, so pooled blobs are byte-identical;
-        only the cipher work leaves the lock."""
-        self._kernel_pool = pool
 
     # ----------------------------------------------------------- pipeline
 
@@ -87,28 +77,9 @@ class SecretShard:
         Returns ``True`` when the key is new (``False`` on replacement),
         so the caller can keep count-quota accounting exact.
         """
-        pool = self._kernel_pool
-        if pool is None:
-            with self._lock:
-                blob = seal(self._fuse_key, self.identity, tenant_secret,
-                            rng=self._rng)
-                created = key not in self._blobs
-                self._blobs[key] = blob
-                self._occupy(now, cost)
-                return created
-        # Pooled seal: draw randomness under the lock (DRBG order is the
-        # byte-identity anchor), run the AEAD in a worker with no locks
-        # held, then re-enter the lock to publish the result.
         with self._lock:
-            key_id = self._rng.random_bytes(16)
-            nonce = self._rng.random_bytes(12)
-        blob_bytes = pool.seal_blob(
-            self._fuse_key, self.identity.mrenclave, self.identity.mrsigner,
-            self.identity.isv_prod_id, self.identity.isv_svn,
-            bytes(tenant_secret), POLICY_MRENCLAVE, key_id, nonce,
-        )
-        blob = SealedBlob.from_bytes(blob_bytes)
-        with self._lock:
+            blob = seal(self._fuse_key, self.identity, tenant_secret,
+                        rng=self._rng)
             created = key not in self._blobs
             self._blobs[key] = blob
             self._occupy(now, cost)

@@ -69,23 +69,7 @@ class CertificateAuthority:
         # is a full ECDSA operation.
         self._crl_cache: Optional[Tuple[Tuple[int, int, int],
                                         CertificateRevocationList]] = None
-        # Optional process pool for the signing math (duck-typed
-        # repro.core.kernels.KernelPool; None = sign in-process).
-        self._kernel_pool = None
         self.certificate = self._self_sign(now, validity)
-
-    def attach_kernel_pool(self, pool) -> None:
-        """Dispatch certificate signing to a kernel pool (``None``
-        detaches).  Signing already happens outside the CA lock, and
-        RFC 6979 makes pooled signatures byte-identical, so attaching a
-        pool changes wall-clock behaviour only."""
-        self._kernel_pool = pool
-
-    def _sign_tbs(self, tbs_bytes: bytes, serial: int) -> bytes:
-        pool = self._kernel_pool
-        if pool is None:
-            return self._key.sign(tbs_bytes)
-        return pool.sign_cert(tbs_bytes, self._key.to_bytes(), serial)
 
     # ------------------------------------------------------------- internals
 
@@ -150,8 +134,7 @@ class CertificateAuthority:
             key_usage=key_usage,
             san=san,
         )
-        cert = replace(unsigned,
-                       signature=self._sign_tbs(unsigned.tbs_bytes(), serial))
+        cert = replace(unsigned, signature=self._key.sign(unsigned.tbs_bytes()))
         with self._lock:
             if cert.serial in self._issued:
                 raise CertificateError(

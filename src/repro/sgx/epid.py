@@ -130,12 +130,6 @@ class EpidGroup:
         """The member-id sealing key (needed by signers)."""
         return self._sealing_key
 
-    def export_secret(self) -> bytes:
-        """The group manager secret, for snapshotting verification state
-        into a process-pool kernel (manager-internal — a snapshot grants
-        full verification *and* issuance power for the group)."""
-        return self._master
-
 
 def pseudonym(member_secret: bytes, basename: bytes) -> bytes:
     """The per-basename pseudonym (linkable within one basename)."""

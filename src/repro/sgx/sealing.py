@@ -76,18 +76,6 @@ def seal(fuse_key: bytes, identity, plaintext: bytes,
     rng = rng or default_rng()
     key_id = rng.random_bytes(16)
     nonce = rng.random_bytes(12)
-    return seal_deterministic(fuse_key, identity, plaintext, policy,
-                              key_id, nonce)
-
-
-def seal_deterministic(fuse_key: bytes, identity, plaintext: bytes,
-                       policy: str, key_id: bytes, nonce: bytes) -> SealedBlob:
-    """:func:`seal` with caller-supplied ``key_id``/``nonce``.
-
-    The split lets a process-pool seal kernel (``repro.core.kernels``)
-    draw randomness under the shard lock, in DRBG order, and do the AEAD
-    work in a worker — producing blobs byte-identical to :func:`seal`.
-    """
     key = _derive_seal_key(fuse_key, identity, policy, key_id,
                            identity.isv_svn)
     ciphertext = AesGcm(key).encrypt(nonce, plaintext, policy.encode())

@@ -44,13 +44,12 @@ class TestSeededViolations:
         joined = "\n".join(f.message for f in hyg005)
         assert "import multiprocessing" in joined
         assert "ProcessPoolExecutor" in joined
-        assert "KernelPool" in joined
 
-    def test_kernels_module_may_spawn_processes(self):
-        findings = _bad(virtual_path="core/kernels.py")
-        assert not [f for f in findings if f.rule_id == "HYG005"]
-        # the other seeded violations still fire there
-        assert [f for f in findings if f.rule_id == "HYG001"]
+    def test_no_module_is_exempt_from_hyg005(self):
+        for path in ("core/kernels.py", "core/fleet.py", "kms/shard.py"):
+            hyg005 = [f for f in _bad(virtual_path=path)
+                      if f.rule_id == "HYG005"]
+            assert len(hyg005) == 3, path
 
     def test_rng_module_may_seed_from_os(self):
         findings = analyze_fixture("hygiene_bad.py", "crypto/rng.py",

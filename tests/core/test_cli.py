@@ -65,30 +65,6 @@ def test_enroll_multihost():
     assert "container-host-2" in output
 
 
-def test_fleet_with_processes():
-    code, output = run_cli("fleet", "--vnfs", "3", "--workers", "3",
-                           "--processes", "2", "--seed", "cli-fleet-proc")
-    assert code == 0
-    assert "kernel pool: 2 process(es)" in output
-    assert "IAS verifications batched" in output
-    assert "fleet of 3 VNF(s)" in output
-
-
-def test_fleet_without_processes_prints_no_pool_line():
-    code, output = run_cli("fleet", "--vnfs", "2", "--seed", "cli-fleet-std")
-    assert code == 0
-    assert "kernel pool" not in output
-
-
-def test_kms_with_seal_workers():
-    code, output = run_cli("kms", "--tenants", "1", "--shards", "2",
-                           "--secrets", "2", "--seal-workers", "2",
-                           "--seed", "cli-kms-seal")
-    assert code == 0
-    assert "seal kernel pool: 2 process(es)" in output
-    assert "1 tenant(s) x 2 secret(s)" in output
-
-
 def test_metrics_dumps_scrape_text():
     code, output = run_cli("metrics", "--vnfs", "1", "--seed", "cli-metrics")
     assert code == 0

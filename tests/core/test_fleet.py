@@ -129,10 +129,10 @@ def test_pooled_ias_survives_transient_faults():
     layer; the pooled connection is reused across the recovery."""
     from repro.core.workflow import IAS_ADDRESS
 
-    dep = Deployment(seed=b"fleet-faults", vnf_count=4)
-    dep.install_faults(FaultPlan().http_error(IAS_ADDRESS, 503, count=2))
     policy = RetryPolicy(max_attempts=4, base_backoff=0.01, jitter=0.0)
-    report = dep.enroll_fleet(workers=2, retry_policy=policy)
+    dep = Deployment(seed=b"fleet-faults", vnf_count=4, retry_policy=policy)
+    dep.install_faults(FaultPlan().http_error(IAS_ADDRESS, 503, count=2))
+    report = dep.enroll_fleet(workers=2)
     assert report.fully_succeeded, report.failed
 
 
@@ -219,28 +219,6 @@ def test_fleet_without_pooling_still_equivalent():
     certs = {name: dep.vm.issued_certificate(name).to_bytes()
              for name in order}
     assert certs == serial_certs
-
-
-def test_fleet_with_process_kernels_byte_identical():
-    """processes=N moves the verify/sign math to worker processes and
-    batches IAS exchanges — without changing a single issued byte."""
-    seed, count = b"fleet-processes", 4
-    order = [f"vnf-{i}" for i in range(1, count + 1)]
-    _, serial_certs = _serial_reference(seed, count, order)
-
-    dep = Deployment(seed=seed, vnf_count=count)
-    report = dep.enroll_fleet(order, workers=4, processes=2)
-    assert report.fully_succeeded, report.failed
-    assert report.processes == 2
-    assert report.kernel_dispatches + report.kernel_inline_calls > 0
-    certs = {name: dep.vm.issued_certificate(name).to_bytes()
-             for name in order}
-    assert certs == serial_certs
-    # The pool is scoped to the run: everything is detached afterwards.
-    assert dep.ias._kernel_pool is None
-
-    with pytest.raises(VnfSgxError, match="process"):
-        FleetScheduler(dep, processes=-1)
 
 
 def test_fleet_keystore_validation_model():

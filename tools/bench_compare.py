@@ -38,13 +38,11 @@ TIMING_SUFFIX = "_seconds"
 
 #: Per-experiment tolerance overrides, consulted *instead of* the global
 #: ``--threshold`` where present.  Wall-clock-dominated experiments (E12
-#: forks a process pool whose spawn cost depends on the runner's core
-#: count and load; E13's seal axis times host CPU, not simulated work)
-#: need more headroom than the simulated-time experiments, whose numbers
-#: are byte-deterministic per seed.
+#: times thread-pool fleets, whose wall time depends on the runner's
+#: core count and load) need more headroom than the simulated-time
+#: experiments, whose numbers are byte-deterministic per seed.
 TOLERANCES = {
     "E12": 0.50,
-    "E13": 0.50,
 }
 
 
