@@ -1,4 +1,4 @@
-"""E11 — crypto hot path: fast-path EC engine vs. the reference ladder.
+"""E11 — crypto hot path: fast paths vs. their reference oracles.
 
 The enrollment pipeline is ECDSA-bound: every certificate issuance signs,
 every chain validation and handshake verifies.  This experiment measures
@@ -13,7 +13,15 @@ every fast-path result byte-for-byte against the reference output.  The
 acceptance gate is a >=3x wall-time speedup on both generator
 multiplication and full ``ecdsa_verify``.
 
-A fourth table tracks the streaming SHA-256 fix: doubling the message
+The AEAD rows time AES-GCM against ``_ReferenceAesGcm``: 16x256 GHASH
+tables and one ``encrypt_block`` per counter on the same ``AES`` key
+schedule.  It is an oracle, not the previous code, so ``aead-setup``
+(gated >=3x) compares the two GHASH keyings on top of that shared
+schedule rather than the old and new set-up cost as a whole.  A 4 KB
+encryption (``aead-bulk-4096``) is gated >=3x and a 128-byte record is
+recorded ungated; every row cross-checks the ciphertext byte-for-byte.
+
+A further table tracks the streaming SHA-256 fix: doubling the message
 size must roughly double (not quadruple) chunked-update time.
 """
 
@@ -24,6 +32,7 @@ import pytest
 from repro.bench.harness import BenchReport, Table, smoke_mode, summarize
 from repro.crypto.ec import P256
 from repro.crypto.ecdsa import ecdsa_sign, ecdsa_verify, ecdsa_verify_reference
+from repro.crypto.gcm import AesGcm, _ReferenceAesGcm
 from repro.crypto.keys import generate_keypair
 from repro.crypto.rng import HmacDrbg
 from repro.crypto.sha256 import SHA256
@@ -32,6 +41,7 @@ from repro.errors import InvalidSignature
 # Smoke mode shrinks iteration counts; the assertions on speedup and
 # byte-identity are the same either way.
 ITERS = 6 if smoke_mode() else 25
+BULK_ITERS = 2 if smoke_mode() else 6
 ROUNDS = 5
 SPEEDUP_GATE = 3.0
 
@@ -52,9 +62,17 @@ def _scalars(label, count):
     return [rng.random_scalar(P256.n) for _ in range(count)]
 
 
-@pytest.mark.experiment("E11")
-def test_e11_crypto_hotpath():
+@pytest.fixture(scope="module")
+def e11_report():
+    """One BENCH_E11.json for the EC and AEAD rows."""
     report = BenchReport("E11")
+    yield report
+    report.write()
+
+
+@pytest.mark.experiment("E11")
+def test_e11_crypto_hotpath(e11_report):
+    report = e11_report
     curve = P256
     curve.reset_validation_cache()
     curve.stats.reset()
@@ -141,7 +159,58 @@ def test_e11_crypto_hotpath():
     assert stats["dual_mults"] >= ITERS
 
     report.add("validation_cache", **{k: stats[k] for k in stats})
-    report.write()
+
+
+@pytest.mark.experiment("E11")
+def test_e11_aead_hotpath(e11_report):
+    rng = HmacDrbg(seed=b"e11-aead")
+    keys = [rng.random_bytes(16) for _ in range(ITERS)]
+    nonce = rng.random_bytes(12)
+    aad = rng.random_bytes(13)
+    sample = rng.random_bytes(100)
+
+    # Key setup: one AEAD construction per fresh key, as every seal,
+    # unseal and TLS key schedule pays.  Byte-identity: each key's
+    # ciphertext from both constructions.
+    for key in keys:
+        assert (AesGcm(key).encrypt(nonce, sample, aad)
+                == _ReferenceAesGcm(key).encrypt(nonce, sample, aad))
+    setup_ref = _timed_batch(_ReferenceAesGcm, [(key,) for key in keys])
+    setup_fast = _timed_batch(AesGcm, [(key,) for key in keys])
+    rows = [("aead-setup", len(keys), setup_ref, setup_fast)]
+
+    # Bulk: one key, records of 4096 and 128 bytes.
+    fast, ref = AesGcm(keys[0]), _ReferenceAesGcm(keys[0])
+    for size in (4096, 128):
+        records = [rng.random_bytes(size) for _ in range(BULK_ITERS)]
+        for record in records:
+            assert (fast.encrypt(nonce, record, aad)
+                    == ref.encrypt(nonce, record, aad))
+        args = [(nonce, record, aad) for record in records]
+        rows.append((f"aead-bulk-{size}", len(records),
+                     _timed_batch(ref.encrypt, args),
+                     _timed_batch(fast.encrypt, args)))
+
+    table = Table(
+        "E11: AES-GCM fast paths vs. reference oracles",
+        ["op", "iters", "ref_ms", "fast_ms", "speedup"],
+    )
+    speedups = {}
+    for name, iters, ref_s, fast_s in rows:
+        speedups[name] = ref_s / fast_s
+        table.add_row(name, iters, ref_s * 1000, fast_s * 1000,
+                      speedups[name])
+        e11_report.add(name, iterations=iters, reference_seconds=ref_s,
+                       fast_seconds=fast_s, speedup=speedups[name])
+    table.show()
+    e11_report.add_table(table)
+
+    # Gates: key setup and a 4 KB record.  A 128-byte record gains about
+    # 2x (its GHASH and per-call costs are unchanged) and is recorded only.
+    for name in ("aead-setup", "aead-bulk-4096"):
+        assert speedups[name] >= SPEEDUP_GATE, (
+            f"{name} speedup {speedups[name]:.2f}x < {SPEEDUP_GATE}x"
+        )
 
 
 @pytest.mark.experiment("E11")

@@ -36,7 +36,7 @@ EXPERIMENTS = [
      "benchmarks/test_e9_provisioning_variants.py"),
     ("E10", "full vs. resumed TLS handshakes",
      "benchmarks/test_e10_session_resumption.py"),
-    ("E11", "crypto hot paths: fast-path EC engine vs. reference ladder",
+    ("E11", "crypto hot paths: EC and AES-GCM fast paths vs. references",
      "benchmarks/test_e11_crypto_hotpath.py"),
     ("E12", "fleet enrolment: serial loop vs. worker-pool scheduler",
      "benchmarks/test_e12_fleet.py"),

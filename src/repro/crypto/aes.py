@@ -1,10 +1,16 @@
 """The AES block cipher (FIPS 197) for 128/192/256-bit keys.
 
 The S-box is *derived* at import time from the GF(2^8) inverse and affine
-transform rather than pasted in as constants, and encryption/decryption use
-the standard 32-bit T-table formulation — the fastest approach available to
-pure Python and the same structure used by mbedTLS, the library the paper's
-prototype embeds in its enclaves.
+transform rather than pasted in as constants, and single-block
+encryption/decryption use the standard 32-bit T-table formulation — the
+structure used by mbedTLS, the library the paper's prototype embeds in its
+enclaves.
+
+:meth:`AES.encrypt_blocks` encrypts many blocks at once, lane-sliced: the
+16 state bytes of ``n`` blocks are held as 16 lanes of ``n`` bytes each, so
+every round step is a handful of whole-lane ``bytes.translate`` calls and
+big-int XORs instead of per-block table lookups.  ``encrypt_block`` is its
+byte-for-byte oracle (``tests/crypto/test_gcm_fast.py``).
 
 Only the raw block transform lives here; modes of operation are in
 :mod:`repro.crypto.gcm`.
@@ -99,6 +105,13 @@ def _build_tables() -> tuple:
 
 _T0, _T1, _T2, _T3, _D0, _D1, _D2, _D3 = _build_tables()
 
+# Lane-sliced encryption: byte-wise S-box and xtime (multiply by x) tables.
+_SBOX_BYTES = bytes(SBOX)
+_XTIME_BYTES = bytes(_gf_mul(v, 2) for v in range(256))
+# Lanes are laid out row-major: lane 4*r + c holds state row r, column c,
+# which is byte 4*c + r of every block.
+_LANE_BYTE = tuple(4 * (p % 4) + p // 4 for p in range(16))
+
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8)
 
 
@@ -117,7 +130,9 @@ class AES:
         self.key_size = len(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._round_keys = self._expand_key(key)
-        self._dec_round_keys = self._expand_decrypt_keys()
+        self._lane_keys = self._lane_key_tables()
+        # Built by the first decrypt_block; CTR-mode users never need it.
+        self._dec_round_keys = None
 
     @staticmethod
     def _expand_key(key: bytes) -> list:
@@ -145,6 +160,17 @@ class AES:
                 )
             words.append(words[i - nk] ^ temp)
         return words
+
+    def _lane_key_tables(self) -> list:
+        """Per round, a ``bytes.translate`` table mapping lane number ``p``
+        to the round-key byte that lane ``p`` is XORed with."""
+        words = struct.pack(f">{len(self._round_keys)}I", *self._round_keys)
+        tables = []
+        for offset in range(0, len(words), BLOCK_SIZE):
+            rk = words[offset:offset + BLOCK_SIZE]
+            tables.append(rk[0::4] + rk[1::4] + rk[2::4] + rk[3::4]
+                          + bytes(240))
+        return tables
 
     def _expand_decrypt_keys(self) -> list:
         """Equivalent-inverse-cipher round keys (InvMixColumns applied)."""
@@ -200,11 +226,69 @@ class AES:
         return struct.pack(">4I", o0 & 0xFFFFFFFF, o1 & 0xFFFFFFFF,
                            o2 & 0xFFFFFFFF, o3 & 0xFFFFFFFF)
 
+    def encrypt_blocks(self, data: bytes) -> bytes:
+        """Encrypt every 16-byte block of ``data`` (ECB), lane-sliced.
+
+        The state of all ``n`` blocks is one ``16n``-byte buffer of 16
+        lanes in row-major order (lane ``4r + c`` is row ``r``, column
+        ``c``), each lane ``n`` bytes long.  SubBytes is one ``translate``
+        over the buffer; ShiftRows rotates row ``r`` by ``r`` lanes with
+        slices; MixColumns is XORs of the state as a big int with its rows
+        rotated, plus one ``translate`` for xtime.  Each round-key byte is
+        spread over its lane by translating a public lane-number template,
+        so no table is indexed by key bytes.  The cost per round is a fixed
+        ~25 C-level calls plus linear work, instead of one Python-level
+        block transform per block.
+        """
+        size = len(data)
+        if size % BLOCK_SIZE:
+            raise InvalidKey(f"AES input must be whole blocks, got {size} bytes")
+        n = size // BLOCK_SIZE
+        row = 4 * n                         # bytes per state row
+        row_bits = 8 * row
+        mask = (1 << 4 * row_bits) - 1
+        frombytes = int.from_bytes
+        template = b"".join([bytes((p,)) * n for p in range(16)])
+        lane_keys = self._lane_keys
+        state = (frombytes(b"".join([data[i::16] for i in _LANE_BYTE]), "big")
+                 ^ frombytes(template.translate(lane_keys[0]), "big"))
+        for rnd in range(1, self.rounds + 1):
+            sub = state.to_bytes(size, "big").translate(_SBOX_BYTES)
+            # ShiftRows: row r (bytes r*row .. (r+1)*row) rotates left by
+            # r lanes, i.e. by r*n bytes.
+            shifted = frombytes(b"".join((
+                sub[:row],
+                sub[row + n:2 * row], sub[row:row + n],
+                sub[2 * row + 2 * n:3 * row], sub[2 * row:2 * row + 2 * n],
+                sub[3 * row + 3 * n:], sub[3 * row:3 * row + 3 * n],
+            )), "big")
+            round_lanes = frombytes(template.translate(lane_keys[rnd]), "big")
+            if rnd == self.rounds:
+                state = shifted ^ round_lanes
+                break
+            # MixColumns, row-wise: b_r = a_r ^ t ^ xtime(a_r ^ a_(r+1))
+            # with t = u_r ^ u_(r+2) for u_r = a_r ^ a_(r+1).  Rotating the
+            # big int left by k rows puts row r+k in row r's place.
+            u = shifted ^ (((shifted << row_bits) & mask)
+                           | (shifted >> 3 * row_bits))
+            state = (shifted ^ u
+                     ^ (((u << 2 * row_bits) & mask) | (u >> 2 * row_bits))
+                     ^ frombytes(u.to_bytes(size, "big").translate(_XTIME_BYTES),
+                                 "big")
+                     ^ round_lanes)
+        lanes = state.to_bytes(size, "big")
+        out = bytearray(size)
+        for p, i in enumerate(_LANE_BYTE):
+            out[i::16] = lanes[p * n:(p + 1) * n]
+        return bytes(out)
+
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt a single 16-byte block."""
         if len(block) != BLOCK_SIZE:
             raise InvalidKey(f"AES block must be 16 bytes, got {len(block)}")
         rk = self._dec_round_keys
+        if rk is None:
+            rk = self._dec_round_keys = self._expand_decrypt_keys()
         s0, s1, s2, s3 = struct.unpack(">4I", block)
         s0 ^= rk[0]
         s1 ^= rk[1]

@@ -16,7 +16,7 @@ from typing import Optional
 from repro.crypto.gcm import AesGcm
 from repro.crypto.hkdf import hkdf
 from repro.crypto.rng import HmacDrbg, default_rng
-from repro.errors import InvalidTag, SealingError
+from repro.errors import CryptoError, SealingError
 from repro.pki import der
 
 POLICY_MRENCLAVE = "mrenclave"
@@ -99,7 +99,7 @@ def unseal(fuse_key: bytes, identity, blob: SealedBlob) -> bytes:
     try:
         return AesGcm(key).decrypt(blob.nonce, blob.ciphertext,
                                    blob.policy.encode())
-    except InvalidTag as exc:
+    except CryptoError as exc:     # InvalidTag, or a host-mangled nonce
         raise SealingError(
             "unsealing failed: wrong platform, wrong enclave identity, "
             "or tampered blob"

@@ -13,12 +13,24 @@ PLAINTEXT = bytes.fromhex(
     "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255"
 )
 AAD = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
+# Test cases 15/16 repeat the 3/4 material with the key doubled (AES-256).
+KEY256 = KEY + KEY
+CT256 = bytes.fromhex(
+    "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+    "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad"
+)
 
 
 def test_nist_case_1_empty_everything():
     aead = AesGcm(bytes(16))
     out = aead.encrypt(bytes(12), b"")
     assert out.hex() == "58e2fccefa7e3061367f1d57a4e7455a"
+
+
+def test_nist_case_2_one_zero_block():
+    out = AesGcm(bytes(16)).encrypt(bytes(12), bytes(16))
+    assert out[:-TAG_SIZE].hex() == "0388dace60b6a392f328c2b971b2fe78"
+    assert out[-TAG_SIZE:].hex() == "ab6e47d42cec13bdf53a67b21257bddf"
 
 
 def test_nist_case_3_no_aad():
@@ -33,6 +45,31 @@ def test_nist_case_3_no_aad():
 def test_nist_case_4_with_aad():
     out = AesGcm(KEY).encrypt(IV, PLAINTEXT[:-4], AAD)
     assert out[-TAG_SIZE:].hex() == "5bc94fbc3221a5db94fae95ae7121a47"
+
+
+def test_nist_case_13_aes256_empty_everything():
+    out = AesGcm(bytes(32)).encrypt(bytes(12), b"")
+    assert out.hex() == "530f8afbc74536b9a963b4f1c4cb738b"
+
+
+def test_nist_case_14_aes256_one_zero_block():
+    out = AesGcm(bytes(32)).encrypt(bytes(12), bytes(16))
+    assert out[:-TAG_SIZE].hex() == "cea7403d4d606b6e074ec5d3baf39d18"
+    assert out[-TAG_SIZE:].hex() == "d0d1c8a799996bf0265b98b5d48ab919"
+
+
+def test_nist_case_15_aes256_no_aad():
+    out = AesGcm(KEY256).encrypt(IV, PLAINTEXT)
+    assert out[:-TAG_SIZE] == CT256
+    assert out[-TAG_SIZE:].hex() == "b094dac5d93471bdec1a502270e3cc6c"
+    assert AesGcm(KEY256).decrypt(IV, out) == PLAINTEXT
+
+
+def test_nist_case_16_aes256_with_aad():
+    out = AesGcm(KEY256).encrypt(IV, PLAINTEXT[:-4], AAD)
+    assert out[:-TAG_SIZE] == CT256[:-4]
+    assert out[-TAG_SIZE:].hex() == "76fc6ece0f4e1768cddf8853bb2d551b"
+    assert AesGcm(KEY256).decrypt(IV, out, AAD) == PLAINTEXT[:-4]
 
 
 def test_roundtrip_various_lengths(rng):

@@ -1,6 +1,8 @@
 """Property-based tests over the crypto primitives."""
 
 import base64
+import hashlib
+import hmac
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,12 @@ NONCE = st.binary(min_size=12, max_size=12)
 @settings(max_examples=50, deadline=None)
 def test_pure_sha256_agrees_with_hashlib(data):
     assert sha256(data, backend="pure") == sha256(data, backend="hashlib")
+
+
+@given(st.binary(max_size=200), st.binary(max_size=300))
+@settings(max_examples=60, deadline=None)
+def test_hmac_sha256_agrees_with_stdlib(key, data):
+    assert hmac_sha256(key, data) == hmac.new(key, data, hashlib.sha256).digest()
 
 
 @given(KEY16, st.binary(min_size=16, max_size=16))

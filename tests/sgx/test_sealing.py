@@ -1,5 +1,7 @@
 """Sealing: policies, cross-identity/platform failure, SVN anti-rollback."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SealingError
@@ -77,6 +79,15 @@ def test_tampered_blob_fails(rng):
     )
     with pytest.raises(SealingError):
         unseal(FUSE_A, identity(), tampered)
+
+
+def test_tampered_nonce_length_raises_sealing_error(rng):
+    # Blobs live in untrusted host storage: a nonce cut or padded to the
+    # wrong length is tampering, reported like any other.
+    blob = seal(FUSE_A, identity(), b"secret", rng=rng)
+    for nonce in (blob.nonce[:11], blob.nonce + b"\x00", b""):
+        with pytest.raises(SealingError):
+            unseal(FUSE_A, identity(), dataclasses.replace(blob, nonce=nonce))
 
 
 def test_unknown_policy_rejected(rng):
