@@ -19,7 +19,7 @@ from repro.crypto.hkdf import hkdf
 from repro.crypto.keys import EcPublicKey, generate_keypair
 from repro.crypto.rng import HmacDrbg, default_rng
 from repro.crypto.sha256 import sha256
-from repro.errors import InvalidTag, ProvisioningError
+from repro.errors import CryptoError, EncodingError, ProvisioningError
 from repro.pki import der
 from repro.pki.certificate import Certificate
 
@@ -76,9 +76,22 @@ class ProvisioningMessage:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProvisioningMessage":
-        """Parse a serialized message."""
-        vm_public, nonce, ciphertext = der.decode(data)
-        return cls(vm_public, nonce, ciphertext)
+        """Parse a serialized message.
+
+        Raises:
+            ProvisioningError: if ``data`` is not a DER list of three byte
+                strings (the message crosses the untrusted host agent).
+        """
+        try:
+            fields = der.decode(data)
+        except EncodingError as exc:
+            raise ProvisioningError("malformed provisioning message") from exc
+        if not (isinstance(fields, list) and len(fields) == 3
+                and all(isinstance(field, bytes) for field in fields)):
+            raise ProvisioningError(
+                "provisioning message must be a list of three byte strings"
+            )
+        return cls(*fields)
 
 
 def binding_hash(enclave_public_bytes: bytes, vm_nonce: bytes) -> bytes:
@@ -114,14 +127,20 @@ def encrypt_bundle(enclave_public_bytes: bytes, bundle: CredentialBundle,
 
 def decrypt_bundle(enclave_private_scalar: int, enclave_public_bytes: bytes,
                    message: ProvisioningMessage) -> CredentialBundle:
-    """Enclave side: recover the bundle (runs inside the enclave)."""
-    vm_public = EcPublicKey.from_bytes(message.vm_public)
-    shared = ecdh_shared_secret(enclave_private_scalar, vm_public.point)
-    key = _transport_key(shared, message.vm_public, enclave_public_bytes)
+    """Enclave side: recover the bundle (runs inside the enclave).
+
+    Raises:
+        ProvisioningError: if the message does not decrypt — the wrong
+            enclave key, or a message the host tampered with (ciphertext,
+            nonce, or an invalid ``vm_public`` point).
+    """
     try:
+        vm_public = EcPublicKey.from_bytes(message.vm_public)
+        shared = ecdh_shared_secret(enclave_private_scalar, vm_public.point)
+        key = _transport_key(shared, message.vm_public, enclave_public_bytes)
         plaintext = AesGcm(key).decrypt(message.nonce, message.ciphertext,
                                         _KDF_INFO)
-    except InvalidTag as exc:
+    except CryptoError as exc:  # InvalidTag, InvalidPoint, a mangled nonce
         raise ProvisioningError(
             "provisioning message does not decrypt: wrong enclave key or "
             "tampered message"

@@ -6,18 +6,26 @@ Two layers coexist deliberately:
   Jacobian double-and-add from the seed implementation.  It is kept byte-
   for-byte unchanged in behaviour and serves as the *oracle* every fast
   path is cross-checked against (``tests/crypto/test_ec_fast.py``).
-- **Fast engine** — the hot paths the enrollment pipeline actually runs:
+- **Fast engine** — the hot paths the enrollment pipeline actually runs,
+  all on one private ladder (:meth:`_Curve._ladder`) that walks a sparse
+  map of affine addends with the ``a = -3`` doubling and the mixed
+  Jacobian+affine addition inlined:
 
-  * :meth:`_Curve.multiply_generator` uses a **fixed-base comb**: radix-16
-    window tables over the generator, built once per curve (64 windows of
-    15 odd/even multiples each, stored affine so every ladder step is one
-    mixed Jacobian+affine addition and there are *no* doublings at all).
+  * :meth:`_Curve.multiply_generator` uses a **signed fixed-base comb**:
+    7-bit windows with digits in ``[-63, 64]`` over tables built once per
+    curve (37 windows of the 64 multiples ``1..64`` of ``2**(7i) * G``,
+    stored affine, a negative digit negating ``y``), so ``k * G`` is at
+    most 37 mixed additions and *no* doublings at all.
   * :meth:`_Curve.multiply_dual` computes ``u1*G + u2*Q`` with
-    Shamir/Strauss interleaving over **wNAF** digit expansions — one shared
-    doubling ladder instead of two full multiplies plus an add.  The
-    generator side reads from a precomputed affine odd-multiples table.
+    Shamir/Strauss interleaving over **wNAF** digits, each scalar split
+    into four 64-bit chunks — one shared doubling ladder of ~64 steps
+    instead of two full multiplies plus an add.  The generator side reads
+    tables precomputed once per curve; the key side reads tables cached
+    per public key in an LRU.
   * :meth:`_Curve.multiply_point` is the single-scalar wNAF ladder used by
     ECDH, where the base point is the peer's (not the generator).
+  * Scalars are recoded by :func:`_wnaf_sparse`, which emits only the
+    non-zero digits and skips each run of zeros in one step.
   * :meth:`_Curve.validate_public` is **cofactor-aware**: for a cofactor-1
     curve the full-order ``n * P`` check is mathematically redundant (the
     whole curve has prime order ``n``, so every on-curve point other than
@@ -42,29 +50,37 @@ from typing import List, NamedTuple, Optional, Tuple
 from repro.analysis.sanitizer import make_lock, make_rlock
 from repro.errors import InvalidPoint
 
-#: Window width (bits) of the fixed-base comb used by multiply_generator.
-FIXED_BASE_WINDOW = 4
+#: Window width (bits) of the signed fixed-base comb used by
+#: multiply_generator.  Digits lie in ``[-63, 64]``, so each window's
+#: table holds the 2**(FIXED_BASE_WINDOW-1) = 64 multiples ``1..64`` of
+#: its base and a negative digit negates ``y``.
+FIXED_BASE_WINDOW = 7
 
-#: wNAF width for the precomputed generator table in multiply_dual.
+#: wNAF width for the precomputed generator tables in multiply_dual.
 GENERATOR_WNAF_WIDTH = 8
 
 #: wNAF width for per-call points (the ECDH peer side): the table is
 #: built fresh each call, so a narrow window keeps the build cheap.
 POINT_WNAF_WIDTH = 5
 
-#: wNAF width for the public-key side of the dual ladder: its tables are
-#: cached in a per-point LRU, so a wider window (fewer ladder additions)
-#: pays off once a key is seen more than once — which chain validation
-#: and per-peer handshakes guarantee.
-DUAL_POINT_WNAF_WIDTH = 6
+#: wNAF width for the public-key side of the dual ladder.  Its tables are
+#: cached per key, but a first-seen key pays for DUAL_SPLIT of them, and a
+#: narrow window keeps that first verify about as cheap as an unsplit
+#: ladder (width 6 measured 1.14x slower on a first-seen key).
+DUAL_POINT_WNAF_WIDTH = 5
+
+#: Number of chunks the dual ladder splits each scalar into: the shared
+#: doubling ladder then runs over one chunk's bit length (64 for P-256).
+DUAL_SPLIT = 4
 
 #: Bound on the validated-point LRU (per curve).
 VALIDATION_CACHE_CAPACITY = 512
 
-#: Bound on the per-point odd-multiples table LRU (per curve).  Entries
-#: are small (2**(POINT_WNAF_WIDTH-2) affine points) and the hit pattern
-#: is highly repetitive: chain validation always verifies against the same
-#: CA key, and every handshake against a given peer reuses its key.
+#: Bound on the per-point table LRU (per curve).  Entries are small
+#: (DUAL_SPLIT tables of 2**(DUAL_POINT_WNAF_WIDTH-2) affine points, 32 in
+#: all) and the hit pattern is highly repetitive: chain validation always
+#: verifies against the same CA key, and every handshake against a given
+#: peer reuses its key.
 POINT_TABLE_CACHE_CAPACITY = 128
 
 
@@ -125,27 +141,50 @@ class EcEngineStats:
             return {name: getattr(self, name) for name in self._COUNTERS}
 
 
-def _wnaf(k: int, width: int) -> List[int]:
-    """Width-``width`` non-adjacent form of ``k`` (least significant first).
+def _wnaf_sparse(k: int, width: int) -> List[Tuple[int, int]]:
+    """Non-zero digits of the width-``width`` NAF of ``k`` as
+    ``(position, digit)`` pairs, least significant first.
 
-    Digits are zero or odd in ``[-(2**(width-1) - 1), 2**(width-1) - 1]``;
-    at most one in every ``width`` consecutive digits is non-zero, so the
-    expected add-count of a wNAF ladder is ``len/(width + 1)``.
+    Digits are odd in ``[-(2**(width-1) - 1), 2**(width-1) - 1]`` and at
+    least ``width`` positions apart, so a wNAF ladder makes about
+    ``len/(width + 1)`` additions.  Each run of zero digits is skipped
+    with one trailing-zero count instead of one loop step per bit.
     """
-    digits: List[int] = []
+    pairs: List[Tuple[int, int]] = []
     modulus = 1 << width
-    half = 1 << (width - 1)
+    half = modulus >> 1
+    mask = modulus - 1
+    position = 0
     while k:
-        if k & 1:
-            digit = k & (modulus - 1)
-            if digit >= half:
-                digit -= modulus
-            k -= digit
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        position += zeros
+        digit = k & mask
+        if digit >= half:
+            digit -= modulus
+        pairs.append((position, digit))
+        # k - digit is divisible by 2**width: the next width - 1 digits
+        # are zero and the one after is read from the next loop step.
+        k = (k - digit) >> width
+        position += width
+    return pairs
+
+
+def _place(steps: dict, pairs: List[Tuple[int, int]], table: List[Point],
+           p: int) -> None:
+    """Add each ``(position, digit)`` of a wNAF recoding to the ladder map
+    ``steps`` as the affine entry ``|digit| * base`` of an odd-multiples
+    ``table``, with ``y`` negated for a negative digit."""
+    for position, digit in pairs:
+        if digit > 0:
+            entry = table[digit >> 1]
         else:
-            digit = 0
-        digits.append(digit)
-        k >>= 1
-    return digits
+            x, y = table[-digit >> 1]
+            entry = (x, p - y)
+        if position in steps:
+            steps[position].append(entry)
+        else:
+            steps[position] = [entry]
 
 
 class _Curve:
@@ -173,18 +212,18 @@ class _Curve:
         self._lock = make_rlock("ec_curves")
         # Lazily built fast-path tables (once per curve, never mutated).
         self._fixed_base: Optional[List[List[Point]]] = None
-        self._generator_odd: Optional[Tuple[List[Point], List[Point]]] = None
-        # Scalar split point for the dual ladder (128 for P-256): scalars
-        # are split as ``k = k_lo + 2**half_bits * k_hi`` so the shared
-        # doubling ladder only runs half the bit length.
-        self._half_bits = (n.bit_length() + 1) // 2
+        self._generator_odd: Optional[List[List[Point]]] = None
+        # Chunk length of the dual ladder's scalar split (64 for P-256):
+        # ``u = sum(u_j * 2**(j * chunk_bits))`` over DUAL_SPLIT chunks,
+        # so the shared doubling ladder runs one chunk's bit length.
+        self._chunk_bits = (n.bit_length() + DUAL_SPLIT - 1) // DUAL_SPLIT
         # LRU of already-validated public points: (x, y) -> True.
         self._validated: "OrderedDict[Tuple[int, int], bool]" = OrderedDict()
         self.validation_cache_capacity = VALIDATION_CACHE_CAPACITY
-        # LRU of per-point affine odd-multiples table pairs for the dual
-        # ladder: (x, y) -> ([1Q, 3Q, ...], [1R, 3R, ...]) with
-        # R = 2**half_bits * Q.
-        self._point_tables: "OrderedDict[Tuple[int, int], Tuple[List[Point], List[Point]]]" = \
+        # LRU of per-point affine odd-multiples tables for the dual
+        # ladder: (x, y) -> [[1Q_j, 3Q_j, ...] for j < DUAL_SPLIT] with
+        # Q_j = 2**(j * chunk_bits) * Q.
+        self._point_tables: "OrderedDict[Tuple[int, int], List[List[Point]]]" = \
             OrderedDict()
         self.point_table_cache_capacity = POINT_TABLE_CACHE_CAPACITY
 
@@ -335,34 +374,6 @@ class _Curve:
         z3 = h * z1 * z2 % p
         return (x3, y3, z3)
 
-    def _jac_add_mixed(self, jac1, x2: int, y2: int):
-        """Mixed addition: Jacobian ``jac1`` + affine ``(x2, y2)``.
-
-        The affine operand's ``Z == 1`` removes four field multiplications
-        and one squaring versus the general formula — this is why the
-        fixed-base tables store affine points.
-        """
-        x1, y1, z1 = jac1
-        if z1 == 0:
-            return (x2, y2, 1)
-        p = self.p
-        z1z1 = z1 * z1 % p
-        u2 = x2 * z1z1 % p
-        s2 = y2 * z1z1 * z1 % p
-        if x1 == u2:
-            if y1 != s2:
-                return (0, 1, 0)
-            return self._jac_double(jac1)
-        h = (u2 - x1) % p
-        r = (s2 - y1) % p
-        h2 = h * h % p
-        h3 = h2 * h % p
-        u1h2 = x1 * h2 % p
-        x3 = (r * r - h3 - 2 * u1h2) % p
-        y3 = (r * (u1h2 - x3) - y1 * h3) % p
-        z3 = h * z1 % p
-        return (x3, y3, z3)
-
     def add(self, p1: Optional[Point], p2: Optional[Point]) -> Optional[Point]:
         """Group addition in affine terms."""
         return self._from_jacobian(
@@ -399,251 +410,31 @@ class _Curve:
             k >>= 1
         return self._from_jacobian(acc)
 
-    # --------------------------------------------------- fast-path tables
+    # ---------------------------------------------------- the shared ladder
 
-    def _fixed_base_table(self) -> List[List[Point]]:
-        """``table[i][j-1] = j * 16**i * G`` as affine points.
+    def _ladder(self, steps: dict, top: int, acc: tuple = (0, 1, 0)) -> tuple:
+        """Left-to-right double-and-add over a sparse map of affine addends.
 
-        Built lazily, once per curve: 64 windows (for a 256-bit order) of
-        15 entries each.  With the table in hand, ``k * G`` is at most one
-        mixed addition per 4-bit window of ``k`` — no doublings.
+        For ``i`` from ``top - 1`` down to 0: double the Jacobian
+        accumulator, then add each affine ``(x, y)`` in ``steps.get(i)``.
+        The result is ``2**top * acc + sum(2**i * addend)``, in Jacobian
+        coordinates.  Every fast path runs here: the comb puts all its
+        addends at position 0, the wNAF multiplies put each digit's table
+        entry at its position, and the table builds pass no addends to
+        shift a base point by ``2**top``.
+
+        For ``a = -3`` curves (every NIST prime curve, P-256 included) the
+        doubling is dbl-2001-b, inlined, with no ``z**4`` power; the
+        addition is the mixed Jacobian+affine madd-2004-hmv, inlined.  The
+        generic ``_jac_double`` covers other curves and the addition's
+        equal-points case.
         """
-        table_ref = self._fixed_base
-        if table_ref is None:
-            with self._lock:
-                if self._fixed_base is None:  # double-checked: build once
-                    self.stats.bump("table_builds")
-                    windows = (self.n.bit_length() + FIXED_BASE_WINDOW - 1) \
-                        // FIXED_BASE_WINDOW
-                    table: List[List[Point]] = []
-                    base = self._to_jacobian(self.generator)
-                    for _ in range(windows):
-                        row: List[Point] = []
-                        acc = (0, 1, 0)
-                        for _ in range((1 << FIXED_BASE_WINDOW) - 1):
-                            acc = self._jac_add(acc, base)
-                            affine = self._from_jacobian(acc)
-                            # j*2^(4i) < n: never infinity
-                            assert affine is not None
-                            row.append(affine)
-                        table.append(row)
-                        for _ in range(FIXED_BASE_WINDOW):
-                            base = self._jac_double(base)
-                    self._fixed_base = table
-                table_ref = self._fixed_base
-        return table_ref
-
-    def _generator_wnaf_tables(self) -> Tuple[List[Point], List[Point]]:
-        """Affine odd-multiples tables for both generator digit streams.
-
-        Returns ``(low, high)`` where ``low[j] = (2j+1) * G`` and
-        ``high[j] = (2j+1) * S`` with ``S = 2**half_bits * G`` — the
-        shifted base the split-scalar dual ladder uses for the top half
-        of ``u1``.  Built once per curve.
-        """
-        tables_ref = self._generator_odd
-        if tables_ref is None:
-            with self._lock:
-                if self._generator_odd is None:  # double-checked
-                    self.stats.bump("table_builds")
-                    shifted = self._to_jacobian(self.generator)
-                    for _ in range(self._half_bits):
-                        shifted = self._jac_double(shifted)
-                    count = 1 << (GENERATOR_WNAF_WIDTH - 2)
-                    low_jac = self._odd_multiples_jac(
-                        self._to_jacobian(self.generator), count)
-                    high_jac = self._odd_multiples_jac(shifted, count)
-                    affine = self._to_affine_batch(low_jac + high_jac)
-                    self._generator_odd = (affine[:count], affine[count:])
-                tables_ref = self._generator_odd
-        return tables_ref
-
-    def _odd_multiples_jac(self, jac: tuple, count: int) -> List[tuple]:
-        """Odd multiples ``[1, 3, 5, ...]`` (``count`` of them) of a
-        Jacobian point."""
-        twice = self._jac_double(jac)
-        table = [jac]
-        for _ in range(count - 1):
-            table.append(self._jac_add(table[-1], twice))
-        return table
-
-    def _to_affine_batch(self, jacs: List[tuple]) -> List[Point]:
-        """Convert several Jacobian points to affine with **one** field
-        inversion (Montgomery's batch-inversion trick).
-
-        ``k`` inversions cost ``3(k-1)`` multiplications plus a single
-        ``pow``; affine table entries then let the dual ladder use mixed
-        additions on the public-key side as well.  None of the inputs may
-        be the point at infinity (odd multiples of a valid point never
-        are).
-        """
-        p = self.p
-        zs = [z for _, _, z in jacs]
-        prefix = [1] * (len(zs) + 1)
-        for i, z in enumerate(zs):
-            prefix[i + 1] = prefix[i] * z % p
-        inv_all = pow(prefix[-1], -1, p)
-        out: List[Point] = [None] * len(jacs)  # type: ignore[list-item]
-        for i in range(len(jacs) - 1, -1, -1):
-            x, y, z = jacs[i]
-            z_inv = inv_all * prefix[i] % p
-            inv_all = inv_all * z % p
-            z2 = z_inv * z_inv % p
-            out[i] = Point(x * z2 % p, y * z2 * z_inv % p)
-        return out
-
-    def _point_odd_table(self, point: Point) -> Tuple[List[Point], List[Point]]:
-        """Affine odd-multiples tables for ``point`` from the per-point LRU.
-
-        Returns ``(low, high)`` with ``low[j] = (2j+1) * Q`` and
-        ``high[j] = (2j+1) * R`` for ``R = 2**half_bits * Q``.  Building
-        the pair costs ~128 doublings plus ~30 additions and one batch
-        inversion — but chain validation verifies every certificate
-        against the same CA key and each TLS peer reuses its key across
-        handshakes, so the build amortises to a dict hit on the common
-        path.
-        """
-        key = (point.x, point.y)
-        cache = self._point_tables
-        with self._lock:
-            tables = cache.get(key)
-            if tables is not None:
-                cache.move_to_end(key)
-                self.stats.bump("point_table_hits")
-                return tables
-        # Build outside the lock: ~128 doublings plus a batch inversion.
-        # Two threads racing on the same new key both build; the second
-        # insert wins and the tables are identical (pure function of the
-        # point), so the duplicate work is bounded and harmless.
-        self.stats.bump("point_table_misses")
-        base = self._to_jacobian(point)
-        shifted = base
-        for _ in range(self._half_bits):
-            shifted = self._jac_double(shifted)
-        count = 1 << (DUAL_POINT_WNAF_WIDTH - 2)
-        low_jac = self._odd_multiples_jac(base, count)
-        high_jac = self._odd_multiples_jac(shifted, count)
-        affine = self._to_affine_batch(low_jac + high_jac)
-        tables = (affine[:count], affine[count:])
-        with self._lock:
-            cache[key] = tables
-            if len(cache) > self.point_table_cache_capacity:
-                cache.popitem(last=False)
-        return tables
-
-    # ------------------------------------------------------- fast multiplies
-
-    def multiply_generator(self, k: int) -> Optional[Point]:
-        """``k * G`` via the fixed-base comb (reference: ``multiply(k, G)``).
-
-        One mixed addition per non-zero radix-16 window of ``k`` — roughly
-        64 cheap additions instead of ~256 doublings plus ~128 additions.
-        """
-        self.stats.bump("generator_mults")
-        k %= self.n
-        if k == 0:
-            return None
-        table = self._fixed_base_table()
-        acc = (0, 1, 0)
-        index = 0
-        mask = (1 << FIXED_BASE_WINDOW) - 1
-        while k:
-            digit = k & mask
-            if digit:
-                entry = table[index][digit - 1]
-                acc = self._jac_add_mixed(acc, entry.x, entry.y)
-            k >>= FIXED_BASE_WINDOW
-            index += 1
-        return self._from_jacobian_fast(acc)
-
-    def multiply_point(self, k: int, point: Optional[Point],
-                       width: int = POINT_WNAF_WIDTH) -> Optional[Point]:
-        """Single-scalar wNAF ladder for arbitrary base points (ECDH).
-
-        Same result as :meth:`multiply`, ~2.5x fewer additions: the wNAF
-        digit density is ``1/(width+1)`` against the plain ladder's 1/2.
-        """
-        self.stats.bump("wnaf_mults")
-        k %= self.n
-        if k == 0 or point is None:
-            return None
-        digits = _wnaf(k, width)
-        table = self._odd_multiples_jac(
-            self._to_jacobian(point), 1 << (width - 2))
-        p = self.p
-        acc = (0, 1, 0)
-        for digit in reversed(digits):
-            acc = self._jac_double(acc)
-            if digit:
-                if digit > 0:
-                    acc = self._jac_add(acc, table[digit >> 1])
-                else:
-                    x, y, z = table[(-digit) >> 1]
-                    acc = self._jac_add(acc, (x, (-y) % p, z))
-        return self._from_jacobian_fast(acc)
-
-    def multiply_dual(self, u1: int, u2: int,
-                      point: Optional[Point]) -> Optional[Point]:
-        """``u1 * G + u2 * point`` in one split-scalar Strauss wNAF ladder.
-
-        Both scalars are split at ``half_bits`` (128 for P-256) as
-        ``u = u_lo + 2**half_bits * u_hi``, giving *four* wNAF digit
-        streams over the precomputed bases ``G``, ``S = 2**half_bits * G``,
-        ``Q`` and ``R = 2**half_bits * Q``.  The shared doubling ladder
-        then only runs ~128 steps instead of ~256 — doublings dominate the
-        cost, so halving them nearly halves the whole verification
-        equation.  All four streams read *affine* odd-multiples tables
-        (the generator pair precomputed once per curve; the point pair
-        cached per public key in an LRU), so every addition is the cheap
-        mixed Jacobian+affine form.  For curves with ``a = -3`` (every
-        NIST prime curve, including P-256) the doubling body is inlined
-        using the dedicated ``a = -3`` formula, which avoids per-step
-        function-call overhead and the ``z^4`` power; the generic
-        ``_jac_double`` remains the fallback.
-        """
-        self.stats.bump("dual_mults")
-        u1 %= self.n
-        u2 %= self.n
-        if point is None or u2 == 0:
-            return self.multiply_generator(u1) if u1 else None
-        if u1 == 0:
-            return self.multiply_point(u2, point)
-        half = self._half_bits
-        half_mask = (1 << half) - 1
-        g_lo_table, g_hi_table = self._generator_wnaf_tables()
-        q_lo_table, q_hi_table = self._point_odd_table(point)
-        streams = (
-            (_wnaf(u1 & half_mask, GENERATOR_WNAF_WIDTH), g_lo_table),
-            (_wnaf(u1 >> half, GENERATOR_WNAF_WIDTH), g_hi_table),
-            (_wnaf(u2 & half_mask, DUAL_POINT_WNAF_WIDTH), q_lo_table),
-            (_wnaf(u2 >> half, DUAL_POINT_WNAF_WIDTH), q_hi_table),
-        )
         p = self.p
         a_is_minus3 = self.a == p - 3
-        length = max(len(digits) for digits, _ in streams)
-        # Merge the four digit streams into one sparse map of pending
-        # affine addends per ladder step (~65 of the ~128 steps carry
-        # one or more).  Merging up front lets the ladder below inline
-        # both the doubling and the mixed-addition field formulas with no
-        # per-step method calls or digit bookkeeping.
-        steps: dict = {}
-        for digits, table in streams:
-            for i, digit in enumerate(digits):
-                if digit > 0:
-                    entry = table[digit >> 1]
-                elif digit < 0:
-                    entry = table[(-digit) >> 1]
-                    entry = (entry.x, (-entry.y) % p)
-                else:
-                    continue
-                if i in steps:
-                    steps[i].append(entry)
-                else:
-                    steps[i] = [entry]
-        x1, y1, z1 = 0, 1, 0
+        x1, y1, z1 = acc
         empty: tuple = ()
         steps_get = steps.get
-        for i in range(length - 1, -1, -1):
+        for i in range(top - 1, -1, -1):
             # -- double (inlined dbl-2001-b for a = -3; generic fallback)
             if z1:
                 if y1 == 0:
@@ -667,15 +458,15 @@ class _Curve:
                     x1, y1, z1 = x2, y2, 1
                     continue
                 z1z1 = z1 * z1 % p
-                u2_ = x2 * z1z1 % p
+                u2 = x2 * z1z1 % p
                 s2 = y2 * z1z1 * z1 % p
-                if x1 == u2_:
+                if x1 == u2:
                     if y1 != s2:
                         x1, y1, z1 = 0, 1, 0
                     else:
                         x1, y1, z1 = self._jac_double((x1, y1, z1))
                     continue
-                h = (u2_ - x1) % p
+                h = (u2 - x1) % p
                 r = (s2 - y1) % p
                 h2 = h * h % p
                 h3 = h2 * h % p
@@ -684,7 +475,214 @@ class _Curve:
                 y1 = (r * (u1h2 - x3) - y1 * h3) % p
                 z1 = h * z1 % p
                 x1 = x3
-        return self._from_jacobian_fast((x1, y1, z1))
+        return (x1, y1, z1)
+
+    # --------------------------------------------------- fast-path tables
+
+    def _fixed_base_table(self) -> List[List[Point]]:
+        """``table[i][j-1] = j * 2**(7i) * G`` for ``j`` in ``1..64``, affine.
+
+        Built lazily, once per curve: 37 windows for a 256-bit order (one
+        bit more than the order, so a recoding carry always fits) of 64
+        entries each, converted with one batch inversion.  With the table
+        in hand, ``k * G`` is at most one mixed addition per 7-bit window
+        of ``k`` — no doublings.
+        """
+        table_ref = self._fixed_base
+        if table_ref is None:
+            with self._lock:
+                if self._fixed_base is None:  # double-checked: build once
+                    self.stats.bump("table_builds")
+                    size = 1 << (FIXED_BASE_WINDOW - 1)
+                    windows = (self.n.bit_length() + FIXED_BASE_WINDOW) \
+                        // FIXED_BASE_WINDOW
+                    base = self._to_jacobian(self.generator)
+                    jacs: List[tuple] = []
+                    for _ in range(windows):
+                        jacs.append(base)
+                        for _ in range(size - 1):
+                            jacs.append(self._jac_add(jacs[-1], base))
+                        base = self._ladder({}, FIXED_BASE_WINDOW, base)
+                    affine = self._to_affine_batch(jacs)
+                    self._fixed_base = [affine[i:i + size]
+                                        for i in range(0, len(affine), size)]
+                table_ref = self._fixed_base
+        return table_ref
+
+    def _generator_wnaf_tables(self) -> List[List[Point]]:
+        """The dual ladder's generator-side tables: ``_odd_tables`` of
+        ``G`` at GENERATOR_WNAF_WIDTH, one per scalar chunk.  Built once
+        per curve."""
+        tables_ref = self._generator_odd
+        if tables_ref is None:
+            with self._lock:
+                if self._generator_odd is None:  # double-checked
+                    self.stats.bump("table_builds")
+                    self._generator_odd = self._odd_tables(
+                        self.generator, GENERATOR_WNAF_WIDTH, DUAL_SPLIT)
+                tables_ref = self._generator_odd
+        return tables_ref
+
+    def _odd_tables(self, point: Point, width: int,
+                    ways: int) -> List[List[Point]]:
+        """Affine odd multiples ``[1, 3, ..., 2**(width-1) - 1]`` of each
+        base ``2**(j * chunk_bits) * point`` for ``j < ways``: one table
+        per scalar chunk, all converted with one batch inversion."""
+        count = 1 << (width - 2)
+        base = self._to_jacobian(point)
+        jacs: List[tuple] = []
+        for way in range(ways):
+            if way:
+                base = self._ladder({}, self._chunk_bits, base)
+            twice = self._jac_double(base)
+            jacs.append(base)
+            for _ in range(count - 1):
+                jacs.append(self._jac_add(jacs[-1], twice))
+        affine = self._to_affine_batch(jacs)
+        return [affine[i:i + count] for i in range(0, len(affine), count)]
+
+    def _to_affine_batch(self, jacs: List[tuple]) -> List[Point]:
+        """Convert several Jacobian points to affine with **one** field
+        inversion (Montgomery's batch-inversion trick).
+
+        ``k`` inversions cost ``3(k-1)`` multiplications plus a single
+        ``pow``; affine table entries then let every ladder addition use
+        the mixed form.  None of the inputs may be the point at infinity
+        (no table entry is: the prime ``n`` divides none of their
+        multipliers).
+        """
+        p = self.p
+        zs = [z for _, _, z in jacs]
+        prefix = [1] * (len(zs) + 1)
+        for i, z in enumerate(zs):
+            prefix[i + 1] = prefix[i] * z % p
+        inv_all = pow(prefix[-1], -1, p)
+        out: List[Point] = [None] * len(jacs)  # type: ignore[list-item]
+        for i in range(len(jacs) - 1, -1, -1):
+            x, y, z = jacs[i]
+            z_inv = inv_all * prefix[i] % p
+            inv_all = inv_all * z % p
+            z2 = z_inv * z_inv % p
+            out[i] = Point(x * z2 % p, y * z2 * z_inv % p)
+        return out
+
+    def _point_odd_table(self, point: Point) -> List[List[Point]]:
+        """The dual ladder's key-side tables for ``point``, from the
+        per-point LRU: ``_odd_tables`` at DUAL_POINT_WNAF_WIDTH, one per
+        scalar chunk.
+
+        Building them costs ~192 doublings plus ~30 additions and one
+        batch inversion — but chain validation verifies every certificate
+        against the same CA key and each TLS peer reuses its key across
+        handshakes, so the build amortises to a dict hit on the common
+        path.
+        """
+        key = (point.x, point.y)
+        cache = self._point_tables
+        with self._lock:
+            tables = cache.get(key)
+            if tables is not None:
+                cache.move_to_end(key)
+                self.stats.bump("point_table_hits")
+                return tables
+        # Build outside the lock: ~192 doublings plus a batch inversion.
+        # Two threads racing on the same new key both build; the second
+        # insert wins and the tables are identical (pure function of the
+        # point), so the duplicate work is bounded and harmless.
+        self.stats.bump("point_table_misses")
+        tables = self._odd_tables(point, DUAL_POINT_WNAF_WIDTH, DUAL_SPLIT)
+        with self._lock:
+            cache[key] = tables
+            if len(cache) > self.point_table_cache_capacity:
+                cache.popitem(last=False)
+        return tables
+
+    # ------------------------------------------------------- fast multiplies
+
+    def multiply_generator(self, k: int) -> Optional[Point]:
+        """``k * G`` via the signed fixed-base comb (reference:
+        ``multiply(k, G)``).
+
+        ``k`` is recoded into 7-bit digits in ``[-63, 64]`` (a digit above
+        64 becomes ``digit - 128`` and carries one into the next window),
+        and each non-zero digit is one mixed addition of a table entry —
+        at most 37 additions, where the plain ladder makes ~256 doublings
+        plus ~128 additions.
+        """
+        self.stats.bump("generator_mults")
+        k %= self.n
+        if k == 0:
+            return None
+        table = self._fixed_base_table()
+        p = self.p
+        mask = (1 << FIXED_BASE_WINDOW) - 1
+        half = 1 << (FIXED_BASE_WINDOW - 1)
+        addends = []
+        window = 0
+        while k:
+            digit = k & mask
+            k >>= FIXED_BASE_WINDOW
+            if digit > half:
+                digit -= mask + 1
+                k += 1
+            if digit > 0:
+                addends.append(table[window][digit - 1])
+            elif digit:
+                x, y = table[window][-digit - 1]
+                addends.append((x, p - y))
+            window += 1
+        return self._from_jacobian_fast(self._ladder({0: addends}, 1))
+
+    def multiply_point(self, k: int, point: Optional[Point]) -> Optional[Point]:
+        """Single-scalar wNAF ladder for arbitrary base points (ECDH).
+
+        Same result as :meth:`multiply`, ~2.5x fewer additions: the wNAF
+        digit density is ``1/(POINT_WNAF_WIDTH+1)`` against the plain
+        ladder's 1/2, and each addition is the mixed form against an
+        affine odd-multiples table built per call.
+        """
+        self.stats.bump("wnaf_mults")
+        k %= self.n
+        if k == 0 or point is None:
+            return None
+        (table,) = self._odd_tables(point, POINT_WNAF_WIDTH, 1)
+        steps: dict = {}
+        _place(steps, _wnaf_sparse(k, POINT_WNAF_WIDTH), table, self.p)
+        return self._from_jacobian_fast(self._ladder(steps, max(steps) + 1))
+
+    def multiply_dual(self, u1: int, u2: int,
+                      point: Optional[Point]) -> Optional[Point]:
+        """``u1 * G + u2 * point`` in one split-scalar Strauss wNAF ladder.
+
+        Both scalars are split into DUAL_SPLIT chunks of ``chunk_bits``
+        (64 for P-256) as ``u = sum(u_j * 2**(64j))``, giving eight wNAF
+        digit streams over the bases ``2**(64j) * G`` and
+        ``2**(64j) * point``.  The shared doubling ladder then runs ~64
+        steps instead of ~256 — doublings dominate the cost.  Every
+        stream reads an *affine* odd-multiples table (the generator's
+        built once per curve, the point's cached per public key in an
+        LRU), so every addition is the cheap mixed form.
+        """
+        self.stats.bump("dual_mults")
+        u1 %= self.n
+        u2 %= self.n
+        if point is None or u2 == 0:
+            return self.multiply_generator(u1) if u1 else None
+        if u1 == 0:
+            return self.multiply_point(u2, point)
+        bits = self._chunk_bits
+        mask = (1 << bits) - 1
+        p = self.p
+        steps: dict = {}
+        for g_table, q_table in zip(self._generator_wnaf_tables(),
+                                    self._point_odd_table(point)):
+            _place(steps, _wnaf_sparse(u1 & mask, GENERATOR_WNAF_WIDTH),
+                   g_table, p)
+            _place(steps, _wnaf_sparse(u2 & mask, DUAL_POINT_WNAF_WIDTH),
+                   q_table, p)
+            u1 >>= bits
+            u2 >>= bits
+        return self._from_jacobian_fast(self._ladder(steps, max(steps) + 1))
 
     def multiply_dual_reference(self, u1: int, u2: int,
                                 point: Optional[Point]) -> Optional[Point]:

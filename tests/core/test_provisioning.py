@@ -1,5 +1,7 @@
 """The encrypted credential-delivery protocol."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.provisioning import (
@@ -11,6 +13,7 @@ from repro.core.provisioning import (
 )
 from repro.crypto.keys import generate_keypair
 from repro.errors import ProvisioningError
+from repro.pki import der
 
 
 @pytest.fixture
@@ -62,13 +65,49 @@ def test_wrong_enclave_key_cannot_decrypt(bundle, rng):
 def test_tampered_message_rejected(bundle, rng):
     key = generate_keypair(rng)
     message = encrypt_bundle(key.public.to_bytes(), bundle, rng)
-    import dataclasses
-
     tampered = dataclasses.replace(
         message, ciphertext=message.ciphertext[:-1] + b"\x00"
     )
     with pytest.raises(ProvisioningError):
         decrypt_bundle(key.scalar, key.public.to_bytes(), tampered)
+
+
+def _flip_last_byte(data):
+    return data[:-1] + bytes([data[-1] ^ 1])
+
+
+# Fields the untrusted host agent can rewrite in transit.
+HOST_TAMPERING = {
+    "short-nonce": lambda m: dataclasses.replace(m, nonce=m.nonce[:11]),
+    "off-curve-vm-public": lambda m: dataclasses.replace(
+        m, vm_public=_flip_last_byte(m.vm_public)),
+    "truncated-vm-public": lambda m: dataclasses.replace(
+        m, vm_public=m.vm_public[:-1]),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(HOST_TAMPERING))
+def test_host_tampered_fields_raise_provisioning_error(bundle, rng, tamper):
+    key = generate_keypair(rng)
+    message = encrypt_bundle(key.public.to_bytes(), bundle, rng)
+    with pytest.raises(ProvisioningError):
+        decrypt_bundle(key.scalar, key.public.to_bytes(),
+                       HOST_TAMPERING[tamper](message))
+
+
+def test_malformed_message_bytes_raise_provisioning_error(bundle, rng):
+    key = generate_keypair(rng)
+    message = encrypt_bundle(key.public.to_bytes(), bundle, rng)
+    for data in (
+        der.encode([message.vm_public, message.nonce]),
+        der.encode([message.vm_public, message.nonce, message.ciphertext,
+                    b""]),
+        der.encode([message.vm_public, message.nonce, "not bytes"]),
+        der.encode(message.ciphertext),
+        b"junk",
+    ):
+        with pytest.raises(ProvisioningError):
+            ProvisioningMessage.from_bytes(data)
 
 
 def test_bundle_confidential_on_the_wire(bundle, rng):

@@ -1,20 +1,24 @@
 """Fast-path EC engine vs. the reference ladder.
 
-Every fast path (fixed-base comb, single-scalar wNAF, split-scalar dual
-ladder) is pinned byte-for-byte against the untouched reference
-double-and-add ladder, over DRBG-seeded random scalars plus the
-boundary cases ``k in {0, 1, 2, n-1, n, n+1}``.  The validated-point LRU
-and the per-point odd-multiples table cache are exercised for hit/miss
+Every fast path (signed fixed-base comb, single-scalar wNAF, 4-way split
+dual ladder) is pinned byte-for-byte against the untouched reference
+double-and-add ladder, over DRBG-seeded random scalars, a hypothesis
+property, and the boundary cases ``k in {0, 1, 2, n-1, n, n+1}``, plus
+scalars at the comb's carry and sign boundaries and at the split
+ladder's 64-bit chunk boundaries.  The validated-point LRU and the
+per-point odd-multiples table cache are exercised for hit/miss
 accounting, eviction, and the cofactor-1 order-check skip.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.ec import (
     P256,
     Point,
     VALIDATION_CACHE_CAPACITY,
-    _wnaf,
+    _wnaf_sparse,
 )
 from repro.crypto.ecdsa import (
     ecdsa_sign,
@@ -29,6 +33,19 @@ G = P256.generator
 N = P256.n
 
 EDGE_SCALARS = [0, 1, 2, 3, N - 2, N - 1, N, N + 1, N + 2, 2 * N - 1]
+
+#: Scalars at the signed comb's boundaries: n-1 and n-2 carry out of
+#: the last full 7-bit window into the partial top one; every 7-bit digit
+#: of ALL_64 is 64, the largest positive digit, and of ALL_65 is 65, the
+#: smallest one recoded as negative (-63 plus a carry).
+ALL_64 = sum(64 << (7 * i) for i in range(36))
+ALL_65 = sum(65 << (7 * i) for i in range(36))
+COMB_SCALARS = [N - 1, N - 2, ALL_64, ALL_65, (1 << 252) - 1, 1 << 252]
+
+#: Scalars whose 64-bit chunks in the split dual ladder are all zeros or
+#: all ones.
+CHUNK_SCALARS = [(1 << 64) - 1, 1 << 64, 1 << 128, 1 << 192,
+                 (1 << 128) - 1, (1 << 192) - 1, N - 1]
 
 
 def _random_scalars(label: bytes, count: int):
@@ -58,20 +75,43 @@ def _same(a, b):
 
 def test_wnaf_reconstructs_scalar():
     for width in (4, 5, 6, 7, 8):
-        for k in EDGE_SCALARS + _random_scalars(b"wnaf", 20):
-            digits = _wnaf(k, width)
-            assert sum(d << i for i, d in enumerate(digits)) == k
+        for k in EDGE_SCALARS + CHUNK_SCALARS + _random_scalars(b"wnaf", 20):
+            pairs = _wnaf_sparse(k, width)
+            assert sum(d << i for i, d in pairs) == k
             half = 1 << (width - 1)
-            for d in digits:
-                assert d == 0 or (d % 2 == 1 and -half < d < half)
+            for _, d in pairs:
+                assert d % 2 == 1 and -half < d < half
 
 
 def test_wnaf_nonzero_digit_spacing():
-    for k in _random_scalars(b"wnaf-spacing", 10):
-        digits = _wnaf(k, 5)
-        nonzero = [i for i, d in enumerate(digits) if d]
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b - a >= 5
+    for width in (5, 8):
+        for k in CHUNK_SCALARS + _random_scalars(b"wnaf-spacing", 10):
+            positions = [i for i, _ in _wnaf_sparse(k, width)]
+            for a, b in zip(positions, positions[1:]):
+                assert b - a >= width
+
+
+def _dense_wnaf(k, width):
+    """The textbook bit-at-a-time wNAF (least significant digit first)."""
+    digits = []
+    while k:
+        digit = 0
+        if k & 1:
+            digit = k & ((1 << width) - 1)
+            if digit >= 1 << (width - 1):
+                digit -= 1 << width
+            k -= digit
+        digits.append(digit)
+        k >>= 1
+    return digits
+
+
+def test_sparse_wnaf_matches_dense_recoding():
+    for width in (5, 8):
+        for k in EDGE_SCALARS + CHUNK_SCALARS + _random_scalars(b"dense", 10):
+            dense = _dense_wnaf(k, width)
+            assert _wnaf_sparse(k, width) == [
+                (i, d) for i, d in enumerate(dense) if d]
 
 
 # ------------------------------------------------- fixed-base comb (k*G)
@@ -83,7 +123,7 @@ def test_multiply_generator_matches_reference_random():
 
 
 def test_multiply_generator_matches_reference_edges():
-    for k in EDGE_SCALARS:
+    for k in EDGE_SCALARS + COMB_SCALARS:
         assert _same(P256.multiply_generator(k), P256.multiply(k, G))
 
 
@@ -91,9 +131,10 @@ def test_multiply_generator_matches_reference_edges():
 
 
 def test_multiply_point_matches_reference():
-    q = P256.multiply(0xB00F, G)
-    for k in EDGE_SCALARS + _random_scalars(b"wnaf-point", 25):
-        assert _same(P256.multiply_point(k, q), P256.multiply(k, q))
+    for m in (1, 0xB00F, N - 1, 0xC0FFEE << 200):
+        q = P256.multiply(m, G)
+        for k in EDGE_SCALARS + _random_scalars(b"wnaf-point-%x" % m, 8):
+            assert _same(P256.multiply_point(k, q), P256.multiply(k, q))
 
 
 def test_multiply_point_infinity_inputs():
@@ -122,15 +163,40 @@ def test_multiply_dual_matches_reference_edges():
                          P256.multiply_dual_reference(u1, u2, q))
 
 
+def test_multiply_dual_chunk_boundaries_on_miss_and_hit():
+    q = P256.multiply(0xC4A2, G)
+    for u1 in CHUNK_SCALARS:
+        for u2 in CHUNK_SCALARS:
+            P256.reset_point_tables()
+            expected = P256.multiply_dual_reference(u1, u2, q)
+            assert _same(P256.multiply_dual(u1, u2, q), expected)  # miss
+            assert _same(P256.multiply_dual(u1, u2, q), expected)  # hit
+    assert P256.stats.point_table_misses == len(CHUNK_SCALARS) ** 2
+    assert P256.stats.point_table_hits == len(CHUNK_SCALARS) ** 2
+
+
 def test_multiply_dual_cancellation():
     # u1*G + u2*Q with Q = m*G and u1 + u2*m = 0 (mod n) hits the
-    # P + (-P) branch of the inlined addition and must return infinity.
+    # P + (-P) branch of the inlined addition and must return infinity,
+    # also when u2's chunks are all zeros or all ones.
     m = 0x5EED
     q = P256.multiply(m, G)
-    u2 = 7
-    u1 = (-u2 * m) % N
-    assert P256.multiply_dual(u1, u2, q) is None
-    assert P256.multiply_dual_reference(u1, u2, q) is None
+    for u2 in [7] + CHUNK_SCALARS:
+        u1 = (-u2 * m) % N
+        assert P256.multiply_dual(u1, u2, q) is None
+        assert P256.multiply_dual_reference(u1, u2, q) is None
+
+
+SCALARS = st.integers(min_value=0, max_value=2 * N)
+
+
+@given(SCALARS, SCALARS, st.integers(min_value=1, max_value=N - 1))
+@settings(max_examples=25, deadline=None)
+def test_fast_multiplies_match_reference_property(u1, u2, m):
+    q = P256.multiply(m, G)
+    assert _same(P256.multiply_dual(u1, u2, q),
+                 P256.multiply_dual_reference(u1, u2, q))
+    assert _same(P256.multiply_point(u2, q), P256.multiply(u2, q))
 
 
 def test_multiply_dual_none_point():
