@@ -13,7 +13,6 @@ experiment E1 reports.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -26,6 +25,7 @@ from repro.errors import (
     NetError,
 )
 from repro.net.retry import RetryPolicy, retry_call
+from repro.obs.metrics import NULL_TELEMETRY
 
 #: Failures a step re-attempt can plausibly cure: transport faults and
 #: transient service statuses.  Appraisal/attestation verdicts are not
@@ -60,8 +60,8 @@ class EnrollmentSession:
         vnf_name: the VNF to enrol.
         controller_address: where the enrolled VNF should connect.
         sim_now: simulated-time source for timings.
-        telemetry: optional :class:`repro.obs.Telemetry`; when set, each
-            step opens a span and lands in the
+        telemetry: a :class:`repro.obs.Telemetry` (default: the null
+            object); each step opens a span and lands in the
             ``vnf_sgx_workflow_step_seconds{step=...}`` histogram.
         retry_policy: optional step-level :class:`RetryPolicy`; a step
             that fails with a transient error (:data:`STEP_RETRYABLE`)
@@ -79,7 +79,7 @@ class EnrollmentSession:
     vnf_name: str
     controller_address: str
     sim_now: Callable[[], float] = lambda: 0.0
-    telemetry: Optional[object] = None
+    telemetry: object = NULL_TELEMETRY
     retry_policy: Optional[RetryPolicy] = None
     clock: Optional[object] = None
     retry_rng: Optional[object] = None
@@ -106,8 +106,7 @@ class EnrollmentSession:
         sim_start = self.sim_now()
         wall_start = time.perf_counter()
         try:
-            with (tel.span(step, vnf=self.vnf_name) if tel is not None
-                  else nullcontext()):
+            with tel.span(step, vnf=self.vnf_name):
                 result = self._attempt(step, fn)
         except Exception:
             self.state = STATE_FAILED
@@ -118,8 +117,7 @@ class EnrollmentSession:
             simulated_seconds=simulated,
             wall_seconds=time.perf_counter() - wall_start,
         ))
-        if tel is not None:
-            tel.workflow_step_seconds.labels(step=step).observe(simulated)
+        tel.workflow_step_seconds.labels(step=step).observe(simulated)
         return result
 
     # ----------------------------------------------------------- the steps

@@ -19,13 +19,13 @@ round trips at fleet scale.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.core.credential_enclave import CredentialEnclave
 from repro.core.enrollment import StepTiming
 from repro.errors import EnrollmentError
+from repro.obs.metrics import NULL_TELEMETRY
 
 STATE_INIT = "init"
 STATE_PREPARED = "ratls-prepared"
@@ -52,7 +52,8 @@ class RatlsEnrollmentSession:
         anchors: encoded server anchors for validating the controller.
         controller_address: the RA-TLS northbound address.
         sim_now: simulated-time source for timings.
-        telemetry: optional :class:`repro.obs.Telemetry`.
+        telemetry: a :class:`repro.obs.Telemetry` (default: the null
+            object).
     """
 
     enclave: CredentialEnclave
@@ -61,7 +62,7 @@ class RatlsEnrollmentSession:
     anchors: tuple
     controller_address: str
     sim_now: Callable[[], float] = lambda: 0.0
-    telemetry: Optional[object] = None
+    telemetry: object = NULL_TELEMETRY
     validity_seconds: int = DEFAULT_VALIDITY_SECONDS
     state: str = STATE_INIT
     timings: List[StepTiming] = field(default_factory=list)
@@ -71,8 +72,7 @@ class RatlsEnrollmentSession:
         sim_start = self.sim_now()
         wall_start = time.perf_counter()
         try:
-            with (tel.span(step, vnf=self.enclave.vnf_name)
-                  if tel is not None else nullcontext()):
+            with tel.span(step, vnf=self.enclave.vnf_name):
                 result = fn()
         except Exception:
             self.state = STATE_FAILED
@@ -83,8 +83,7 @@ class RatlsEnrollmentSession:
             simulated_seconds=simulated,
             wall_seconds=time.perf_counter() - wall_start,
         ))
-        if tel is not None:
-            tel.workflow_step_seconds.labels(step=step).observe(simulated)
+        tel.workflow_step_seconds.labels(step=step).observe(simulated)
         return result
 
     # ----------------------------------------------------------- the steps

@@ -19,7 +19,6 @@ Responsibilities implemented here, keyed to Figure 1:
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.sanitizer import make_rlock
@@ -38,6 +37,7 @@ from repro.crypto.keys import EcPublicKey, generate_keypair
 from repro.crypto.rng import HmacDrbg, default_rng
 from repro.errors import AttestationFailed, RevocationError, VnfSgxError
 from repro.ias.api import IasClient
+from repro.obs.metrics import NULL_TELEMETRY
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import Certificate, KEY_USAGE_CLIENT_AUTH
 from repro.pki.crl import REASON_PLATFORM_UNTRUSTED, REASON_UNSPECIFIED
@@ -97,7 +97,7 @@ class VerificationManager:
             verification_cache if verification_cache is not None
             else VerificationCache(now=now)
         )
-        self._telemetry = None  # set by instrument()
+        self._telemetry = NULL_TELEMETRY  # see instrument()
         #: Guards the trust-state maps below plus the revocation paths.
         #: Lock ordering: the VM lock may be taken *before* the CA lock
         #: and the cache locks, never after (``docs/CONCURRENCY.md``).
@@ -124,14 +124,11 @@ class VerificationManager:
         provisioning paths gain histograms/spans, and every audit event is
         mirrored into ``vnf_sgx_audit_events_total{kind=...}``.
 
-        Pass ``None`` to detach.  With no telemetry attached every hook
-        reduces to one ``is None`` check — the disabled path costs nothing
-        and charges nothing to the virtual clock either way.
+        ``NULL_TELEMETRY`` detaches: every hook then makes no-op calls,
+        and neither way charges anything to the virtual clock.
         """
         self._telemetry = telemetry
-        self.audit.observer = (
-            telemetry.observe_audit if telemetry is not None else None
-        )
+        self.audit.observer = telemetry.observe_audit
         with self._lock:
             verifiers = list(self._ratls_verifiers)
         for verifier in verifiers:
@@ -197,8 +194,6 @@ class VerificationManager:
                 inspect them.
         """
         tel = self._telemetry
-        if tel is None:
-            return self._attest_host(agent, host_name)
         start = tel.now()
         outcome = "error"
         try:
@@ -264,37 +259,32 @@ class VerificationManager:
         only if the host is considered trustworthy").
         """
         tel = self._telemetry
-        if tel is None:
-            return self._attest_vnf(agent, host_name, vnf_name)
         with tel.span("enclave-attestation", vnf=vnf_name, host=host_name), \
                 tel.time(tel.vnf_attestation_seconds.labels(
                     variant="delivery")):
-            return self._attest_vnf(agent, host_name, vnf_name)
-
-    def _attest_vnf(self, agent: HostAgentClient, host_name: str,
-                    vnf_name: str) -> bytes:
-        if not self.host_trusted(host_name):
-            raise AttestationFailed(
-                f"refusing to attest VNF {vnf_name}: host {host_name} is "
-                "not trusted"
+            if not self.host_trusted(host_name):
+                raise AttestationFailed(
+                    f"refusing to attest VNF {vnf_name}: host {host_name} "
+                    "is not trusted"
+                )
+            vm_nonce = self._rng.random_bytes(16)
+            delivery_public = agent.begin_provisioning(vnf_name, vm_nonce)
+            quote = Quote.from_bytes(agent.quote_vnf(vnf_name,
+                                                     self.policy.basename))
+            self._verify_quote_with_ias(quote, vm_nonce, vnf_name)
+            self._check_identity(
+                quote, self.policy.expected_credential_mrenclave,
+                vnf_name, "credential enclave",
             )
-        vm_nonce = self._rng.random_bytes(16)
-        delivery_public = agent.begin_provisioning(vnf_name, vm_nonce)
-        quote = Quote.from_bytes(agent.quote_vnf(vnf_name,
-                                                 self.policy.basename))
-        self._verify_quote_with_ias(quote, vm_nonce, vnf_name)
-        self._check_identity(
-            quote, self.policy.expected_credential_mrenclave,
-            vnf_name, "credential enclave",
-        )
-        if quote.report_data != binding_hash(delivery_public, vm_nonce):
-            self.audit.record(ev.EVENT_VNF_REJECTED, vnf_name,
-                              "delivery key binding mismatch")
-            raise AttestationFailed(
-                f"{vnf_name}: quote does not bind the delivery key"
-            )
-        self.audit.record(ev.EVENT_VNF_ATTESTED, vnf_name, f"on {host_name}")
-        return delivery_public
+            if quote.report_data != binding_hash(delivery_public, vm_nonce):
+                self.audit.record(ev.EVENT_VNF_REJECTED, vnf_name,
+                                  "delivery key binding mismatch")
+                raise AttestationFailed(
+                    f"{vnf_name}: quote does not bind the delivery key"
+                )
+            self.audit.record(ev.EVENT_VNF_ATTESTED, vnf_name,
+                              f"on {host_name}")
+            return delivery_public
 
     # --------------------------------------------------------------- step 5
 
@@ -315,61 +305,47 @@ class VerificationManager:
                 enrollments issue byte-identical certificates.
         """
         tel = self._telemetry
-        if tel is None:
-            return self._enroll_vnf(agent, host_name, vnf_name,
-                                    controller_address, server_anchors,
-                                    serial=serial)
         with tel.span("credential-provisioning", vnf=vnf_name,
                       variant="delivery"), \
                 tel.time(tel.provisioning_seconds.labels(variant="delivery")):
-            certificate = self._enroll_vnf(agent, host_name, vnf_name,
-                                           controller_address, server_anchors,
-                                           serial=serial)
+            delivery_public = self.attest_vnf(agent, host_name, vnf_name)
+            credential_rng = self._credential_rng(vnf_name)
+
+            with tel.span("credential-issuance", vnf=vnf_name):
+                client_key = generate_keypair(credential_rng)
+                certificate = self.ca.issue(
+                    subject=DistinguishedName(vnf_name, "vnf"),
+                    public_key_bytes=client_key.public.to_bytes(),
+                    now=int(self._now()),
+                    validity=self.policy.credential_validity,
+                    key_usage=(KEY_USAGE_CLIENT_AUTH,),
+                    serial=serial,
+                )
+            self.audit.record(ev.EVENT_CREDENTIAL_ISSUED, vnf_name,
+                              f"serial {certificate.serial}")
+            anchors = server_anchors or self.controller_truststore()
+            bundle = CredentialBundle(
+                private_key_bytes=client_key.to_bytes(),
+                certificate_chain=(certificate.to_bytes(),),
+                controller_anchors=tuple(
+                    anchor.to_bytes() for anchor in anchors.anchors()
+                ),
+                controller_address=controller_address,
+            )
+            message = encrypt_bundle(delivery_public, bundle, credential_rng)
+            subject = agent.complete_provisioning(vnf_name,
+                                                  message.to_bytes())
+            if subject != vnf_name:
+                raise VnfSgxError(
+                    f"provisioning confirmation mismatch: {subject!r}"
+                )
+            with self._lock:
+                self._issued[vnf_name] = certificate
+                self._vnf_host[vnf_name] = host_name
+            self.audit.record(ev.EVENT_CREDENTIAL_PROVISIONED, vnf_name,
+                              f"serial {certificate.serial}")
         tel.credentials_issued.labels(variant="delivery").inc()
         tel.enrolled_vnfs.set(len(self._issued))
-        return certificate
-
-    def _enroll_vnf(self, agent: HostAgentClient, host_name: str,
-                    vnf_name: str, controller_address: str,
-                    server_anchors: Optional[Truststore] = None,
-                    serial: Optional[int] = None
-                    ) -> Certificate:
-        delivery_public = self.attest_vnf(agent, host_name, vnf_name)
-        credential_rng = self._credential_rng(vnf_name)
-
-        with (self._telemetry.span("credential-issuance", vnf=vnf_name)
-              if self._telemetry is not None else nullcontext()):
-            client_key = generate_keypair(credential_rng)
-            certificate = self.ca.issue(
-                subject=DistinguishedName(vnf_name, "vnf"),
-                public_key_bytes=client_key.public.to_bytes(),
-                now=int(self._now()),
-                validity=self.policy.credential_validity,
-                key_usage=(KEY_USAGE_CLIENT_AUTH,),
-                serial=serial,
-            )
-        self.audit.record(ev.EVENT_CREDENTIAL_ISSUED, vnf_name,
-                          f"serial {certificate.serial}")
-        anchors = server_anchors or self.controller_truststore()
-        bundle = CredentialBundle(
-            private_key_bytes=client_key.to_bytes(),
-            certificate_chain=(certificate.to_bytes(),),
-            controller_anchors=tuple(
-                anchor.to_bytes() for anchor in anchors.anchors()
-            ),
-            controller_address=controller_address,
-        )
-        message = encrypt_bundle(delivery_public, bundle, credential_rng)
-        subject = agent.complete_provisioning(vnf_name, message.to_bytes())
-        if subject != vnf_name:
-            raise VnfSgxError(
-                f"provisioning confirmation mismatch: {subject!r}"
-            )
-        with self._lock:
-            self._issued[vnf_name] = certificate
-            self._vnf_host[vnf_name] = host_name
-        self.audit.record(ev.EVENT_CREDENTIAL_PROVISIONED, vnf_name,
-                          f"serial {certificate.serial}")
         return certificate
 
     def enroll_vnf_csr(self, agent: HostAgentClient, host_name: str,
@@ -385,81 +361,67 @@ class VerificationManager:
         substitute its own CSR; the CSR's self-signature proves key
         possession on top.
         """
+        from repro.pki.csr import CertificateSigningRequest
+
         tel = self._telemetry
-        if tel is None:
-            return self._enroll_vnf_csr(agent, host_name, vnf_name,
-                                        controller_address, server_anchors,
-                                        serial=serial)
         with tel.span("credential-provisioning", vnf=vnf_name,
                       variant="csr"), \
                 tel.time(tel.provisioning_seconds.labels(variant="csr")):
-            certificate = self._enroll_vnf_csr(
-                agent, host_name, vnf_name, controller_address,
-                server_anchors, serial=serial,
+            if not self.host_trusted(host_name):
+                raise AttestationFailed(
+                    f"refusing to enrol VNF {vnf_name}: host {host_name} is "
+                    "not trusted"
+                )
+            vm_nonce = self._rng.random_bytes(16)
+            csr_bytes = agent.generate_csr(vnf_name, vnf_name, vm_nonce)
+            csr = CertificateSigningRequest.from_bytes(csr_bytes)
+            csr.verify_proof_of_possession()
+            if csr.subject.common_name != vnf_name:
+                raise AttestationFailed(
+                    f"CSR names {csr.subject.common_name!r}, expected "
+                    f"{vnf_name!r}"
+                )
+            quote = Quote.from_bytes(agent.quote_vnf(vnf_name,
+                                                     self.policy.basename))
+            self._verify_quote_with_ias(quote, vm_nonce, vnf_name)
+            self._check_identity(
+                quote, self.policy.expected_credential_mrenclave,
+                vnf_name, "credential enclave",
             )
+            if quote.report_data != binding_hash(csr.public_key_bytes,
+                                                 vm_nonce):
+                self.audit.record(ev.EVENT_VNF_REJECTED, vnf_name,
+                                  "CSR key binding mismatch")
+                raise AttestationFailed(
+                    f"{vnf_name}: quote does not bind the CSR key"
+                )
+            self.audit.record(ev.EVENT_VNF_ATTESTED, vnf_name,
+                              f"on {host_name} (csr)")
+            certificate = self.ca.issue_from_csr(
+                csr, now=int(self._now()),
+                validity=self.policy.credential_validity,
+                serial=serial,
+            )
+            self.audit.record(ev.EVENT_CREDENTIAL_ISSUED, vnf_name,
+                              f"serial {certificate.serial} (csr)")
+            anchors = server_anchors or self.controller_truststore()
+            subject = agent.install_certificate(
+                vnf_name, certificate.to_bytes(),
+                [anchor.to_bytes() for anchor in anchors.anchors()],
+                controller_address,
+            )
+            if subject != vnf_name:
+                raise VnfSgxError(
+                    f"certificate installation confirmation mismatch: "
+                    f"{subject!r}"
+                )
+            with self._lock:
+                self._issued[vnf_name] = certificate
+                self._vnf_host[vnf_name] = host_name
+            self.audit.record(ev.EVENT_CREDENTIAL_PROVISIONED, vnf_name,
+                              f"serial {certificate.serial} (csr)")
         tel.credentials_issued.labels(variant="csr").inc()
         tel.enrolled_vnfs.set(len(self._issued))
-        return certificate
-
-    def _enroll_vnf_csr(self, agent: HostAgentClient, host_name: str,
-                        vnf_name: str, controller_address: str,
-                        server_anchors: Optional[Truststore] = None,
-                        serial: Optional[int] = None
-                        ) -> Certificate:
-        from repro.pki.csr import CertificateSigningRequest
-
-        if not self.host_trusted(host_name):
-            raise AttestationFailed(
-                f"refusing to enrol VNF {vnf_name}: host {host_name} is "
-                "not trusted"
-            )
-        vm_nonce = self._rng.random_bytes(16)
-        csr_bytes = agent.generate_csr(vnf_name, vnf_name, vm_nonce)
-        csr = CertificateSigningRequest.from_bytes(csr_bytes)
-        csr.verify_proof_of_possession()
-        if csr.subject.common_name != vnf_name:
-            raise AttestationFailed(
-                f"CSR names {csr.subject.common_name!r}, expected "
-                f"{vnf_name!r}"
-            )
-        quote = Quote.from_bytes(agent.quote_vnf(vnf_name,
-                                                 self.policy.basename))
-        self._verify_quote_with_ias(quote, vm_nonce, vnf_name)
-        self._check_identity(
-            quote, self.policy.expected_credential_mrenclave,
-            vnf_name, "credential enclave",
-        )
-        if quote.report_data != binding_hash(csr.public_key_bytes, vm_nonce):
-            self.audit.record(ev.EVENT_VNF_REJECTED, vnf_name,
-                              "CSR key binding mismatch")
-            raise AttestationFailed(
-                f"{vnf_name}: quote does not bind the CSR key"
-            )
-        self.audit.record(ev.EVENT_VNF_ATTESTED, vnf_name,
-                          f"on {host_name} (csr)")
-        certificate = self.ca.issue_from_csr(
-            csr, now=int(self._now()),
-            validity=self.policy.credential_validity,
-            serial=serial,
-        )
-        self.audit.record(ev.EVENT_CREDENTIAL_ISSUED, vnf_name,
-                          f"serial {certificate.serial} (csr)")
-        anchors = server_anchors or self.controller_truststore()
-        subject = agent.install_certificate(
-            vnf_name, certificate.to_bytes(),
-            [anchor.to_bytes() for anchor in anchors.anchors()],
-            controller_address,
-        )
-        if subject != vnf_name:
-            raise VnfSgxError(
-                f"certificate installation confirmation mismatch: "
-                f"{subject!r}"
-            )
-        with self._lock:
-            self._issued[vnf_name] = certificate
-            self._vnf_host[vnf_name] = host_name
-        self.audit.record(ev.EVENT_CREDENTIAL_PROVISIONED, vnf_name,
-                          f"serial {certificate.serial} (csr)")
         return certificate
 
     # ---------------------------------------------------------------- RA-TLS
@@ -634,19 +596,14 @@ class VerificationManager:
         nonce_hex = nonce.hex()
         avr = self.verification_cache.lookup(quote_bytes, nonce_hex)
         cached = avr is not None
-        if tel is not None:
-            tel.verification_cache_events.labels(
-                result="hit" if cached else "miss"
-            ).inc()
+        tel.verification_cache_events.labels(
+            result="hit" if cached else "miss"
+        ).inc()
         if not cached:
-            if tel is None:
+            with tel.span("ias-verification", subject=subject) as span, \
+                    tel.time(tel.ias_verification_seconds.labels()):
                 avr = self._ias.verify_quote(quote_bytes, nonce=nonce_hex)
-            else:
-                with tel.span("ias-verification", subject=subject) as span, \
-                        tel.time(tel.ias_verification_seconds.labels()):
-                    avr = self._ias.verify_quote(quote_bytes,
-                                                 nonce=nonce_hex)
-                    span.set_attribute("status", avr.quote_status)
+                span.set_attribute("status", avr.quote_status)
         # The binding / verdict checks run even on a cache hit: they are
         # cheap, and keeping them unconditional means a cache bug can
         # never turn a rejected quote into an accepted one.

@@ -15,7 +15,6 @@ keystore-vs-CA validation model, SGX cost parameters, fleet size).
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -36,8 +35,9 @@ from repro.ias.api import IasClient, IasHttpService
 from repro.ias.service import IasService
 from repro.net.address import Address
 from repro.net.faults import FaultPlan
-from repro.net.retry import RetryPolicy
+from repro.net.retry import RetryingMixin, RetryPolicy
 from repro.net.simnet import Network
+from repro.obs.metrics import NULL_TELEMETRY
 from repro.pki.keystore import Keystore
 from repro.pki.name import DistinguishedName
 from repro.sdn.controller import FloodlightController
@@ -53,6 +53,7 @@ from repro.sdn.switch import Switch
 from repro.sdn.vnf import VnfRestClient
 from repro.sgx.ecall import CostModel
 from repro.tls import TlsConfig
+from repro.tls import client as tls_client
 
 CONTROLLER_HOST = "controller"
 IAS_ADDRESS = Address("ias.intel.example", 443)
@@ -232,8 +233,17 @@ class Deployment:
             )
 
         # Telemetry is opt-in; see enable_telemetry().
-        self.telemetry = None
+        self.telemetry = NULL_TELEMETRY
         self.telemetry_endpoint = None
+
+        # The long-lived components: each takes every later telemetry and
+        # retry-policy change.  Later builds add theirs via _register().
+        self._components: List[object] = [
+            self.vm, self.ias, self.ias_client,
+            *self.agent_clients.values(), *self.endpoints.values(),
+            *(host.platform.accountant for host in self.hosts),
+            tls_client,  # the process-wide TLS client hook
+        ]
 
         # The key manager is opt-in; see build_kms().
         self.kms = None
@@ -284,8 +294,9 @@ class Deployment:
     def set_retry_policy(self, policy: Optional[RetryPolicy]) -> None:
         """(Re)configure retries on every client in the deployment.
 
-        Threads ``policy`` through the IAS client, every host-agent stub,
-        and (via :meth:`enroll`) the per-step enrollment retry layer.
+        Threads ``policy`` through every registered network client (the
+        IAS client, every host-agent stub, the RA-TLS IAS pool) and (via
+        :meth:`enroll`) the per-step enrollment retry layer.
         Backoff jitter comes from a dedicated DRBG derived from the
         deployment seed, so the main ``rng`` stream — and therefore every
         key, nonce and quote — is unchanged by retrying.  ``None``
@@ -296,13 +307,28 @@ class Deployment:
             HmacDrbg(self._seed, personalization=b"retry-jitter")
             if policy is not None else None
         )
-        self.ias_client.configure_retries(policy, rng=self._retry_rng)
-        for client in self.agent_clients.values():
-            client.configure_retries(policy, rng=self._retry_rng)
+        for component in self._components:
+            if isinstance(component, RetryingMixin):
+                component.configure_retries(policy, rng=self._retry_rng)
 
     def install_faults(self, plan: Optional[FaultPlan]) -> None:
         """Install (or clear, with ``None``) a fault plan on the network."""
         self.network.install_faults(plan)
+
+    def _wire(self, component):
+        """Give ``component`` the current telemetry and, if it is a
+        network client, the current retry policy; returns it."""
+        component.instrument(self.telemetry)
+        if isinstance(component, RetryingMixin):
+            component.configure_retries(self.retry_policy,
+                                        rng=self._retry_rng)
+        return component
+
+    def _register(self, component):
+        """Wire a component built after construction and keep it wired
+        through every later telemetry or retry-policy change."""
+        self._components.append(self._wire(component))
+        return component
 
     # ------------------------------------------------------------ telemetry
 
@@ -311,11 +337,14 @@ class Deployment:
         """Wire the observability subsystem through the whole deployment.
 
         Creates a :class:`repro.obs.Telemetry` on this deployment's
-        virtual clock, attaches it to the Verification Manager (and its
-        audit log), the IAS service, every northbound endpoint, every
-        host's transition accountant, and the process-wide TLS client
-        hook; then (``serve=True``) mounts ``GET /metrics`` and ``GET
-        /traces`` at ``address`` on the simulated network.
+        virtual clock and attaches it to every registered component: the
+        Verification Manager (and its audit log and RA-TLS verifiers),
+        the IAS service and clients, the host-agent stubs, every
+        northbound endpoint, every host's transition accountant, the
+        process-wide TLS client hook, and whatever :meth:`build_kms`,
+        :meth:`build_ratls` and :meth:`build_fabric` added, before or
+        after this call.  Then (``serve=True``) it mounts ``GET /metrics``
+        and ``GET /traces`` at ``address`` on the simulated network.
 
         Observation never advances the virtual clock, so enabling
         telemetry does not change workflow timings; only an actual scrape
@@ -324,68 +353,39 @@ class Deployment:
         Returns the :class:`~repro.obs.Telemetry` (idempotent: repeated
         calls return the existing one).
         """
-        if self.telemetry is not None:
+        if self.telemetry is not NULL_TELEMETRY:
             return self.telemetry
         from repro.obs import MetricsRegistry, Telemetry, TelemetryEndpoint
-        from repro.tls import client as tls_client
 
-        # A deployment gets its own registry by default so two deployments
-        # in one process (e.g. parallel experiments) never cross-count;
-        # pass repro.obs.default_registry() to share the process-wide one.
-        telemetry = Telemetry(
+        # A deployment gets its own registry by default, so two
+        # deployments in one process keep separate metrics and spans —
+        # except client TLS handshakes: the TLS client hook is
+        # process-wide, so the deployment that enabled telemetry last
+        # receives every client handshake in the process.  Pass
+        # repro.obs.default_registry() to share the process-wide registry.
+        self.telemetry = Telemetry(
             registry=registry if registry is not None else MetricsRegistry(),
             now=self.clock.now,
         )
-        self.vm.instrument(telemetry)
-        self.ias.instrument(telemetry)
-        self.ias_client.instrument(telemetry)
-        for client in self.agent_clients.values():
-            client.instrument(telemetry)
-        for endpoint in self.endpoints.values():
-            endpoint.instrument(telemetry)
-        for host in self.hosts:
-            host.platform.accountant.instrument(telemetry,
-                                                platform=host.name)
-        tls_client.instrument(telemetry)
-        if self.kms_endpoint is not None:
-            self.kms_endpoint.instrument(telemetry)
-        elif self.kms is not None:
-            self.kms.instrument(telemetry)
-        if self.fabric is not None:
-            self.fabric.instrument(telemetry)
+        for component in self._components:
+            component.instrument(self.telemetry)
         if serve:
             self.telemetry_endpoint = TelemetryEndpoint(
-                telemetry, self.network, address
+                self.telemetry, self.network, address
             )
-        self.telemetry = telemetry
-        return telemetry
+        return self.telemetry
 
     def disable_telemetry(self) -> None:
-        """Detach every telemetry hook and stop serving ``/metrics``."""
-        if self.telemetry is None:
+        """Give every component the null telemetry back and stop serving
+        ``/metrics``."""
+        if self.telemetry is NULL_TELEMETRY:
             return
-        from repro.tls import client as tls_client
-
-        self.vm.instrument(None)
-        self.ias.instrument(None)
-        self.ias_client.instrument(None)
-        for client in self.agent_clients.values():
-            client.instrument(None)
-        for endpoint in self.endpoints.values():
-            endpoint.instrument(None)
-        for host in self.hosts:
-            host.platform.accountant.instrument(None)
-        tls_client.instrument(None)
-        if self.kms_endpoint is not None:
-            self.kms_endpoint.instrument(None)
-        elif self.kms is not None:
-            self.kms.instrument(None)
-        if self.fabric is not None:
-            self.fabric.instrument(None)
+        self.telemetry = NULL_TELEMETRY
+        for component in self._components:
+            component.instrument(NULL_TELEMETRY)
         if self.telemetry_endpoint is not None:
             self.telemetry_endpoint.close()
             self.telemetry_endpoint = None
-        self.telemetry = None
 
     def scrape_metrics(self) -> str:
         """``GET /metrics`` over the simulated network (telemetry must be
@@ -425,10 +425,8 @@ class Deployment:
         )
         if serve:
             self.kms_endpoint = KmsEndpoint(self.kms, self.network, address)
-            if self.telemetry is not None:
-                self.kms_endpoint.instrument(self.telemetry)
-        elif self.telemetry is not None:
-            self.kms.instrument(self.telemetry)
+        # A served KMS's endpoint wires the service's telemetry too.
+        self._register(self.kms_endpoint if serve else self.kms)
         return self.kms
 
     def kms_client(self, tenant: str, token: str, source_host: str = ""):
@@ -466,7 +464,7 @@ class Deployment:
         verifier = self.vm.ratls_verifier()
         session_cache = SessionCache()
         verifier.attach_session_cache(session_cache)
-        self.ratls_ias_pool = self.pooled_ias_client()
+        self.ratls_ias_pool = self._register(self.pooled_ias_client())
         self.vm.swap_ias_client(self.ratls_ias_pool)
         tls_config = TlsConfig(
             certificate_chain=[self.server_cert],
@@ -477,13 +475,11 @@ class Deployment:
             rng=self.rng,
             now=self.clock.now_seconds,
         )
-        self.ratls_endpoint = NorthboundEndpoint(
+        self.ratls_endpoint = self._register(NorthboundEndpoint(
             self.controller, self.network,
             self.controller_address(MODE_RATLS), MODE_RATLS, tls_config,
-        )
+        ))
         self.endpoints[MODE_RATLS] = self.ratls_endpoint
-        if self.telemetry is not None:
-            self.ratls_endpoint.instrument(self.telemetry)
         self.ratls_verifier = verifier
         return verifier
 
@@ -512,8 +508,7 @@ class Deployment:
             sim_now=self.clock.now,
             telemetry=self.telemetry,
         )
-        with (self.telemetry.span("ratls-enrollment", vnf=vnf_name)
-              if self.telemetry is not None else nullcontext()):
+        with self.telemetry.span("ratls-enrollment", vnf=vnf_name):
             session.run(self.enclave_client(vnf_name))
         return session
 
@@ -535,14 +530,12 @@ class Deployment:
             return self.fabric
         from repro.sdn.fabric import TrustedFabric
 
-        fabric = TrustedFabric(
+        fabric = self._register(TrustedFabric(
             self.network, replica_count=replica_count,
             topology=self.controller.topology,
             primary_controller=self.controller,
             vm=self.vm,
-        )
-        if self.telemetry is not None:
-            fabric.instrument(self.telemetry)
+        ))
         for anchor in self.vm.controller_truststore().anchors():
             fabric.anchor_ca(anchor.subject.common_name, anchor.to_bytes())
         if endpoint_count:
@@ -568,17 +561,14 @@ class Deployment:
 
     def pooled_ias_client(self):
         """A fresh :class:`~repro.core.fleet.PooledIasClient` to this
-        deployment's IAS, with its retry policy and telemetry."""
+        deployment's IAS, with its current retry policy and telemetry
+        (later changes reach it only if it is registered)."""
         from repro.core.fleet import PooledIasClient
 
-        client = PooledIasClient(
+        return self._wire(PooledIasClient(
             self.network, IAS_ADDRESS, self.ias_http.ias_truststore,
             self.ias.report_signing_public_key, rng=self.rng,
-        )
-        client.configure_retries(self.retry_policy, rng=self._retry_rng)
-        if self.telemetry is not None:
-            client.instrument(self.telemetry)
-        return client
+        ))
 
     def controller_address(self, mode: str = MODE_TRUSTED) -> Address:
         """The northbound address serving ``mode``."""
@@ -614,9 +604,8 @@ class Deployment:
             clock=self.clock,
             retry_rng=self._retry_rng,
         )
-        with (self.telemetry.span("enrollment", vnf=vnf_name,
-                                  host=host.name)
-              if self.telemetry is not None else nullcontext()):
+        with self.telemetry.span("enrollment", vnf=vnf_name,
+                                 host=host.name):
             session.attest_host()
             session.provision()
             if self.client_validation == VALIDATION_KEYSTORE:
@@ -665,26 +654,21 @@ class Deployment:
         sim_start = self.clock.now()
         wall_start = time.perf_counter()
         self.clock.reset_charges()
-        with (tel.span("figure1-workflow", vnfs=len(self.vnf_names))
-              if tel is not None else nullcontext()):
+        with tel.span("figure1-workflow",
+                      vnfs=len(self.vnf_names)) as workflow_span:
             for vnf_name in self.vnf_names:
                 try:
                     session = self.enroll(vnf_name)
                 except ReproError as exc:
                     trace.failed[vnf_name] = f"{type(exc).__name__}: {exc}"
-                    if tel is not None:
-                        tel.workflow_vnf_failures.inc()
-                        span = tel.tracer.current_span()
-                        if span is not None:
-                            span.add_event(
-                                "vnf-enrollment-failed",
-                                timestamp=tel.now(), vnf=vnf_name,
-                                error=trace.failed[vnf_name],
-                            )
+                    tel.workflow_vnf_failures.inc()
+                    workflow_span.add_event(
+                        "vnf-enrollment-failed", timestamp=tel.now(),
+                        vnf=vnf_name, error=trace.failed[vnf_name],
+                    )
                 else:
                     trace.per_vnf[vnf_name] = list(session.timings)
-        if tel is not None:
-            tel.workflows.inc()
+        tel.workflows.inc()
         trace.simulated_seconds = self.clock.now() - sim_start
         trace.wall_seconds = time.perf_counter() - wall_start
         trace.clock_charges = self.clock.charges()

@@ -14,6 +14,7 @@ from repro.crypto.rng import HmacDrbg, default_rng
 from repro.errors import IasError, QuoteError, ReproError
 from repro.ias.report import AttestationVerificationReport, sign_report
 from repro.ias.revocation_lists import PrivRl, SigRl
+from repro.obs.metrics import NULL_TELEMETRY
 from repro.sgx.epid import EpidGroup
 from repro.sgx.platform import SgxPlatform
 from repro.sgx.quote import Quote
@@ -56,11 +57,11 @@ class IasService:
         self._platforms: Dict[bytes, str] = {}  # member id -> platform name
         self._report_counter = 0
         self.quotes_verified = 0
-        self._telemetry = None  # set by instrument()
+        self._telemetry = NULL_TELEMETRY  # see instrument()
 
     def instrument(self, telemetry) -> None:
         """Attach telemetry: every verdict increments
-        ``vnf_sgx_ias_verdicts_total{status=...}``.  ``None`` detaches."""
+        ``vnf_sgx_ias_verdicts_total{status=...}``."""
         self._telemetry = telemetry
 
     # --------------------------------------------------------- provisioning
@@ -121,8 +122,7 @@ class IasService:
         self.quotes_verified += 1
         quote = Quote.from_bytes(quote_bytes)
         status = self._status_for(quote)
-        if self._telemetry is not None:
-            self._telemetry.ias_verdicts.labels(status=status).inc()
+        self._telemetry.ias_verdicts.labels(status=status).inc()
         self._report_counter += 1
         return sign_report(
             self._report_key,

@@ -14,9 +14,9 @@ REST surface without touching the service).  Routes::
 
 Authorization rides in ``authorization: Bearer <hex token>``; the typed
 service errors map onto HTTP statuses (401 missing token, 403 denied,
-404 unknown namespace/secret, 429 over quota).  Every request lands in
-``vnf_sgx_kms_requests_total{op,status}`` and a per-op latency
-histogram when telemetry is attached.
+404 unknown namespace/secret, 429 over quota).  With telemetry attached,
+every request lands in ``vnf_sgx_kms_requests_total{op,status}`` and a
+per-op latency histogram.
 
 :class:`KmsClient` is the tenant-side counterpart: one persistent
 channel (reconnecting transparently if it drops), raising the same
@@ -43,6 +43,7 @@ from repro.kms.service import KeyManagerService
 from repro.net.address import Address
 from repro.net.rest import HttpParser, HttpRequest, HttpResponse
 from repro.net.simnet import Network
+from repro.obs.metrics import NULL_TELEMETRY
 
 API_PREFIX = "/kms/v1"
 
@@ -79,7 +80,7 @@ class KmsEndpoint:
         self.service = service
         self.address = address
         self._network = network
-        self._telemetry = None
+        self._telemetry = NULL_TELEMETRY
         self.requests_served = 0
         network.listen(address, self._accept)
 
@@ -89,8 +90,8 @@ class KmsEndpoint:
 
     def instrument(self, telemetry) -> None:
         """Attach a :class:`repro.obs.Telemetry` for request counters,
-        latency histograms, and spans (``None`` detaches); also wires the
-        service's audit/gauge mirroring."""
+        latency histograms, and spans; also wires the service's
+        audit/gauge mirroring."""
         self._telemetry = telemetry
         self.service.instrument(telemetry)
 
@@ -118,23 +119,16 @@ class KmsEndpoint:
                             body=b"injected fault: key manager unavailable")
 
     def _serve(self, request: HttpRequest) -> HttpResponse:
+        tel = self._telemetry
         self.requests_served += 1
-        op, respond = "unroutable", None
-        injected = self._injected_fault()
-        if injected is not None:
-            response = injected
-        else:
+        op = "unroutable"
+        response = self._injected_fault()
+        if response is None:
             op, respond = self._route(request)
-            if self._telemetry is not None:
-                child = self._telemetry.kms_request_seconds.labels(op=op)
-                with self._telemetry.span(f"kms.{op}", path=request.path):
-                    with self._telemetry.time(child):
-                        response = respond()
-            else:
+            child = tel.kms_request_seconds.labels(op=op)
+            with tel.span(f"kms.{op}", path=request.path), tel.time(child):
                 response = respond()
-        if self._telemetry is not None:
-            self._telemetry.kms_requests.labels(
-                op=op, status=str(response.status)).inc()
+        tel.kms_requests.labels(op=op, status=str(response.status)).inc()
         return response
 
     # ------------------------------------------------------------- routing

@@ -34,6 +34,7 @@ from repro.kms.shard import SecretShard, shard_identity
 from repro.kms.store import KmsCostModel, ShardedSecretStore
 from repro.kms.tenancy import TenantQuota, TenantRegistry, valid_name
 from repro.net.clock import VirtualClock
+from repro.obs.metrics import NULL_TELEMETRY
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import Certificate
 from repro.pki.keystore import Keystore
@@ -62,7 +63,7 @@ class KeyManagerService:
         self._rng = HmacDrbg(seed, personalization=b"repro.kms")
         self.keystore = keystore if keystore is not None else Keystore()
         self.registry = TenantRegistry(ca, clock.now, self._rng)
-        self._telemetry = None
+        self._telemetry = NULL_TELEMETRY
         # One audit trail per tenant; the dict itself is guarded by a
         # plain lock (trail creation only — AuditLog has its own lock).
         self._trails: Dict[str, AuditLog] = {}
@@ -94,20 +95,17 @@ class KeyManagerService:
     # ---------------------------------------------------------- telemetry
 
     def instrument(self, telemetry) -> None:
-        """Attach a :class:`repro.obs.Telemetry` (``None`` detaches):
-        per-tenant audit events mirror into ``vnf_sgx_audit_events_total``
-        and shard occupancy into ``vnf_sgx_kms_secrets``."""
+        """Attach a :class:`repro.obs.Telemetry`: per-tenant audit events
+        mirror into ``vnf_sgx_audit_events_total`` and shard occupancy
+        into ``vnf_sgx_kms_secrets``."""
         self._telemetry = telemetry
-        observer = None if telemetry is None else telemetry.observe_audit
         with self._trails_lock:
             trails = list(self._trails.values())
         for trail in trails:
-            trail.observer = observer
+            trail.observer = telemetry.observe_audit
         self._sync_shard_gauge()
 
     def _sync_shard_gauge(self) -> None:
-        if self._telemetry is None:
-            return
         for label, count in self.store_backend.secret_counts().items():
             self._telemetry.kms_secrets.labels(shard=label).set(count)
 
@@ -118,8 +116,7 @@ class KeyManagerService:
             trail = self._trails.get(tenant)
             if trail is None:
                 trail = AuditLog(now=self._clock.now)
-                if self._telemetry is not None:
-                    trail.observer = self._telemetry.observe_audit
+                trail.observer = self._telemetry.observe_audit
                 self._trails[tenant] = trail
             return trail
 

@@ -16,7 +16,7 @@ is the shared executor.  Semantics:
   everything else (appraisal failures, protocol violations, application
   errors) propagates immediately.  On give-up the *original* exception
   is re-raised, so callers' exception contracts are unchanged.
-- **observable**: when a :class:`repro.obs.Telemetry` is attached,
+- **observable**: with a real :class:`repro.obs.Telemetry` attached,
   re-attempts and give-ups land in
   ``vnf_sgx_retry_attempts_total{operation=...}`` /
   ``vnf_sgx_retry_giveups_total{operation=...}``, backoff sleeps in
@@ -31,6 +31,7 @@ from typing import Callable, Optional, Tuple, Type, TypeVar
 
 from repro.errors import IasUnavailable, NetError, VnfSgxError
 from repro.net.clock import VirtualClock
+from repro.obs.metrics import NULL_TELEMETRY
 
 T = TypeVar("T")
 
@@ -102,9 +103,7 @@ NO_RETRY = RetryPolicy(max_attempts=1, base_backoff=0.0, jitter=0.0)
 
 
 def _span_event(telemetry, name: str, **attributes) -> None:
-    """Attach an event to the innermost open span, if tracing is live."""
-    if telemetry is None:
-        return
+    """Attach an event to the innermost open span, if there is one."""
     span = telemetry.tracer.current_span()
     if span is not None:
         span.add_event(name, timestamp=telemetry.now(), **attributes)
@@ -114,7 +113,7 @@ def retry_call(fn: Callable[[], T], *, policy: Optional[RetryPolicy],
                clock: Optional[VirtualClock], operation: str,
                rng=None,
                retryable: Tuple[Type[BaseException], ...] = TRANSIENT_ERRORS,
-               telemetry=None,
+               telemetry=NULL_TELEMETRY,
                on_retry: Optional[Callable[[int, BaseException], None]] = None
                ) -> T:
     """Run ``fn`` under ``policy``; the shared retry executor.
@@ -129,7 +128,8 @@ def retry_call(fn: Callable[[], T], *, policy: Optional[RetryPolicy],
         operation: label for metrics and span events.
         rng: DRBG for jitter (optional; no jitter without it).
         retryable: exception types eligible for retry.
-        telemetry: optional :class:`repro.obs.Telemetry`.
+        telemetry: a :class:`repro.obs.Telemetry` (default: the null
+            object).
         on_retry: test/diagnostic hook called as ``on_retry(attempt, exc)``
             before each backoff sleep.
 
@@ -159,8 +159,7 @@ def retry_call(fn: Callable[[], T], *, policy: Optional[RetryPolicy],
             over_deadline = (policy.deadline is not None
                              and total >= policy.deadline)
             if attempt >= policy.max_attempts or over_deadline:
-                if telemetry is not None:
-                    telemetry.retry_giveups.labels(operation=operation).inc()
+                telemetry.retry_giveups.labels(operation=operation).inc()
                 _span_event(
                     telemetry, "retry-giveup", operation=operation,
                     attempts=attempt,
@@ -169,9 +168,8 @@ def retry_call(fn: Callable[[], T], *, policy: Optional[RetryPolicy],
                 )
                 raise
             backoff = policy.backoff_before(attempt + 1, rng)
-            if telemetry is not None:
-                telemetry.retry_attempts.labels(operation=operation).inc()
-                telemetry.retry_backoff_seconds.labels().observe(backoff)
+            telemetry.retry_attempts.labels(operation=operation).inc()
+            telemetry.retry_backoff_seconds.labels().observe(backoff)
             _span_event(
                 telemetry, "retry", operation=operation, attempt=attempt,
                 backoff_seconds=backoff,
@@ -188,13 +186,13 @@ class RetryingMixin:
     """Shared plumbing for clients that support ``configure_retries``.
 
     Subclasses call :meth:`_retrying` around one attempt-closure; the
-    mixin holds the policy, the jitter DRBG and the telemetry reference
-    (all ``None`` by default, which reproduces pre-retry behaviour).
+    mixin holds the policy and the jitter DRBG (``None`` by default, which
+    reproduces pre-retry behaviour) and the telemetry (the null object).
     """
 
     _retry_policy: Optional[RetryPolicy] = None
     _retry_rng = None
-    _retry_telemetry = None
+    _retry_telemetry = NULL_TELEMETRY
 
     def configure_retries(self, policy: Optional[RetryPolicy],
                           rng=None) -> None:
@@ -204,7 +202,7 @@ class RetryingMixin:
 
     def instrument(self, telemetry) -> None:
         """Attach a :class:`repro.obs.Telemetry` for retry counters and
-        span events (``None`` detaches)."""
+        span events."""
         self._retry_telemetry = telemetry
 
     def _retrying(self, fn: Callable[[], T], *, operation: str,

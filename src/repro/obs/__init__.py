@@ -14,9 +14,10 @@ The subsystem has three layers (see ``docs/OBSERVABILITY.md``):
 
 :class:`~repro.obs.metrics.Telemetry` ties the three together and is what
 components accept in their ``instrument(telemetry)`` hooks.  Telemetry is
-opt-in: nothing observes anything until
+opt-in: components hold :data:`~repro.obs.metrics.NULL_TELEMETRY`, which
+records nothing, until
 :meth:`repro.core.workflow.Deployment.enable_telemetry` (or a manual hook)
-installs it, and observation never advances the virtual clock.
+installs a real one, and observation never advances the virtual clock.
 """
 
 from repro.obs.exposition import (
@@ -29,7 +30,7 @@ from repro.obs.exposition import (
     scrape_text,
     scrape_traces,
 )
-from repro.obs.metrics import Telemetry
+from repro.obs.metrics import NULL_TELEMETRY, Telemetry
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -51,6 +52,7 @@ __all__ = [
     "reset_default_registry",
     "Span",
     "Tracer",
+    "NULL_TELEMETRY",
     "Telemetry",
     "TelemetryEndpoint",
     "METRICS_PATH",

@@ -3,10 +3,11 @@
 One :class:`Telemetry` object bundles a :class:`~repro.obs.registry.
 MetricsRegistry`, a :class:`~repro.obs.tracing.Tracer` and the simulated
 time source, and pre-registers every metric the instrumented hot paths
-emit.  Components receive it through their ``instrument(telemetry)`` hooks;
-when no hook is installed (``telemetry is None`` everywhere) the
-instrumented code paths reduce to a single attribute check, so telemetry is
-strictly opt-in and free when disabled.
+emit.  Components receive it through their ``instrument(telemetry)`` hooks.
+Until one is installed they hold :data:`NULL_TELEMETRY`: the same class
+built over a registry and a tracer that keep nothing, so an instrumented
+path runs the same code either way and, with telemetry off, each update is
+a no-op call that records nothing and reads no clock.
 
 Metric naming follows the Prometheus conventions: ``vnf_sgx_`` prefix,
 ``_total`` suffix for counters, ``_seconds`` for time histograms, labels
@@ -286,7 +287,83 @@ class Telemetry:
         self.tracer.reset()
 
 
+# ------------------------------------------------------------- null object
+
+
+class _NullRegistry:
+    """A registry that keeps nothing.  Every metric it hands out is the
+    registry itself, which takes any labels and any update."""
+
+    __slots__ = ()
+
+    def counter(self, name: str, help: str = "", labelnames=(),
+                buckets=None) -> "_NullRegistry":
+        return self
+
+    gauge = histogram = counter
+
+    def labels(self, **labels) -> "_NullRegistry":
+        return self
+
+    def inc(self, amount: float = 1.0) -> None:
+        pass
+
+    dec = inc
+
+    def set(self, value: float) -> None:
+        pass
+
+    observe = set
+
+    def collect(self) -> list:
+        return []
+
+    def reset(self) -> None:
+        pass
+
+
+class _NullTracer:
+    """A tracer that keeps nothing.  Every span it opens is the tracer
+    itself: a context manager that drops attributes and events."""
+
+    __slots__ = ()
+
+    def span(self, name: str, **attributes) -> "_NullTracer":
+        return self
+
+    def __enter__(self) -> "_NullTracer":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        return None
+
+    def set_attribute(self, key: str, value) -> None:
+        pass
+
+    def add_event(self, name: str, timestamp=None, **attributes) -> None:
+        pass
+
+    def current_span(self) -> None:
+        return None
+
+    def export(self) -> list:
+        return []
+
+    def reset(self) -> None:
+        pass
+
+
+#: Telemetry switched off: the real :class:`Telemetry` over a registry and
+#: a tracer that keep nothing, on a constant clock.  It holds no state and
+#: no lock, so one instance serves every component.  Low layers import it
+#: from this module, not from the :mod:`repro.obs` package: the package
+#: imports :mod:`repro.net`, so while it initialises a low layer would
+#: find it half built.
+NULL_TELEMETRY = Telemetry(registry=_NullRegistry(), tracer=_NullTracer())
+
+
 __all__ = [
+    "NULL_TELEMETRY",
     "Telemetry",
     "Span",
     "M_AUDIT_EVENTS",

@@ -47,6 +47,7 @@ from repro.errors import (
 from repro.net.address import Address
 from repro.net.framing import recv_frame, send_frame, try_recv_frame
 from repro.net.simnet import Network
+from repro.obs.metrics import NULL_TELEMETRY
 from repro.sdn.controller import FloodlightController
 from repro.sdn.replication import (
     K_ANCHOR,
@@ -304,7 +305,7 @@ class TrustedFabric:
         self.topology = topology if topology is not None else Topology()
         self.client_host = client_host
         self._vm = vm
-        self._telemetry = None
+        self._telemetry = NULL_TELEMETRY
         self._by_rank: Dict[int, ControllerReplica] = {}
         self._switches: Dict[str, Switch] = {}
         self._homes: Dict[str, int] = {}
@@ -379,7 +380,7 @@ class TrustedFabric:
         }
 
     def instrument(self, telemetry) -> None:
-        """Attach (or with ``None`` detach) fabric telemetry."""
+        """Attach fabric telemetry."""
         self._telemetry = telemetry
 
     def status(self, rank: int) -> Dict[str, object]:
@@ -505,10 +506,8 @@ class TrustedFabric:
         (CA + CRL + RA-TLS session eviction) when attached, then log
         replication to every live replica and fan-out to every homed
         switch.  Returns the measured :class:`FanoutReport`."""
-        span = (self._telemetry.span("fabric-revocation-fanout",
-                                     subject=subject, kind=K_REVOKE)
-                if self._telemetry is not None else None)
-        with span if span is not None else _null():
+        with self._telemetry.span("fabric-revocation-fanout",
+                                  subject=subject, kind=K_REVOKE):
             if self._vm is not None:
                 try:
                     self._vm.revoke_vnf(subject, reason)
@@ -522,10 +521,8 @@ class TrustedFabric:
         """Distrust a container host fabric-wide: every credential
         enrolled on it is revoked on every replica and evicted from
         every switch (the containment property, at fabric scale)."""
-        span = (self._telemetry.span("fabric-revocation-fanout",
-                                     subject=host, kind=K_DISTRUST)
-                if self._telemetry is not None else None)
-        with span if span is not None else _null():
+        with self._telemetry.span("fabric-revocation-fanout",
+                                  subject=host, kind=K_DISTRUST):
             if self._vm is not None:
                 try:
                     self._vm.distrust_host(host)
@@ -545,10 +542,9 @@ class TrustedFabric:
                               [int(r) for r in reply.get("unreachable", [])])
         report.replication_seconds = replication_seconds
         report.total_seconds = self.clock.now() - sim_start
-        if self._telemetry is not None:
-            self._telemetry.fabric_fanout_seconds.labels(kind=kind).observe(
-                report.total_seconds
-            )
+        self._telemetry.fabric_fanout_seconds.labels(kind=kind).observe(
+            report.total_seconds
+        )
         return report
 
     def _fanout(self, kind: str, subjects: List[str], acked: List[int],
@@ -577,8 +573,7 @@ class TrustedFabric:
         return report
 
     def _count_replication(self, kind: str) -> None:
-        if self._telemetry is not None:
-            self._telemetry.fabric_replications.labels(kind=kind).inc()
+        self._telemetry.fabric_replications.labels(kind=kind).inc()
 
     # -------------------------------------------------------------- propose
 
@@ -646,68 +641,62 @@ class TrustedFabric:
         fanned out while the switch's old home was dead still reaches it
         (the hypothesis property in ``tests/property`` pins this).
         """
-        span = (self._telemetry.span("fabric-converge")
-                if self._telemetry is not None else None)
-        with span if span is not None else _null():
-            return self._converge()
+        with self._telemetry.span("fabric-converge"):
+            report = ConvergenceReport()
+            sim_start = self.clock.now()
+            statuses: Dict[int, Dict[str, object]] = {}
+            for rank in sorted(self._by_rank):
+                report.probes += 1
+                replica = self._by_rank[rank]
+                try:
+                    status = self._exchange(replica.address, {"op": "status"})
+                except (ConnectionRefused, ChannelClosed):
+                    self.clock.advance(PROBE_TIMEOUT, ACCOUNT_PROBE)
+                    report.crashed_ranks.append(rank)
+                    continue
+                statuses[rank] = status
+                report.live_ranks.append(rank)
+            if not report.live_ranks:
+                raise ControllerUnavailable("every fabric replica is down")
+            crashed_set = set(report.crashed_ranks)
+            with self._lock:
+                self._crashed = set(crashed_set)
 
-    def _converge(self) -> ConvergenceReport:
-        report = ConvergenceReport()
-        sim_start = self.clock.now()
-        statuses: Dict[int, Dict[str, object]] = {}
-        for rank in sorted(self._by_rank):
-            report.probes += 1
-            replica = self._by_rank[rank]
-            try:
-                status = self._exchange(replica.address, {"op": "status"})
-            except (ConnectionRefused, ChannelClosed):
-                self.clock.advance(PROBE_TIMEOUT, ACCOUNT_PROBE)
-                report.crashed_ranks.append(rank)
-                continue
-            statuses[rank] = status
-            report.live_ranks.append(rank)
-        if not report.live_ranks:
-            raise ControllerUnavailable("every fabric replica is down")
-        crashed_set = set(report.crashed_ranks)
-        with self._lock:
-            self._crashed = set(crashed_set)
+            # Bring stragglers up to the freshest live log.
+            freshest = max(report.live_ranks,
+                           key=lambda r: (int(statuses[r]["lastIndex"]), -r))
+            target = int(statuses[freshest]["lastIndex"])
+            for rank in report.live_ranks:
+                behind = int(statuses[rank]["lastIndex"])
+                if behind >= target:
+                    continue
+                suffix = self._exchange(self._by_rank[freshest].address,
+                                        {"op": "sync", "after": behind})
+                self._exchange(self._by_rank[rank].address,
+                               {"op": "append",
+                                "entries": suffix.get("entries", [])})
+                report.synced_ranks.append(rank)
 
-        # Bring stragglers up to the freshest live log.
-        freshest = max(report.live_ranks,
-                       key=lambda r: (int(statuses[r]["lastIndex"]), -r))
-        target = int(statuses[freshest]["lastIndex"])
-        for rank in report.live_ranks:
-            behind = int(statuses[rank]["lastIndex"])
-            if behind >= target:
-                continue
-            suffix = self._exchange(self._by_rank[freshest].address,
-                                    {"op": "sync", "after": behind})
-            self._exchange(self._by_rank[rank].address,
-                           {"op": "append",
-                            "entries": suffix.get("entries", [])})
-            report.synced_ranks.append(rank)
+            report.new_leader = report.live_ranks[0]
+            self._leader_rank = report.new_leader
+            for rank in report.live_ranks:
+                self._by_rank[rank].set_suspected(crashed_set)
 
-        report.new_leader = report.live_ranks[0]
-        self._leader_rank = report.new_leader
-        for rank in report.live_ranks:
-            self._by_rank[rank].set_suspected(crashed_set)
-
-        # Re-home orphaned switches round-robin over the survivors.
-        with self._lock:
-            orphaned = sorted(dpid for dpid, home in self._homes.items()
-                              if home in crashed_set)
-        for index, dpid in enumerate(orphaned):
-            rank = report.live_ranks[index % len(report.live_ranks)]
-            self._rehome(dpid, rank)
-            report.switches_rehomed += 1
-        if orphaned:
-            self._drain(ACCOUNT_CONVERGE)
-        report.seconds = self.clock.now() - sim_start
-        if self._telemetry is not None:
+            # Re-home orphaned switches round-robin over the survivors.
+            with self._lock:
+                orphaned = sorted(dpid for dpid, home in self._homes.items()
+                                  if home in crashed_set)
+            for index, dpid in enumerate(orphaned):
+                rank = report.live_ranks[index % len(report.live_ranks)]
+                self._rehome(dpid, rank)
+                report.switches_rehomed += 1
+            if orphaned:
+                self._drain(ACCOUNT_CONVERGE)
+            report.seconds = self.clock.now() - sim_start
             self._telemetry.fabric_convergence_seconds.observe(report.seconds)
             if report.switches_rehomed:
                 self._telemetry.fabric_rehomes.inc(report.switches_rehomed)
-        return report
+            return report
 
     def _rehome(self, dpid: str, rank: int) -> None:
         replica = self._by_rank[rank]
@@ -729,17 +718,6 @@ class TrustedFabric:
         delta = target - self.clock.now()
         if delta > 0:
             self.clock.advance(delta, account)
-
-
-class _null:
-    """Minimal inline null context (``contextlib.nullcontext`` spelled
-    locally to keep the hot span guards allocation-free)."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc) -> bool:
-        return False
 
 
 __all__ = [

@@ -22,6 +22,7 @@ from repro.errors import FlowError, RestError, SdnError
 from repro.net.address import Address
 from repro.net.rest import HttpParser, HttpRequest, HttpResponse
 from repro.net.simnet import Network
+from repro.obs.metrics import NULL_TELEMETRY
 from repro.pki.certificate import Certificate
 from repro.pki.keystore import Keystore
 from repro.sdn.controller import FloodlightController
@@ -95,7 +96,7 @@ class NorthboundEndpoint:
         self._network = network
         self.requests_served = 0
         self.unauthenticated_writes = 0
-        self._telemetry = None  # set by instrument()
+        self._telemetry = NULL_TELEMETRY  # see instrument()
         self._tls: Optional[TlsServer] = None
         if mode in (MODE_TRUSTED, MODE_RATLS):
             tls_config.require_client_auth = True
@@ -130,8 +131,7 @@ class NorthboundEndpoint:
 
     def instrument(self, telemetry) -> None:
         """Attach telemetry: every dispatched request increments
-        ``vnf_sgx_northbound_requests_total{mode,method,status}``.
-        ``None`` detaches."""
+        ``vnf_sgx_northbound_requests_total{mode,method,status}``."""
         self._telemetry = telemetry
 
     # ------------------------------------------------------------- routing
@@ -151,11 +151,10 @@ class NorthboundEndpoint:
     def _dispatch(self, request: HttpRequest,
                   auth: AuthContext) -> HttpResponse:
         response = self._injected_fault() or self._route(request, auth)
-        if self._telemetry is not None:
-            self._telemetry.northbound_requests.labels(
-                mode=self.mode, method=request.method.upper(),
-                status=str(response.status),
-            ).inc()
+        self._telemetry.northbound_requests.labels(
+            mode=self.mode, method=request.method.upper(),
+            status=str(response.status),
+        ).inc()
         return response
 
     def _route(self, request: HttpRequest,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.clock import VirtualClock
+from repro.obs.metrics import NULL_TELEMETRY
 
 ACCOUNT = "enclave-transitions"
 
@@ -49,36 +50,35 @@ class CostModel:
 
 
 class TransitionAccountant:
-    """Counts transitions and charges their cost to the virtual clock."""
+    """Counts transitions and charges their cost to the virtual clock.
 
-    def __init__(self, model: CostModel, clock: Optional[VirtualClock]) -> None:
+    ``platform`` labels the telemetry counters (the platform's name).
+    """
+
+    def __init__(self, model: CostModel, clock: Optional[VirtualClock],
+                 platform: str = "") -> None:
         self.model = model
         self._clock = clock
+        self.platform = platform
         self.ecalls = 0
         self.ocalls = 0
         self.bytes_crossed = 0
-        # Telemetry children, bound by instrument(); None = disabled.
-        self._ecall_metric = None
-        self._ocall_metric = None
-        self._bytes_metric = None
+        self.instrument(NULL_TELEMETRY)
 
-    def instrument(self, telemetry, platform: str = "") -> None:
+    def instrument(self, telemetry) -> None:
         """Mirror transition counts into telemetry counters, labelled with
-        the platform name.  Pass ``telemetry=None`` to detach."""
-        if telemetry is None:
-            self._ecall_metric = self._ocall_metric = self._bytes_metric = None
-            return
-        self._ecall_metric = telemetry.ecalls.labels(platform=platform)
-        self._ocall_metric = telemetry.ocalls.labels(platform=platform)
-        self._bytes_metric = telemetry.boundary_bytes.labels(platform=platform)
+        the platform name."""
+        self._ecall_metric = telemetry.ecalls.labels(platform=self.platform)
+        self._ocall_metric = telemetry.ocalls.labels(platform=self.platform)
+        self._bytes_metric = telemetry.boundary_bytes.labels(
+            platform=self.platform)
 
     def charge_ecall(self, payload_bytes: int) -> None:
         """Record one ECALL round trip."""
         self.ecalls += 1
         self.bytes_crossed += payload_bytes
-        if self._ecall_metric is not None:
-            self._ecall_metric.inc()
-            self._bytes_metric.inc(payload_bytes)
+        self._ecall_metric.inc()
+        self._bytes_metric.inc(payload_bytes)
         if self._clock is not None:
             self._clock.advance(self.model.ecall_cost(payload_bytes), ACCOUNT)
 
@@ -86,9 +86,8 @@ class TransitionAccountant:
         """Record one OCALL round trip."""
         self.ocalls += 1
         self.bytes_crossed += payload_bytes
-        if self._ocall_metric is not None:
-            self._ocall_metric.inc()
-            self._bytes_metric.inc(payload_bytes)
+        self._ocall_metric.inc()
+        self._bytes_metric.inc(payload_bytes)
         if self._clock is not None:
             self._clock.advance(self.model.ocall_cost(payload_bytes), ACCOUNT)
 

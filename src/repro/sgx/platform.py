@@ -37,7 +37,8 @@ class SgxPlatform:
         self.clock = clock
         self._rng = rng or default_rng()
         self.cost_model = cost_model or CostModel()
-        self.accountant = TransitionAccountant(self.cost_model, clock)
+        self.accountant = TransitionAccountant(self.cost_model, clock,
+                                               platform=name)
         # Hardware root secrets: unique per CPU package, never leave it.
         self._fuse_key = self._rng.random_bytes(32)
         self._report_secret = self._rng.random_bytes(32)

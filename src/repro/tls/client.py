@@ -8,14 +8,14 @@ credential enclave runs exactly this client *inside* the enclave boundary.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.crypto.constant_time import ct_bytes_eq
 from repro.crypto.ecdh import ecdh_shared_secret
 from repro.crypto.keys import EcPublicKey, generate_keypair
 from repro.errors import HandshakeFailure, TlsError
 from repro.net.channel import Channel
+from repro.obs.metrics import NULL_TELEMETRY, Telemetry
 from repro.pki.certificate import KEY_USAGE_SERVER_AUTH
 from repro.pki.chain import validate_chain
 from repro.tls import handshake as hs
@@ -46,14 +46,16 @@ from repro.tls.session import (
 # Deployment.enable_telemetry() so that *every* client handshake — including
 # the ones running inside credential enclaves, whose TlsClient instances
 # are created in enclave-private memory and are unreachable from outside —
-# lands in the same histogram.  None (the default) disables instrumentation
-# at the cost of a single attribute load per handshake.
-_TELEMETRY = None
+# lands in the same histogram.  Being process-wide, it holds one telemetry
+# at a time: the deployment that enabled telemetry last receives every
+# client handshake in the process.  The null object (the default) records
+# nothing; each handshake then pays a few no-op calls.
+_TELEMETRY = NULL_TELEMETRY
 
 
 def instrument(telemetry) -> None:
-    """Install (or with ``None`` remove) the module-wide handshake
-    telemetry.  The object must offer ``now()``, ``span()`` and
+    """Install the module-wide handshake telemetry (``NULL_TELEMETRY``
+    removes it).  The object must offer ``now()``, ``span()`` and
     ``observe_handshake()`` — i.e. :class:`repro.obs.Telemetry`."""
     global _TELEMETRY
     _TELEMETRY = telemetry
@@ -84,8 +86,6 @@ class TlsClient:
         """Run the handshake on ``channel``; returns the established
         connection.  ``server_name`` keys the client-side resumption cache."""
         tel = _TELEMETRY
-        if tel is None:
-            return self._connect(channel, server_name, None)
         start = tel.now()
         with tel.span("tls-handshake", role="client",
                       server=server_name) as span:
@@ -97,7 +97,7 @@ class TlsClient:
         return connection
 
     def _connect(self, channel: Channel, server_name: str,
-                 tel: Optional[object]) -> TlsConnection:
+                 tel: Telemetry) -> TlsConnection:
         records = RecordLayer()
         buffer = hs.HandshakeBuffer()
         rng = self._config.effective_rng()
@@ -115,8 +115,7 @@ class TlsClient:
             session_id=offered_session.session_id if offered_session else b"",
             cipher_suites=offered_suites,
         )
-        with (tel.span("hello-exchange") if tel is not None
-              else nullcontext()):
+        with tel.span("hello-exchange"):
             channel.send(records.encode(
                 CONTENT_HANDSHAKE, buffer.append_sent(hello.encode())
             ))
@@ -137,8 +136,7 @@ class TlsClient:
             and server_hello.session_id == offered_session.session_id
             and len(server_hello.session_id) > 0
         )
-        with (tel.span("key-exchange", resumed=resumed) if tel is not None
-              else nullcontext()):
+        with tel.span("key-exchange", resumed=resumed):
             if resumed:
                 connection = self._finish_abbreviated(
                     channel, records, buffer, inbound, offered_session,

@@ -44,6 +44,7 @@ from repro.errors import (
     PkiError,
     RatlsError,
 )
+from repro.obs.metrics import NULL_TELEMETRY
 from repro.pki.certificate import (
     KEY_USAGE_CLIENT_AUTH,
     KEY_USAGE_DIGITAL_SIGNATURE,
@@ -148,7 +149,7 @@ class RatlsVerifier:
     def __init__(self, verify_evidence: EvidenceVerifier,
                  check_identity: IdentityChecker,
                  now: Callable[[], float],
-                 telemetry=None) -> None:
+                 telemetry=NULL_TELEMETRY) -> None:
         self._verify_evidence = verify_evidence
         self._check_identity = check_identity
         self._now = now
@@ -167,7 +168,7 @@ class RatlsVerifier:
     # ------------------------------------------------------------ wiring
 
     def instrument(self, telemetry) -> None:
-        """Install (or with ``None`` remove) metrics/span emission."""
+        """Install metrics emission (``NULL_TELEMETRY`` removes it)."""
         self._telemetry = telemetry
 
     def attach_session_cache(self, cache: SessionCache) -> None:
@@ -222,13 +223,11 @@ class RatlsVerifier:
         except PkiError:
             with self._lock:
                 self.rejected += 1
-            if tel is not None:
-                tel.ratls_validations.labels(result="rejected").inc()
+            tel.ratls_validations.labels(result="rejected").inc()
             raise
         with self._lock:
             self.accepted += 1
-        if tel is not None:
-            tel.ratls_validations.labels(result="accepted").inc()
+        tel.ratls_validations.labels(result="accepted").inc()
 
     def _validate_inner(self, certificate: Certificate) -> None:
         subject = certificate.subject.common_name
@@ -285,10 +284,9 @@ class RatlsVerifier:
             )
             if denied:
                 self.resumptions_denied += 1
-        if tel is not None:
-            tel.ratls_resumption_checks.labels(
-                result="denied" if denied else "allowed"
-            ).inc()
+        tel.ratls_resumption_checks.labels(
+            result="denied" if denied else "allowed"
+        ).inc()
         return not denied
 
     # -------------------------------------------------------- revocation

@@ -1,0 +1,103 @@
+"""Deployment-wide settings reach components built after construction.
+
+``Deployment`` keeps one list of long-lived components; telemetry and the
+retry policy travel over that list whatever the order of the calls.  The
+component these tests watch is the RA-TLS IAS pool: after
+``build_ratls()`` it is the Verification Manager's only IAS client, so it
+serves host attestation as well as the handshake-time quote checks.
+"""
+
+import pytest
+
+from repro.core import Deployment
+from repro.core.workflow import IAS_ADDRESS
+from repro.errors import IasUnavailable
+from repro.net.faults import FaultPlan
+from repro.net.retry import RetryPolicy
+from repro.obs import render_prometheus
+
+POLICY = RetryPolicy(max_attempts=4, base_backoff=0.01, jitter=0.0)
+
+
+def _ias_brownout(deployment, failures=2):
+    """The next ``failures`` IAS requests answer 503."""
+    deployment.install_faults(
+        FaultPlan().http_error(IAS_ADDRESS, 503, count=failures)
+    )
+
+
+@pytest.mark.parametrize("order", ["policy-then-ratls", "ratls-then-policy"])
+def test_retry_policy_reaches_ratls_pool_in_either_order(order):
+    deployment = Deployment(seed=b"wiring-retry", vnf_count=1)
+    if order == "policy-then-ratls":
+        deployment.set_retry_policy(POLICY)
+        deployment.build_ratls()
+    else:
+        deployment.build_ratls()
+        deployment.set_retry_policy(POLICY)
+
+    _ias_brownout(deployment)
+    deployment.enroll_ratls("vnf-1")
+
+    _ias_brownout(deployment)
+    result = deployment.vm.attest_host(deployment.agent_client,
+                                       deployment.host.name)
+    assert result.trustworthy
+
+
+def test_clearing_the_policy_reaches_ratls_pool():
+    deployment = Deployment(seed=b"wiring-clear", vnf_count=1,
+                            retry_policy=POLICY)
+    deployment.build_ratls()
+    deployment.set_retry_policy(None)
+    _ias_brownout(deployment, failures=1)
+    with pytest.raises(IasUnavailable):
+        deployment.vm.attest_host(deployment.agent_client,
+                                  deployment.host.name)
+
+
+def _span_count(telemetry):
+    return len(telemetry.tracer.export_flat())
+
+
+def test_disabled_telemetry_detaches_every_built_component():
+    deployment = Deployment(seed=b"wiring-detach", vnf_count=2,
+                            retry_policy=POLICY)
+    detached = deployment.enable_telemetry(serve=False)
+    deployment.build_kms(shard_count=2)
+    deployment.build_ratls()
+    fabric = deployment.build_fabric(replica_count=3)
+    deployment.disable_telemetry()
+    metrics_before = render_prometheus(detached.registry)
+    spans_before = _span_count(detached)
+
+    _ias_brownout(deployment)
+    deployment.enroll("vnf-1")
+    _ias_brownout(deployment)
+    deployment.enroll_ratls("vnf-2")
+    kms = deployment.kms
+    kms.create_tenant("tenant")
+    token = kms.authorize("tenant",
+                          deployment.vm.issued_certificate("vnf-1"))
+    client = deployment.kms_client("tenant", token)
+    client.store("db", b"secret")
+    assert client.fetch("db") == b"secret"
+    client.close()
+    fabric.revoke_vnf("vnf-1")
+
+    assert render_prometheus(detached.registry) == metrics_before
+    assert _span_count(detached) == spans_before
+
+
+def test_telemetry_enabled_after_builds_counts_pool_retries():
+    deployment = Deployment(seed=b"wiring-late", vnf_count=1,
+                            retry_policy=POLICY)
+    deployment.build_ratls()
+    telemetry = deployment.enable_telemetry(serve=False)
+    try:
+        _ias_brownout(deployment)
+        deployment.enroll_ratls("vnf-1")
+        attempts = telemetry.retry_attempts.labels(operation="ias-verify")
+        assert attempts.value == 2
+    finally:
+        deployment.disable_telemetry()

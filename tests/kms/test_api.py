@@ -14,7 +14,7 @@ from repro.kms import KmsClient, TenantQuota
 from repro.kms.api import API_PREFIX
 from repro.net.faults import FaultPlan
 from repro.net.rest import HttpParser, HttpRequest
-from repro.obs import MetricsRegistry, Telemetry
+from repro.obs import NULL_TELEMETRY, MetricsRegistry, Telemetry
 
 from tests.kms.conftest import KMS_ADDRESS, make_world
 
@@ -153,7 +153,7 @@ def test_requests_metered_and_spanned(world, alpha):
     # Spans were recorded on the simulated clock.
     assert telemetry.tracer.find("kms.store") is not None
     assert telemetry.tracer.find("kms.fetch") is not None
-    world.endpoint.instrument(None)
+    world.endpoint.instrument(NULL_TELEMETRY)
 
 
 def test_audit_counter_mirrors_tenant_trails(world, alpha):
