@@ -12,24 +12,41 @@ a thread holding a leaf may not take any chain lock.
 The checker reconstructs the static lock graph in two steps per function:
 
 1. every ``with <lock>:`` / ``<lock>.acquire()`` is mapped to a *domain*
-   via :data:`LOCK_SITES` (which lock attribute, in which module/class,
-   guards what — the table mirrors the catalogue in CONCURRENCY.md);
+   via :func:`lock_domain`, which reads the code's own literal
+   ``self.<attr> = make_lock("<domain>")`` constructions
+   (:func:`lock_sites`) — there is no hand-kept table to drift;
 2. while a domain is held, both directly nested acquisitions *and* calls
    through domain-hinted attributes (``self._ca.issue(…)`` while holding
    the VM lock ⇒ edge ``vm → ca``) contribute edges.
 
 Edges are validated against the chain ranks (LOCK001), the leaf rule
 (LOCK002), the chain-direction rule (LOCK003), and — after all modules
-have been folded into one graph — cycle-freedom (LOCK004).
+have been folded into one graph — cycle-freedom (LOCK004).  LOCK006
+keeps the constructions readable: every ``make_lock``/``make_rlock``
+must name a documented domain as a string literal.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from pathlib import Path
+from types import MappingProxyType
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
-from repro.analysis.base import Checker, ModuleContext, walk_functions
+from repro.analysis.base import (
+    Checker,
+    ModuleContext,
+    call_func_name,
+    enclosing_map,
+    iter_package_modules,
+    name_of,
+    symbol_at,
+    walk_functions,
+)
 from repro.analysis.findings import Finding
 
 # --------------------------------------------------------------------------
@@ -104,43 +121,6 @@ CHAIN_MAY_NEST: Dict[str, Set[str]] = {
     "metrics": set(),
 }
 
-#: (module relpath, class name or None=any, lock attribute) -> domain.
-#: This is the machine-readable version of the "what each lock guards"
-#: table in docs/CONCURRENCY.md.
-LOCK_SITES: Dict[Tuple[str, Optional[str], str], str] = {
-    ("core/verification_manager.py", None, "_lock"): "vm",
-    ("pki/ca.py", None, "_lock"): "ca",
-    ("core/verification_cache.py", None, "_lock"): "cache",
-    ("tls/session.py", None, "_lock"): "cache",
-    ("crypto/ec.py", "EcEngineStats", "_lock"): "ec_stats",
-    ("crypto/ec.py", None, "_lock"): "ec_curves",
-    ("core/events.py", None, "_lock"): "audit",
-    ("net/clock.py", None, "_lock"): "clock",
-    ("net/simnet.py", None, "_lock"): "simnet",
-    ("obs/tracing.py", None, "_lock"): "tracer",
-    # The agent client renamed its lock to ``_exchange_lock``; the old
-    # ``_lock`` row sat stale in this table until the runtime
-    # sanitizer's coverage cross-check (RACE003) caught the drift.
-    ("core/host_agent.py", None, "_exchange_lock"): "agent",
-    ("crypto/rng.py", None, "_lock"): "rng",
-    ("crypto/rng.py", None, "_default_lock"): "rng",
-    ("core/fleet.py", None, "_pool_lock"): "ias_pool",
-    ("core/fleet.py", None, "_host_locks"): "host",
-    ("obs/registry.py", "MetricsRegistry", "_lock"): "registry",
-    ("obs/registry.py", None, "_family_lock"): "family",
-    ("obs/registry.py", "CounterChild", "_lock"): "child",
-    ("obs/registry.py", "GaugeChild", "_lock"): "child",
-    ("obs/registry.py", "HistogramChild", "_lock"): "child",
-    ("kms/shard.py", None, "_lock"): "kms_shard",
-    ("kms/tenancy.py", None, "_lock"): "kms_ns",
-    ("kms/service.py", None, "_trails_lock"): "kms_ns",
-    ("pki/keystore.py", None, "_lock"): "keystore_entries",
-    ("tls/ratls.py", None, "_lock"): "ratls",
-    ("sdn/replication.py", "ReplicationLog", "_lock"): "fabric_log",
-    ("sdn/replication.py", "FabricKeystore", "_lock"): "fabric_keystore",
-    ("sdn/fabric.py", None, "_lock"): "fabric",
-}
-
 #: Attribute-name hints used to resolve *calls made while holding a lock*
 #: to the domain the callee will lock.  ``self._ca.issue(…)`` inside a
 #: VM-locked region adds the edge vm → ca even though the CA's own
@@ -166,6 +146,74 @@ _RANK: Dict[str, Tuple[str, int]] = {
     for rank, domain in enumerate(domains)
 }
 
+#: Every documented domain; LOCK006 rejects a lock constructed under
+#: any other name.
+KNOWN_DOMAINS: Set[str] = set(_RANK) | LEAF_DOMAINS | OUTER_DOMAINS
+
+#: The factories whose first argument names a lock's domain.
+LOCK_FACTORIES: Tuple[str, ...] = ("make_lock", "make_rlock")
+
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent  # .../src/repro
+
+
+# --------------------------------------------------------------------------
+# Lock sites, read from the code
+# --------------------------------------------------------------------------
+
+def _factory_calls(node: ast.AST) -> Iterator[ast.Call]:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call) and call_func_name(sub) in LOCK_FACTORIES:
+            yield sub
+
+
+def _literal_domain(call: ast.Call) -> Optional[str]:
+    """The string literal a factory call names, else ``None``."""
+    if call.args and isinstance(call.args[0], ast.Constant) \
+            and isinstance(call.args[0].value, str):
+        return call.args[0].value
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def lock_sites() -> Mapping[Tuple[str, Optional[str], str], str]:
+    """``(relpath, class or None, attribute) -> domain`` for every
+    assignment in the package whose value constructs a lock with a
+    literal domain — ``self._lock = make_lock("clock")``, or a container
+    of them (``self._host_locks = {h: make_lock("host") for h in …}``).
+    Parsed once per process; read-only, since every caller shares it."""
+    sites: Dict[Tuple[str, Optional[str], str], str] = {}
+
+    def visit(relpath: str, node: ast.AST, cls: Optional[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(relpath, child, child.name)
+                continue
+            if isinstance(child, ast.Assign):
+                calls = list(_factory_calls(child.value))
+                domain = _literal_domain(calls[0]) if calls else None
+                for target in child.targets:
+                    attr = name_of(target)
+                    if domain is not None and attr is not None:
+                        sites[(relpath, cls, attr)] = domain
+            visit(relpath, child, cls)
+
+    for ctx in iter_package_modules(_PACKAGE_ROOT):
+        visit(ctx.relpath, ctx.tree, None)
+    return MappingProxyType(sites)
+
+
+def lock_domain(relpath: str, cls: Optional[str],
+                attr: str) -> Optional[str]:
+    """The domain of lock attribute ``attr`` used in class ``cls`` of
+    module ``relpath``: the class's own construction, else the module's
+    only domain for that attribute, else ``None`` (unresolved)."""
+    sites = lock_sites()
+    if (relpath, cls, attr) in sites:
+        return sites[(relpath, cls, attr)]
+    domains = {domain for (path, _cls, name), domain in sites.items()
+               if path == relpath and name == attr}
+    return domains.pop() if len(domains) == 1 else None
+
 
 @dataclass(frozen=True)
 class LockEdge:
@@ -187,6 +235,7 @@ class LockOrderChecker(Checker):
         "LOCK003": "cross-chain lock nesting in a forbidden direction",
         "LOCK004": "cycle in the static lock graph",
         "LOCK005": "non-reentrant lock domain re-acquired while held",
+        "LOCK006": "lock constructed without a documented literal domain",
     }
 
     def __init__(self) -> None:
@@ -199,7 +248,9 @@ class LockOrderChecker(Checker):
             collector.walk(func)
             edges.extend(collector.edges)
         self._edges.extend(edges)
-        return [f for edge in edges for f in _edge_findings(edge)]
+        findings = [f for edge in edges for f in _edge_findings(edge)]
+        findings.extend(_construction_findings(ctx))
+        return findings
 
     def finalize(self) -> Iterable[Finding]:
         findings = list(_cycle_findings(self._edges))
@@ -210,16 +261,6 @@ class LockOrderChecker(Checker):
 # --------------------------------------------------------------------------
 # Per-function extraction
 # --------------------------------------------------------------------------
-
-def _lock_domain_for_site(
-    relpath: str, cls: Optional[str], attr: str,
-) -> Optional[str]:
-    if cls is not None:
-        domain = LOCK_SITES.get((relpath, cls, attr))
-        if domain is not None:
-            return domain
-    return LOCK_SITES.get((relpath, None, attr))
-
 
 class _FunctionLockWalker:
     """Extract lock-nesting edges from one function body."""
@@ -237,7 +278,7 @@ class _FunctionLockWalker:
     def _acquired_domain(self, expr: ast.AST) -> Optional[str]:
         """Domain of the lock object in ``with <expr>`` / ``<expr>.acquire()``."""
         if isinstance(expr, ast.Attribute):
-            domain = _lock_domain_for_site(self.relpath, self.cls, expr.attr)
+            domain = lock_domain(self.relpath, self.cls, expr.attr)
             if domain is not None:
                 return domain
         if isinstance(expr, ast.Subscript):
@@ -433,6 +474,26 @@ def _edge_findings(edge: LockEdge) -> Iterable[Finding]:
                      f"only {outer_chain} → "
                      f"{sorted(CHAIN_MAY_NEST.get(outer_chain, set()))} "
                      f"nesting is documented"),
+        )
+
+
+def _construction_findings(ctx: ModuleContext) -> Iterable[Finding]:
+    """LOCK006: a lock whose domain is not a documented string literal
+    cannot be mapped to its site, so every rule above would miss it."""
+    line_map = enclosing_map(ctx.tree)
+    for call in _factory_calls(ctx.tree):
+        domain = _literal_domain(call)
+        if domain in KNOWN_DOMAINS:
+            continue
+        what = ("a non-literal domain" if domain is None
+                else f"unknown domain '{domain}'")
+        yield Finding(
+            rule_id="LOCK006", severity="error", relpath=ctx.relpath,
+            line=call.lineno, col=call.col_offset,
+            symbol=symbol_at(line_map, call.lineno),
+            message=(f"{call_func_name(call)}() with {what} — name one of "
+                     f"ORDER_CHAINS, LEAF_DOMAINS or OUTER_DOMAINS as a "
+                     f"string literal (see docs/CONCURRENCY.md)"),
         )
 
 

@@ -1,11 +1,11 @@
 """RACE: the runtime race detector and lock-discipline sanitizer.
 
 The static lock-order checker (:mod:`repro.analysis.lock_order`) proves
-nesting *order* from hand-maintained tables, but it cannot see an access
-to shared state that holds *no* lock at all, and nothing verifies the
-tables still match what the code actually acquires at runtime.  This
-module closes both gaps the way Eraser (Savage et al., SOSP'97) and
-TSan do for native code — at runtime, opt-in, zero-cost when off:
+nesting *order* from the code's lock constructions, but it cannot see an
+access to shared state that holds *no* lock at all, nor a nesting hidden
+behind a callback or a simulated-network exchange.  This module closes
+both gaps the way Eraser (Savage et al., SOSP'97) and TSan do for native
+code — at runtime, opt-in, zero-cost when off:
 
 * :func:`make_lock` / :func:`make_rlock` construct plain
   ``threading.Lock``/``RLock`` objects unless sanitization is enabled
@@ -27,11 +27,9 @@ TSan do for native code — at runtime, opt-in, zero-cost when off:
 * At teardown the observed acquisition graph is validated against the
   encoded chains from ``docs/CONCURRENCY.md`` by re-using the static
   checker's edge/cycle rules (**RACE002** wraps dynamic LOCK001–005 —
-  orders the AST walker cannot see through indirection), and the
-  observed construction sites are cross-checked against ``LOCK_SITES``
-  (**RACE003**: an observed lock missing from the table is a coverage
-  gap *error*; a table entry never observed is a stale-table
-  *warning*).
+  orders the AST walker cannot see through indirection).  Each tracked
+  lock carries the domain it was constructed with, so no site table is
+  needed at runtime.
 
 Findings flow through the ordinary :class:`~repro.analysis.findings.
 Finding` machinery; ``repro lint --sanitizer-report FILE`` applies the
@@ -75,9 +73,6 @@ SANITIZER_RULES: Dict[str, str] = {
                 "and no happens-before edge (Eraser)"),
     "RACE002": ("observed runtime lock acquisition violates the "
                 "documented order (dynamic LOCK001-005)"),
-    "RACE003": ("lock-table coverage drift: observed lock missing from "
-                "LOCK_SITES (error) or table entry never observed "
-                "(warning)"),
 }
 
 ENV_SWITCH = "REPRO_SANITIZE"
@@ -211,7 +206,8 @@ class TrackedLock:
         self._inner = self._make_inner()
         self.domain = domain
         self.uid = next(_lock_uids)
-        #: Construction site — matched against LOCK_SITES for coverage.
+        #: Construction site — the location an observed edge falls back
+        #: to when acquired from outside ``src/repro`` (a test body).
         relpath, line, _func = _user_frame(skip=2)
         self.site_relpath = relpath
         self.site_line = line
@@ -473,19 +469,14 @@ class RaceReport:
 class Sanitizer:
     """One sanitization run: recording, the state machine, teardown checks.
 
-    ``lock_sites``/``check_order``/``check_coverage`` exist so tests can
-    inject tables or silence the teardown passes; production use (the
-    pytest plugin) runs with the defaults, i.e. against the live
-    ``lock_order`` tables.
+    ``check_order=False`` silences the teardown order pass, so tests of
+    the race machinery see only RACE001; production use (the pytest
+    plugin) runs with the default, i.e. against the live ``lock_order``
+    tables.
     """
 
-    def __init__(self, *, check_order: bool = True,
-                 check_coverage: bool = True,
-                 lock_sites: Optional[Dict[Tuple[str, Optional[str], str],
-                                           str]] = None) -> None:
+    def __init__(self, *, check_order: bool = True) -> None:
         self.check_order = check_order
-        self.check_coverage = check_coverage
-        self._lock_sites = lock_sites
         self.races: List[RaceReport] = []
         self._race_keys: Set[Tuple[str, str]] = set()
         self._vc: Dict[int, Dict[int, int]] = {}
@@ -494,7 +485,6 @@ class Sanitizer:
         self._var_refs: Dict[int, weakref.ref] = {}
         self._dead_ids: List[int] = []  # filled by GC callbacks, lock-free
         self._edges: Dict[Tuple[str, str], _EdgeObs] = {}
-        self._observed_sites: Dict[Tuple[str, str], int] = {}
         self._snapshots: "weakref.WeakKeyDictionary[threading.Thread, Dict[int, int]]" = (
             weakref.WeakKeyDictionary())
         self._active = False
@@ -569,10 +559,6 @@ class Sanitizer:
                     entry.depth += 1  # re-entrant RLock, same instance
                     return
             _vc_join(vc, lock.vc)
-            if lock.site_relpath is not None:
-                key = (lock.site_relpath, lock.domain)
-                self._observed_sites[key] = (
-                    self._observed_sites.get(key, 0) + 1)
             if held:
                 relpath, line, symbol = _user_frame(skip=3)
                 if relpath is None:
@@ -761,39 +747,12 @@ class Sanitizer:
                              f"[{finding.rule_id}]: {finding.message}"),
                 ))
 
-        if self.check_coverage:
-            sites = (self._lock_sites if self._lock_sites is not None
-                     else lock_order.LOCK_SITES)
-            expected = {(relpath, domain)
-                        for (relpath, _cls, _attr), domain in sites.items()}
-            observed = set(self._observed_sites)
-            for relpath, domain in sorted(observed - expected):
-                findings.append(Finding(
-                    rule_id="RACE003", severity="error", relpath=relpath,
-                    line=1, col=0, symbol="<lock-table>",
-                    message=(f"coverage gap: lock domain '{domain}' "
-                             f"constructed in {relpath} has no LOCK_SITES "
-                             f"entry — extend the table in "
-                             f"analysis/lock_order.py"),
-                ))
-            for relpath, domain in sorted(expected - observed):
-                findings.append(Finding(
-                    rule_id="RACE003", severity="warning", relpath=relpath,
-                    line=1, col=0, symbol="<lock-table>",
-                    message=(f"stale table entry: LOCK_SITES maps "
-                             f"{relpath} to domain '{domain}' but no such "
-                             f"lock was observed this run — dead entry or "
-                             f"untested lock"),
-                ))
         return assign_ordinals(findings)
 
     # -- reporting ---------------------------------------------------------
 
     def observed_edges(self) -> List[_EdgeObs]:
         return [obs for _key, obs in sorted(self._edges.items())]
-
-    def observed_sites(self) -> Dict[Tuple[str, str], int]:
-        return dict(self._observed_sites)
 
     def to_report(self) -> Dict[str, Any]:
         """JSON-serializable payload consumed by ``repro lint``."""
@@ -830,10 +789,6 @@ class Sanitizer:
                 }
                 for obs in self.observed_edges()
             ],
-            "observed_sites": sorted(
-                [relpath, domain]
-                for relpath, domain in self._observed_sites
-            ),
         }
 
     def write_report(self, path: str) -> None:

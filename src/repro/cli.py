@@ -85,9 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(fleet)
     fleet.add_argument("--workers", type=int, default=4,
                        help="worker-pool width (default 4)")
-    fleet.add_argument("--no-pooled-ias", action="store_true",
-                       help="dial IAS per verification instead of reusing "
-                            "one connection")
 
     metrics = sub.add_parser(
         "metrics",
@@ -230,22 +227,20 @@ def _cmd_enroll(args, out) -> int:
 
 def _cmd_fleet(args, out) -> int:
     deployment = _build_deployment(args)
-    report = deployment.enroll_fleet(
-        workers=args.workers, pooled_ias=not args.no_pooled_ias,
-    )
-    for host_name, timing in report.host_attestations.items():
+    report = deployment.enroll_fleet(workers=args.workers)
+    for host_name, (timing,) in report.host_attestations.items():
         out.write(
             f"{host_name}: attested once for the fleet "
             f"(sim={timing.simulated_seconds * 1000:.3f} ms)\n"
         )
-    for vnf_name, result in report.results.items():
-        if result.succeeded:
+    for vnf_name, session in report.results.items():
+        if session.succeeded:
             out.write(
-                f"{vnf_name}: serial {result.certificate_serial} "
-                f"on {result.host_name}\n"
+                f"{vnf_name}: serial {session.certificate_serial} "
+                f"on {session.host_name}\n"
             )
         else:
-            out.write(f"{vnf_name}: FAILED — {result.error}\n")
+            out.write(f"{vnf_name}: FAILED — {session.error}\n")
     out.write(
         f"fleet of {len(report.results)} VNF(s), workers={report.workers}, "
         f"IAS connects={report.ias_connects} "

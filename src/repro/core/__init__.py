@@ -15,11 +15,11 @@ Components, mapping one-to-one onto Figure 1 of the paper:
 - :mod:`repro.core.appraisal` — expected-value appraisal of the IML,
   optionally TPM-rooted.
 - :mod:`repro.core.enrollment` — the use-case-2 state machine.
-- :mod:`repro.core.fleet` — the worker-pool scheduler that enrolls many
-  VNFs concurrently (single-flight host attestation, pooled IAS
-  connection, deterministic credentials).
+- :mod:`repro.core.fleet` — what a concurrent fleet run shares across
+  its workers (single-flight host attestation, pooled IAS connection).
 - :mod:`repro.core.revocation` — credential/platform revocation.
-- :mod:`repro.core.workflow` — the executable Figure 1 deployment.
+- :mod:`repro.core.workflow` — the executable Figure 1 deployment and
+  its one enrollment driver (serial loop and fleet alike).
 - :mod:`repro.core.events` — the audit log.
 """
 
@@ -28,12 +28,7 @@ from repro.core.attestation_enclave import AttestationEnclave
 from repro.core.credential_enclave import CredentialEnclave, EnclaveBackedClient
 from repro.core.enrollment import EnrollmentSession
 from repro.core.events import AuditLog, AuditEvent
-from repro.core.fleet import (
-    FleetReport,
-    FleetResult,
-    FleetScheduler,
-    PooledIasClient,
-)
+from repro.core.fleet import PooledIasClient
 from repro.core.host_agent import HostAgent, HostAgentClient
 from repro.core.policy import DeploymentPolicy
 from repro.core.provisioning import CredentialBundle
@@ -50,9 +45,6 @@ __all__ = [
     "EnrollmentSession",
     "AuditLog",
     "AuditEvent",
-    "FleetReport",
-    "FleetResult",
-    "FleetScheduler",
     "PooledIasClient",
     "HostAgent",
     "HostAgentClient",

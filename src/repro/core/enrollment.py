@@ -39,6 +39,8 @@ STATE_VNF_ATTESTED_AND_PROVISIONED = "provisioned"
 STATE_ENROLLED = "enrolled"
 STATE_FAILED = "failed"
 
+HOST_ATTESTATION_STEP = "host-attestation (steps 1-2)"
+
 
 @dataclass
 class StepTiming:
@@ -49,8 +51,46 @@ class StepTiming:
     wall_seconds: float
 
 
+class StepTimer:
+    """Step timing shared by the enrollment sessions.
+
+    Each step opens a span, records simulated and wall time, fails the
+    session on error, and lands in the
+    ``vnf_sgx_workflow_step_seconds{step=...}`` histogram.  The session
+    supplies ``vnf_name``, ``sim_now``, ``telemetry``, ``state`` and
+    ``timings``; it overrides :meth:`_attempt` to retry a step.
+    """
+
+    def _attempt(self, step: str, fn: Callable[[], object]) -> object:
+        return fn()
+
+    def _timed(self, step: str, fn: Callable[[], object]) -> object:
+        tel = self.telemetry
+        sim_start = self.sim_now()
+        wall_start = time.perf_counter()
+        try:
+            with tel.span(step, vnf=self.vnf_name):
+                result = self._attempt(step, fn)
+        except Exception:
+            self.state = STATE_FAILED
+            raise
+        simulated = self.sim_now() - sim_start
+        self.timings.append(StepTiming(
+            step=step,
+            simulated_seconds=simulated,
+            wall_seconds=time.perf_counter() - wall_start,
+        ))
+        tel.workflow_step_seconds.labels(step=step).observe(simulated)
+        return result
+
+    @property
+    def total_simulated_seconds(self) -> float:
+        """Sum of per-step simulated time."""
+        return sum(t.simulated_seconds for t in self.timings)
+
+
 @dataclass
-class EnrollmentSession:
+class EnrollmentSession(StepTimer):
     """Drives one VNF from untrusted to enrolled.
 
     Args:
@@ -86,10 +126,13 @@ class EnrollmentSession:
     state: str = STATE_INIT
     timings: List[StepTiming] = field(default_factory=list)
     certificate_serial: Optional[int] = None
-    #: A serial pre-reserved via ``vm.ca.reserve_serial()``; the fleet
-    #: scheduler reserves serials in submission order so pooled workers
-    #: issue byte-identical certificates regardless of interleaving.
+    #: A serial pre-reserved via ``vm.ca.reserve_serial()``; a fleet run
+    #: reserves serials in submission order so pooled workers issue
+    #: byte-identical certificates regardless of interleaving.
     reserved_serial: Optional[int] = None
+    #: ``"ExceptionType: message"`` once a workflow run recorded this
+    #: session's failure (see ``WorkflowTrace.failed``).
+    error: Optional[str] = None
 
     def _attempt(self, step: str, fn: Callable[[], object]) -> object:
         if self.retry_policy is None:
@@ -100,25 +143,6 @@ class EnrollmentSession:
             operation=operation, rng=self.retry_rng,
             retryable=STEP_RETRYABLE, telemetry=self.telemetry,
         )
-
-    def _timed(self, step: str, fn: Callable[[], object]) -> object:
-        tel = self.telemetry
-        sim_start = self.sim_now()
-        wall_start = time.perf_counter()
-        try:
-            with tel.span(step, vnf=self.vnf_name):
-                result = self._attempt(step, fn)
-        except Exception:
-            self.state = STATE_FAILED
-            raise
-        simulated = self.sim_now() - sim_start
-        self.timings.append(StepTiming(
-            step=step,
-            simulated_seconds=simulated,
-            wall_seconds=time.perf_counter() - wall_start,
-        ))
-        tel.workflow_step_seconds.labels(step=step).observe(simulated)
-        return result
 
     # ----------------------------------------------------------- the steps
 
@@ -132,8 +156,7 @@ class EnrollmentSession:
             result.raise_if_failed(self.host_name)
             return result
 
-        result = self._timed("host-attestation (steps 1-2)",
-                             attest_and_check)
+        result = self._timed(HOST_ATTESTATION_STEP, attest_and_check)
         self.state = STATE_HOST_ATTESTED
         return result
 
@@ -182,6 +205,6 @@ class EnrollmentSession:
         return list(self.timings)
 
     @property
-    def total_simulated_seconds(self) -> float:
-        """Sum of per-step simulated time."""
-        return sum(t.simulated_seconds for t in self.timings)
+    def succeeded(self) -> bool:
+        """Did this VNF reach the enrolled state?"""
+        return self.state == STATE_ENROLLED

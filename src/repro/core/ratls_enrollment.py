@@ -18,19 +18,20 @@ round trips at fleet scale.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List
 
 from repro.core.credential_enclave import CredentialEnclave
-from repro.core.enrollment import StepTiming
+from repro.core.enrollment import (
+    STATE_ENROLLED,
+    STATE_INIT,
+    StepTimer,
+    StepTiming,
+)
 from repro.errors import EnrollmentError
 from repro.obs.metrics import NULL_TELEMETRY
 
-STATE_INIT = "init"
 STATE_PREPARED = "ratls-prepared"
-STATE_ENROLLED = "enrolled"
-STATE_FAILED = "failed"
 
 #: Default validity of a self-signed RA-TLS certificate, in simulated
 #: seconds.  Shorter-lived than CA credentials is fine: renewal is a
@@ -39,8 +40,11 @@ DEFAULT_VALIDITY_SECONDS = 24 * 3600
 
 
 @dataclass
-class RatlsEnrollmentSession:
+class RatlsEnrollmentSession(StepTimer):
     """Drives one VNF through the RA-TLS attested-channel path.
+
+    Steps are timed like :class:`~repro.core.enrollment.EnrollmentSession`'s
+    but never retried: the attestation rides the handshake itself.
 
     Args:
         enclave: the VNF's credential-enclave handle (host side).
@@ -67,24 +71,10 @@ class RatlsEnrollmentSession:
     state: str = STATE_INIT
     timings: List[StepTiming] = field(default_factory=list)
 
-    def _timed(self, step: str, fn: Callable[[], object]) -> object:
-        tel = self.telemetry
-        sim_start = self.sim_now()
-        wall_start = time.perf_counter()
-        try:
-            with tel.span(step, vnf=self.enclave.vnf_name):
-                result = fn()
-        except Exception:
-            self.state = STATE_FAILED
-            raise
-        simulated = self.sim_now() - sim_start
-        self.timings.append(StepTiming(
-            step=step,
-            simulated_seconds=simulated,
-            wall_seconds=time.perf_counter() - wall_start,
-        ))
-        tel.workflow_step_seconds.labels(step=step).observe(simulated)
-        return result
+    @property
+    def vnf_name(self) -> str:
+        """The enrolling VNF (its steps' spans carry it)."""
+        return self.enclave.vnf_name
 
     # ----------------------------------------------------------- the steps
 
@@ -126,8 +116,3 @@ class RatlsEnrollmentSession:
         self.prepare()
         self.connect(client)
         return list(self.timings)
-
-    @property
-    def total_simulated_seconds(self) -> float:
-        """Sum of per-step simulated time."""
-        return sum(t.simulated_seconds for t in self.timings)

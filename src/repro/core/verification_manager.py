@@ -137,10 +137,9 @@ class VerificationManager:
     def swap_ias_client(self, client: IasClient) -> IasClient:
         """Install a different IAS client; returns the previous one.
 
-        The fleet scheduler swaps in a
-        :class:`repro.core.fleet.PooledIasClient` (one persistent IAS
-        connection shared across verifications) for the duration of a
-        pooled run, then restores the original.
+        A fleet run swaps in a :class:`repro.core.fleet.PooledIasClient`
+        (one persistent IAS connection shared across verifications) for
+        its duration, then restores the original.
         """
         with self._lock:
             previous, self._ias = self._ias, client

@@ -15,8 +15,9 @@ keystore-vs-CA validation model, SGX cost parameters, fleet size).
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.containers.host import ContainerHost
 from repro.containers.image import build_image
@@ -24,7 +25,13 @@ from repro.containers.registry import Registry
 from repro.core.appraisal import ExpectedValues
 from repro.core.attestation_enclave import AttestationEnclave
 from repro.core.credential_enclave import CredentialEnclave, EnclaveBackedClient
-from repro.core.enrollment import EnrollmentSession, StepTiming
+from repro.core.enrollment import (
+    HOST_ATTESTATION_STEP,
+    STATE_FAILED,
+    EnrollmentSession,
+    StepTiming,
+)
+from repro.core.fleet import PooledIasClient, SingleFlightHosts
 from repro.core.host_agent import HostAgent, HostAgentClient
 from repro.core.policy import DeploymentPolicy
 from repro.core.verification_manager import VerificationManager
@@ -74,37 +81,86 @@ VALIDATION_KEYSTORE = "keystore"
 
 @dataclass
 class WorkflowTrace:
-    """Everything :meth:`Deployment.run_workflow` measured.
+    """Everything one enrollment run measured: the serial loop
+    (:meth:`Deployment.run_workflow`) or a fleet
+    (:meth:`Deployment.enroll_fleet`).
 
     Attributes:
-        per_vnf: per-step timings of every *successfully* enrolled VNF.
-        failed: VNF name -> ``"ExceptionType: message"`` for every VNF
-            whose enrollment failed; the fleet run continues past them
-            (partial-failure semantics — one bad host must not abort a
-            deployment of thousands).
-        simulated_seconds / wall_seconds / clock_charges: totals.
+        results: VNF name -> its
+            :class:`~repro.core.enrollment.EnrollmentSession`, in
+            submission order: host, state, certificate serial, the steps
+            it finished and, if it failed, its ``error``.  In a fleet run
+            the host step appears in the timings of the VNF that ran it.
+        workers: pool width (1 for the serial loop).
+        simulated_seconds / wall_seconds / clock_charges: run totals.
+        ias_connects / ias_reused_exchanges: the fleet's pooled IAS
+            connection (zero for the serial loop, which dials IAS per
+            verification).
     """
 
-    per_vnf: Dict[str, List[StepTiming]] = field(default_factory=dict)
-    failed: Dict[str, str] = field(default_factory=dict)
+    results: Dict[str, EnrollmentSession] = field(default_factory=dict)
+    workers: int = 1
     simulated_seconds: float = 0.0
     wall_seconds: float = 0.0
     clock_charges: Dict[str, float] = field(default_factory=dict)
+    ias_connects: int = 0
+    ias_reused_exchanges: int = 0
 
-    def step_totals(self) -> Dict[str, float]:
-        """Simulated seconds per workflow step, summed over VNFs."""
-        totals: Dict[str, float] = {}
-        for timings in self.per_vnf.values():
-            for timing in timings:
-                totals[timing.step] = (
-                    totals.get(timing.step, 0.0) + timing.simulated_seconds
-                )
-        return totals
+    @property
+    def per_vnf(self) -> Dict[str, List[StepTiming]]:
+        """Per-step timings of every *successfully* enrolled VNF."""
+        return {name: list(session.timings)
+                for name, session in self.results.items()
+                if session.succeeded}
+
+    @property
+    def failed(self) -> Dict[str, str]:
+        """VNF name -> ``"ExceptionType: message"`` for every VNF whose
+        enrollment failed; the run continues past them (partial-failure
+        semantics — one bad host must not abort a deployment of
+        thousands)."""
+        return {name: session.error
+                for name, session in self.results.items()
+                if session.error is not None}
 
     @property
     def fully_succeeded(self) -> bool:
         """True when every VNF in the run enrolled."""
         return not self.failed
+
+    @property
+    def host_attestations(self) -> Dict[str, List[StepTiming]]:
+        """Host name -> its host-attestation steps: one per VNF in the
+        serial loop, one per host in a fleet (single-flight)."""
+        hosts: Dict[str, List[StepTiming]] = {}
+        for session in self.results.values():
+            for timing in session.timings:
+                if timing.step == HOST_ATTESTATION_STEP:
+                    hosts.setdefault(session.host_name, []).append(timing)
+        return hosts
+
+    def step_totals(self) -> Dict[str, float]:
+        """Simulated seconds per workflow step, summed over every step
+        any VNF finished."""
+        totals: Dict[str, float] = {}
+        for session in self.results.values():
+            for timing in session.timings:
+                totals[timing.step] = (
+                    totals.get(timing.step, 0.0) + timing.simulated_seconds
+                )
+        return totals
+
+
+def _in_order(fn: Callable, items: List[str],
+              workers: int) -> Iterator[EnrollmentSession]:
+    """``fn`` over ``items``, inline or across ``workers`` threads;
+    yields the results in submission order."""
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers,
+                            thread_name_prefix="fleet") as pool:
+        yield from pool.map(fn, items)
 
 
 class Deployment:
@@ -453,9 +509,9 @@ class Deployment:
         The Verification Manager's IAS client is swapped for a
         :class:`~repro.core.fleet.PooledIasClient` for the endpoint's
         lifetime: the verifier is a long-lived controller-side service
-        attesting many handshakes, exactly the amortization the fleet
-        scheduler applies per run (and, per experiment E12,
-        byte-identical to per-verify dialing).
+        attesting many handshakes, exactly the amortization a fleet run
+        applies (and, per experiment E12, byte-identical to per-verify
+        dialing).
         """
         if self.ratls_verifier is not None:
             return self.ratls_verifier
@@ -559,12 +615,10 @@ class Deployment:
 
     # ------------------------------------------------------------ accessors
 
-    def pooled_ias_client(self):
+    def pooled_ias_client(self) -> PooledIasClient:
         """A fresh :class:`~repro.core.fleet.PooledIasClient` to this
         deployment's IAS, with its current retry policy and telemetry
         (later changes reach it only if it is registered)."""
-        from repro.core.fleet import PooledIasClient
-
         return self._wire(PooledIasClient(
             self.network, IAS_ADDRESS, self.ias_http.ias_truststore,
             self.ias.report_signing_public_key, rng=self.rng,
@@ -591,22 +645,41 @@ class Deployment:
 
     def enroll(self, vnf_name: str) -> EnrollmentSession:
         """Run steps 1-6 for one VNF; returns the completed session."""
+        session = self._session(vnf_name)
+        self._drive(session, EnrollmentSession.attest_host)
+        return session
+
+    def _session(self, vnf_name: str,
+                 serial: Optional[int] = None) -> EnrollmentSession:
+        """A fresh enrollment session for one VNF (``serial``: one
+        reserved in submission order by a fleet run)."""
         host = self.vnf_host[vnf_name]
-        session = EnrollmentSession(
+        return EnrollmentSession(
             vm=self.vm,
             agent=self.agent_clients[host.name],
             host_name=host.name,
             vnf_name=vnf_name,
             controller_address=str(self.controller_address(MODE_TRUSTED)),
-            sim_now=self.clock.now,
+            # Per-thread elapsed time: a fleet worker's step timings count
+            # only the virtual-clock charges *it* performed; in a
+            # single-threaded run they equal the clock's own deltas.
+            sim_now=self.clock.local_seconds,
             telemetry=self.telemetry,
             retry_policy=self.retry_policy,
             clock=self.clock,
             retry_rng=self._retry_rng,
+            reserved_serial=serial,
         )
+
+    def _drive(self, session: EnrollmentSession,
+               attest_host: Callable[[EnrollmentSession], None]) -> None:
+        """Steps 1-6 for one session under its ``enrollment`` span;
+        ``attest_host(session)`` is the run's host policy (every VNF in
+        the serial loop, single-flight in a fleet)."""
+        vnf_name = session.vnf_name
         with self.telemetry.span("enrollment", vnf=vnf_name,
-                                 host=host.name):
-            session.attest_host()
+                                 host=session.host_name):
+            attest_host(session)
             session.provision()
             if self.client_validation == VALIDATION_KEYSTORE:
                 # Stock Floodlight: each new credential needs a keystore
@@ -616,59 +689,99 @@ class Deployment:
                     vnf_name, self.vm.issued_certificate(vnf_name)
                 )
             session.connect(self.enclave_client(vnf_name))
-        return session
 
-    def enroll_fleet(self, vnf_names: Optional[List[str]] = None,
-                     workers: int = 4, pooled_ias: bool = True):
-        """Enroll many VNFs across a bounded worker pool.
+    def enroll_fleet(self, vnf_names: Optional[Iterable[str]] = None,
+                     workers: int = 4) -> WorkflowTrace:
+        """Enroll many VNFs (default: every VNF) across a bounded worker
+        pool.
 
-        The pooled path amortizes what the serial loop repeats per VNF:
-        each distinct host is attested exactly once (single-flight) and
-        all IAS verifications share one persistent connection.  Serials
-        are reserved in submission order and key material comes from
-        per-VNF DRBGs, so the issued certificates are byte-identical to
-        a serial :meth:`enroll` loop's (experiment E12 asserts this).
-        Retries follow the deployment's :attr:`retry_policy`.
+        Each VNF takes :meth:`enroll`'s own path, with three run-level
+        amortizations: each distinct host is attested exactly once
+        (:class:`~repro.core.fleet.SingleFlightHosts`), all IAS
+        verifications share one pooled connection, and serials are
+        reserved in submission order.  Key material comes from per-VNF
+        DRBGs, so the issued certificates are byte-identical to a serial
+        :meth:`enroll` loop's (experiment E12 asserts this).  Retries
+        follow the deployment's :attr:`retry_policy`, host step included.
 
-        Returns a :class:`repro.core.fleet.FleetReport` with
-        partial-failure semantics mirroring :meth:`run_workflow`.
+        Returns a :class:`WorkflowTrace` with :meth:`run_workflow`'s
+        partial-failure semantics.
         """
-        from repro.core.fleet import FleetScheduler
-
-        scheduler = FleetScheduler(self, workers=workers,
-                                   pooled_ias=pooled_ias)
-        return scheduler.enroll(vnf_names)
+        names = self.vnf_names if vnf_names is None else vnf_names
+        return self._run(list(names), workers, fleet=True)
 
     def run_workflow(self) -> WorkflowTrace:
-        """Execute the full Figure 1 workflow for every VNF.
+        """Execute the full Figure 1 workflow for every VNF, one at a time.
 
         Partial-failure semantics: one VNF whose enrollment fails (host
         down, IAS outage outlasting the retry budget, appraisal
         rejection, ...) is recorded in :attr:`WorkflowTrace.failed` and
-        the fleet run continues — it does not abort the deployment.
-        Per-VNF enrollment is delegated to :meth:`enroll`, so a single
-        enrollment and a fleet run take exactly the same code path.
+        the run continues — it does not abort the deployment.  Every VNF
+        takes :meth:`enroll`'s path, host attestation included.
         """
+        return self._run(list(self.vnf_names), 1, fleet=False)
+
+    def _run(self, names: List[str], workers: int,
+             fleet: bool) -> WorkflowTrace:
+        """The one run loop behind :meth:`run_workflow` and
+        :meth:`enroll_fleet`; ``fleet`` selects single-flight hosts, the
+        pooled IAS connection and reserved serials."""
+        unknown = [name for name in names if name not in self.vnf_host]
+        if unknown:
+            raise VnfSgxError(f"unknown VNFs: {', '.join(unknown)}")
+        if len(set(names)) != len(names):
+            raise VnfSgxError("duplicate VNF names in fleet submission")
+        if workers < 1:
+            raise VnfSgxError("fleet needs at least one worker")
+
         tel = self.telemetry
-        trace = WorkflowTrace()
+        trace = WorkflowTrace(workers=workers)
+        attest_host = EnrollmentSession.attest_host
+        serials: Dict[str, int] = {}
+        pooled = previous_ias = None
+        if fleet:
+            attest_host = SingleFlightHosts(
+                self.vnf_host[name].name for name in names
+            ).attest
+            # Reserve serials in submission order *before* dispatch: the
+            # certificate each VNF receives is then independent of worker
+            # interleaving and identical to a serial loop's.
+            serials = {name: self.vm.ca.reserve_serial() for name in names}
+            pooled = self.pooled_ias_client()
+            previous_ias = self.vm.swap_ias_client(pooled)
+
+        def enroll_one(vnf_name: str) -> EnrollmentSession:
+            session = self._session(vnf_name, serials.get(vnf_name))
+            try:
+                self._drive(session, attest_host)
+            except ReproError as exc:
+                session.state = STATE_FAILED
+                session.error = f"{type(exc).__name__}: {exc}"
+            return session
+
         sim_start = self.clock.now()
         wall_start = time.perf_counter()
         self.clock.reset_charges()
-        with tel.span("figure1-workflow",
-                      vnfs=len(self.vnf_names)) as workflow_span:
-            for vnf_name in self.vnf_names:
-                try:
-                    session = self.enroll(vnf_name)
-                except ReproError as exc:
-                    trace.failed[vnf_name] = f"{type(exc).__name__}: {exc}"
-                    tel.workflow_vnf_failures.inc()
-                    workflow_span.add_event(
-                        "vnf-enrollment-failed", timestamp=tel.now(),
-                        vnf=vnf_name, error=trace.failed[vnf_name],
-                    )
-                else:
-                    trace.per_vnf[vnf_name] = list(session.timings)
-        tel.workflows.inc()
+        try:
+            with tel.span("figure1-workflow",
+                          vnfs=len(names)) as workflow_span:
+                # Failures are recorded here, on the calling thread, so
+                # workers never write to the run's root span.
+                for session in _in_order(enroll_one, names, workers):
+                    trace.results[session.vnf_name] = session
+                    if session.error is not None:
+                        tel.workflow_vnf_failures.inc()
+                        workflow_span.add_event(
+                            "vnf-enrollment-failed", timestamp=tel.now(),
+                            vnf=session.vnf_name, error=session.error,
+                        )
+            tel.workflows.inc()
+        finally:
+            if pooled is not None:
+                self.vm.swap_ias_client(previous_ias)
+                trace.ias_connects = pooled.connects
+                trace.ias_reused_exchanges = pooled.reused_exchanges
+                pooled.close()
         trace.simulated_seconds = self.clock.now() - sim_start
         trace.wall_seconds = time.perf_counter() - wall_start
         trace.clock_charges = self.clock.charges()

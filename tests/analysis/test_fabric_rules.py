@@ -7,8 +7,8 @@ import pytest
 from repro.analysis import LockOrderChecker
 from repro.analysis.lock_order import (
     LEAF_DOMAINS,
-    LOCK_SITES,
     NON_REENTRANT_DOMAINS,
+    lock_domain,
 )
 
 from tests.analysis.conftest import analyze_fixture
@@ -25,15 +25,15 @@ class TestTables:
             assert domain in NON_REENTRANT_DOMAINS, domain
 
     def test_fabric_lock_sites_point_at_the_real_modules(self):
-        assert LOCK_SITES[("sdn/fabric.py", None, "_lock")] == "fabric"
-        assert LOCK_SITES[("sdn/replication.py", "ReplicationLog",
-                           "_lock")] == "fabric_log"
-        assert LOCK_SITES[("sdn/replication.py", "FabricKeystore",
-                           "_lock")] == "fabric_keystore"
+        assert lock_domain("sdn/fabric.py", None, "_lock") == "fabric"
+        assert lock_domain("sdn/replication.py", "ReplicationLog",
+                           "_lock") == "fabric_log"
+        assert lock_domain("sdn/replication.py", "FabricKeystore",
+                           "_lock") == "fabric_keystore"
 
     def test_kms_rows_not_weakened(self):
         # Spot-check that the fabric rows displaced nothing pre-existing.
-        assert LOCK_SITES[("kms/shard.py", None, "_lock")] == "kms_shard"
+        assert lock_domain("kms/shard.py", None, "_lock") == "kms_shard"
         assert "kms_shard" in LEAF_DOMAINS
 
 

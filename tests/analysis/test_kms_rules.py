@@ -12,8 +12,8 @@ from repro.analysis import (
 from repro.analysis.lock_order import (
     ATTR_HINTS,
     LEAF_DOMAINS,
-    LOCK_SITES,
     NON_REENTRANT_DOMAINS,
+    lock_domain,
 )
 from repro.analysis.secret_flow import SECRET_NAMES
 
@@ -31,10 +31,10 @@ class TestTables:
             assert domain in NON_REENTRANT_DOMAINS, domain
 
     def test_kms_lock_sites_point_at_the_real_modules(self):
-        assert LOCK_SITES[("kms/shard.py", None, "_lock")] == "kms_shard"
-        assert LOCK_SITES[("kms/tenancy.py", None, "_lock")] == "kms_ns"
-        assert LOCK_SITES[("kms/service.py", None, "_trails_lock")] == "kms_ns"
-        assert LOCK_SITES[("pki/keystore.py", None, "_lock")] \
+        assert lock_domain("kms/shard.py", None, "_lock") == "kms_shard"
+        assert lock_domain("kms/tenancy.py", None, "_lock") == "kms_ns"
+        assert lock_domain("kms/service.py", None, "_trails_lock") == "kms_ns"
+        assert lock_domain("pki/keystore.py", None, "_lock") \
             == "keystore_entries"
 
     def test_kms_attr_hints_resolve_cross_object_calls(self):

@@ -4,13 +4,14 @@ seeded inversion, and stays silent on documented usage."""
 
 from pathlib import Path
 
-from repro.analysis import LockOrderChecker, run_checkers
+from repro.analysis import LockOrderChecker, ModuleContext, run_checkers
 from repro.analysis.lock_order import (
     ATTR_HINTS,
     LEAF_DOMAINS,
-    LOCK_SITES,
     ORDER_CHAINS,
     OUTER_DOMAINS,
+    lock_domain,
+    lock_sites,
 )
 
 from tests.analysis.conftest import analyze_fixture, fixture_context
@@ -34,7 +35,7 @@ class TestEncodedOrder:
         assert "registry lock → family lock → child lock" in doc
 
     def test_every_documented_lock_has_a_site_mapping(self):
-        domains = set(LOCK_SITES.values())
+        domains = set(lock_sites().values())
         for chain in ORDER_CHAINS.values():
             for domain in chain:
                 assert domain in domains, domain
@@ -42,12 +43,12 @@ class TestEncodedOrder:
         assert OUTER_DOMAINS <= domains
 
     def test_vm_ca_cache_sites_point_at_the_real_modules(self):
-        assert LOCK_SITES[("core/verification_manager.py", None, "_lock")] == "vm"
-        assert LOCK_SITES[("pki/ca.py", None, "_lock")] == "ca"
-        assert LOCK_SITES[("core/verification_cache.py", None, "_lock")] == "cache"
+        assert lock_domain("core/verification_manager.py", None, "_lock") == "vm"
+        assert lock_domain("pki/ca.py", None, "_lock") == "ca"
+        assert lock_domain("core/verification_cache.py", None, "_lock") == "cache"
 
     def test_ratls_verifier_lock_is_a_non_reentrant_leaf(self):
-        assert LOCK_SITES[("tls/ratls.py", None, "_lock")] == "ratls"
+        assert lock_domain("tls/ratls.py", None, "_lock") == "ratls"
         assert "ratls" in LEAF_DOMAINS
         from repro.analysis.lock_order import NON_REENTRANT_DOMAINS
 
@@ -101,6 +102,25 @@ class TestSeededViolations:
         assert [f.rule_id for f in findings] == ["LOCK005"]
         assert findings[0].symbol == "FleetScheduler.attest_pair"
 
+    def test_undocumented_domains_fire_lock006(self):
+        findings = analyze_fixture("lock_order_domains.py", "sdn/fabric.py",
+                                   checkers=[LockOrderChecker()])
+        assert [(f.rule_id, f.symbol) for f in findings] == [
+            ("LOCK006", "Misspelt.__init__"),
+            ("LOCK006", "Computed.__init__"),
+        ]
+        assert "unknown domain 'fabirc'" in findings[0].message
+        assert "non-literal domain" in findings[1].message
+
+    def test_misspelt_live_domain_fires_lock006(self):
+        path = REPO_ROOT / "src" / "repro" / "sdn" / "fabric.py"
+        source = path.read_text()
+        assert 'make_lock("fabric")' in source
+        ctx = ModuleContext(relpath="sdn/fabric.py", source=source.replace(
+            'make_lock("fabric")', 'make_lock("fabirc")', 1))
+        findings = run_checkers([ctx], checkers=[LockOrderChecker()])
+        assert [f.rule_id for f in findings] == ["LOCK006"]
+
 
 class TestDocumentedUsageIsClean:
     def test_clean_fixture_is_silent(self):
@@ -110,17 +130,19 @@ class TestDocumentedUsageIsClean:
         assert findings == []
 
     def test_single_flight_host_lock_is_legal(self):
-        # The real fleet scheduler holds a per-host lock across the whole
-        # attestation (VM lock included) — the documented single-flight
+        # The fleet's single-flight gate holds a per-host lock across the
+        # whole attestation (VM lock included) — the documented
         # mechanism must not be flagged.
         source = (
-            "class FleetScheduler:\n"
+            "class SingleFlightHosts:\n"
             "    def attest(self, host):\n"
             "        lock = self._host_locks[host]\n"
             "        with lock:\n"
             "            return self.vm.attest_host(host)\n"
         )
-        from repro.analysis import ModuleContext
+        # The site resolves, so the host -> vm edge is really checked.
+        assert lock_domain("core/fleet.py", "SingleFlightHosts",
+                           "_host_locks") == "host"
         ctx = ModuleContext(relpath="core/fleet.py", source=source)
         assert run_checkers([ctx], checkers=[LockOrderChecker()]) == []
 

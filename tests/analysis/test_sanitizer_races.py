@@ -17,7 +17,7 @@ import threading
 
 from repro.analysis.sanitizer import sanitize
 
-_QUIET = dict(check_order=False, check_coverage=False)
+_QUIET = dict(check_order=False)
 
 
 def _concurrent_pair(first, second, timeout=10.0):

@@ -257,3 +257,41 @@ def test_fleet_enrollment_repeated_runs_are_stable():
                 for name in dep.vnf_names}
 
     assert run_once() == run_once()
+
+
+def test_fleet_run_telemetry_adds_up_under_tight_switching():
+    """Fleet workers write run-level telemetry (step histograms, spans)
+    while the run loop records on the calling thread; with the switch
+    interval shortened, every count must still come out exact and each
+    host must be attested exactly once."""
+    import sys
+
+    from repro.core import Deployment
+    from repro.core import events as ev
+    from repro.obs import parse_prometheus
+
+    dep = Deployment(seed=b"stress-fleet-telemetry", vnf_count=8,
+                     host_count=2)
+    dep.enable_telemetry()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = dep.enroll_fleet(workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert report.fully_succeeded, report.failed
+        parsed = parse_prometheus(dep.scrape_metrics())
+        spans = dep.telemetry.tracer.export_flat()
+    finally:
+        dep.disable_telemetry()
+
+    assert len(dep.vm.audit.events(kind=ev.EVENT_HOST_ATTESTED)) == 2
+    steps = parsed["vnf_sgx_workflow_step_seconds_count"]
+    assert steps[(("step", "host-attestation (steps 1-2)"),)] == 2
+    assert steps[(("step", "vnf-attestation+provisioning (steps 3-5)"),)] \
+        == 8
+    assert steps[(("step", "controller-session (step 6)"),)] == 8
+    assert parsed["vnf_sgx_workflows_total"][()] == 1
+    assert sorted(span["attributes"]["vnf"] for span in spans
+                  if span["name"] == "enrollment") == sorted(dep.vnf_names)

@@ -1,4 +1,4 @@
-"""The worker-pool fleet scheduler: equivalence, single-flight, failures.
+"""Fleet enrollment: equivalence, single-flight, failures.
 
 The central property (asserted for several pool widths and DRBG-shuffled
 submission orders): ``enroll_fleet(names, workers=k)`` is observably
@@ -9,7 +9,7 @@ identical post-revocation state.
 
 import pytest
 
-from repro.core import Deployment, FleetScheduler
+from repro.core import Deployment
 from repro.core import events as ev
 from repro.errors import VnfSgxError
 from repro.net.faults import FaultPlan
@@ -118,7 +118,7 @@ def test_fleet_validates_submission():
     with pytest.raises(VnfSgxError, match="duplicate"):
         dep.enroll_fleet(["vnf-1", "vnf-1"])
     with pytest.raises(VnfSgxError, match="worker"):
-        FleetScheduler(dep, workers=0)
+        dep.enroll_fleet(workers=0)
     # An empty submission is a successful no-op report.
     report = dep.enroll_fleet([])
     assert report.fully_succeeded and not report.results
@@ -134,6 +134,57 @@ def test_pooled_ias_survives_transient_faults():
     dep.install_faults(FaultPlan().http_error(IAS_ADDRESS, 503, count=2))
     report = dep.enroll_fleet(workers=2)
     assert report.fully_succeeded, report.failed
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("fault", ["ias-503", "agent-refused"])
+def test_fleet_host_step_is_retried_like_the_serial_loop(fault, count,
+                                                         workers):
+    """Regression: a brown-out that the step-level retry absorbs in
+    run_workflow must not fail a fleet.  The fleet's single-flight host
+    attestation runs through the same timed, retried session step."""
+    from repro.core.workflow import IAS_ADDRESS
+
+    policy = RetryPolicy(max_attempts=2, base_backoff=0.01, jitter=0.0)
+
+    def faulted():
+        dep = Deployment(seed=b"fleet-host-retry", vnf_count=2,
+                         retry_policy=policy)
+        plan = FaultPlan()
+        if fault == "ias-503":
+            plan.http_error(IAS_ADDRESS, 503, count=count)
+        else:
+            plan.refuse_connections(dep.agent.address, count=count)
+        dep.install_faults(plan)
+        return dep
+
+    serial = faulted().run_workflow()
+    assert serial.fully_succeeded, serial.failed
+    fleet = faulted().enroll_fleet(workers=workers)
+    assert fleet.fully_succeeded, fleet.failed
+    assert sorted(fleet.per_vnf) == ["vnf-1", "vnf-2"]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_fleet_shares_a_failed_host_verdict(workers):
+    """Control: a brown-out outlasting both retry layers (2 client
+    attempts x 2 step attempts) fails the host's one attestation, and
+    with it every VNF on the host."""
+    from repro.core.workflow import IAS_ADDRESS
+
+    policy = RetryPolicy(max_attempts=2, base_backoff=0.01, jitter=0.0)
+    dep = Deployment(seed=b"fleet-host-retry", vnf_count=2,
+                     retry_policy=policy)
+    dep.install_faults(FaultPlan().http_error(IAS_ADDRESS, 503, count=4))
+    report = dep.enroll_fleet(workers=workers)
+    assert set(report.failed) == {"vnf-1", "vnf-2"}
+    errors = sorted(report.failed.values())
+    assert errors[0].startswith("IasUnavailable:")
+    assert errors[1].startswith(
+        f"VnfSgxError: host {dep.host.name} failed fleet attestation: "
+        "IasUnavailable:")
+    assert report.host_attestations == {}
 
 
 def test_pooled_ias_surfaces_service_error_not_stale_transport():
@@ -206,21 +257,6 @@ def test_pooled_ias_fresh_connection_fault_still_propagates():
     pool.close()
 
 
-def test_fleet_without_pooling_still_equivalent():
-    """pooled_ias=False keeps the per-verification dialling behaviour
-    but must not change any issued byte."""
-    seed, count = b"fleet-no-pool", 3
-    order = [f"vnf-{i}" for i in range(1, count + 1)]
-    _, serial_certs = _serial_reference(seed, count, order)
-    dep = Deployment(seed=seed, vnf_count=count)
-    report = dep.enroll_fleet(order, workers=2, pooled_ias=False)
-    assert report.fully_succeeded
-    assert report.ias_connects == 0 and report.ias_reused_exchanges == 0
-    certs = {name: dep.vm.issued_certificate(name).to_bytes()
-             for name in order}
-    assert certs == serial_certs
-
-
 def test_fleet_keystore_validation_model():
     """The stock-Floodlight keystore model works under the pool: every
     enrolled VNF lands in the keystore before its first connection."""
@@ -236,8 +272,8 @@ def test_fleet_keystore_validation_model():
 
 
 def test_fleet_report_mirrors_workflow_trace_shape():
-    """FleetReport exposes the WorkflowTrace surface the experiment
-    harness consumes: per_vnf, failed, step_totals."""
+    """A fleet run reports through WorkflowTrace, with the surface the
+    experiment harness consumes: per_vnf, failed, step_totals."""
     dep = Deployment(seed=b"fleet-shape", vnf_count=2)
     report = dep.enroll_fleet(workers=2)
     assert set(report.per_vnf) == set(dep.vnf_names)

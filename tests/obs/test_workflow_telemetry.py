@@ -150,6 +150,46 @@ def test_step_histogram_sums_match_workflow_trace(observed):
         assert child.sum == pytest.approx(total)
 
 
+# ----------------------------------------------------------------- fleet runs
+
+
+def test_fleet_run_reports_like_the_serial_loop():
+    """A fleet run emits the serial loop's workflow telemetry: one run,
+    its VNF failures, the host step once per attested host, and one
+    ``enrollment`` span per VNF (roots of their own on worker threads)."""
+    from repro.net.faults import FaultPlan
+    from repro.net.retry import RetryPolicy
+
+    deployment = Deployment(
+        seed=b"obs-fleet", vnf_count=4, host_count=2,
+        retry_policy=RetryPolicy(max_attempts=2, base_backoff=0.01,
+                                 jitter=0.0),
+    )
+    down = deployment.hosts[1].name
+    deployment.install_faults(
+        FaultPlan().refuse_connections(deployment.agents[down].address))
+    deployment.enable_telemetry()
+    try:
+        trace = deployment.enroll_fleet(workers=4)
+        parsed = parse_prometheus(deployment.scrape_metrics())
+        enrollments = [span for span in
+                       deployment.telemetry.tracer.export_flat()
+                       if span["name"] == "enrollment"]
+    finally:
+        deployment.disable_telemetry()
+
+    on_down = {name for name, host in deployment.vnf_host.items()
+               if host.name == down}
+    assert set(trace.failed) == on_down and len(on_down) == 2
+    assert parsed["vnf_sgx_workflows_total"][()] == 1
+    assert parsed["vnf_sgx_workflow_vnf_failures_total"][()] == 2
+    assert parsed["vnf_sgx_workflow_step_seconds_count"][
+        (("step", "host-attestation (steps 1-2)"),)
+    ] == 1
+    assert sorted(span["attributes"]["vnf"] for span in enrollments) \
+        == deployment.vnf_names
+
+
 # ------------------------------------------------- disabled-telemetry parity
 
 
