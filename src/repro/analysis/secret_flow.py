@@ -42,7 +42,7 @@ from repro.analysis.findings import Finding
 #: Identifiers (variable or attribute names) that *are* secrets.
 SECRET_NAMES: Set[str] = {
     "member_secret", "_member_secret",
-    "sealing_key", "_sealing_key",
+    "sealing_key", "_sealing_key", "sealing_aead", "_sealing_aead",
     "master_secret", "_master_secret",
     "pre_master_secret", "premaster_secret",
     "session_key", "_session_key", "session_keys",

@@ -33,8 +33,13 @@ Two layers coexist deliberately:
     validated points turns repeated validations of the same VM/CA/VNF key
     into one dict hit.  :meth:`_Curve.validate_public_uncached` keeps the
     original full-order check as the reference/oracle path.
+  * :meth:`_Curve.verified_before` and :meth:`_Curve.remember_verified`
+    are the memo of successful ECDSA verifications that
+    :func:`repro.crypto.ecdsa.ecdsa_verify` consults before its ladder,
+    so the CA anchor, controller certificate and CRL signatures that
+    every enrollment re-verifies cost one dict hit.
 
-Every fast-path invocation, table build and validation-cache hit/miss is
+Every fast-path invocation, table build and cache hit/miss is
 counted in :class:`EcEngineStats` (plain integers — negligible overhead);
 :meth:`repro.obs.Telemetry.sync_ec_stats` mirrors the counters into the
 metrics registry so they show up on the VM's ``/metrics`` endpoint.  See
@@ -47,7 +52,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import List, NamedTuple, Optional, Tuple
 
-from repro.analysis.sanitizer import make_lock, make_rlock
+from repro.analysis.sanitizer import make_lock, make_rlock, shared_state
 from repro.errors import InvalidPoint
 
 #: Window width (bits) of the signed fixed-base comb used by
@@ -83,6 +88,12 @@ VALIDATION_CACHE_CAPACITY = 512
 #: peer reuses its key.
 POINT_TABLE_CACHE_CAPACITY = 128
 
+#: Bound on the memo of successful ECDSA verifications (per curve).  An
+#: enrollment adds about five entries that never repeat and touches the
+#: same three (the CA anchor's self-signature, the controller
+#: certificate and the CRL) every time, so the LRU keeps those three.
+VERIFY_MEMO_CAPACITY = 1024
+
 
 class Point(NamedTuple):
     """An affine curve point; ``None`` coordinates never appear here —
@@ -116,6 +127,8 @@ class EcEngineStats:
         "order_checks_skipped",
         "point_table_hits",
         "point_table_misses",
+        "verify_memo_hits",
+        "verify_memo_misses",
     )
 
     __slots__ = _COUNTERS + ("_lock",)
@@ -187,6 +200,7 @@ def _place(steps: dict, pairs: List[Tuple[int, int]], table: List[Point],
             steps[position] = [entry]
 
 
+@shared_state("_verified_signatures")
 class _Curve:
     """Short-Weierstrass curve y^2 = x^3 + ax + b over GF(p)."""
 
@@ -201,10 +215,11 @@ class _Curve:
         self.h = h  # cofactor (1 for all NIST prime curves)
         self.coordinate_size = (p.bit_length() + 7) // 8
         self.stats = EcEngineStats()
-        # Guards the validated-point LRU, the per-point table LRU and the
-        # lazy one-shot table builds below.  RLock because validation may
-        # nest inside a locked table build on cofactor>1 curves.  Leaf
-        # domain of its own ("ec_curves", not the core "cache" chain):
+        # Guards the validated-point LRU, the per-point table LRU, the
+        # verified-signature memo and the lazy one-shot table builds
+        # below.  RLock because validation may nest inside a locked
+        # table build on cofactor>1 curves.  Leaf domain of its own
+        # ("ec_curves", not the core "cache" chain):
         # point validation runs under TLS handshakes that the fleet
         # drives while holding per-host leaf locks, and a chain-ranked
         # domain there would (and, before the runtime sanitizer, did)
@@ -226,6 +241,9 @@ class _Curve:
         self._point_tables: "OrderedDict[Tuple[int, int], List[List[Point]]]" = \
             OrderedDict()
         self.point_table_cache_capacity = POINT_TABLE_CACHE_CAPACITY
+        # LRU of successful ECDSA verifications: a 32-byte fingerprint of
+        # (point, message digest, r, s) -> True.  Public values only.
+        self._verified_signatures: "OrderedDict[bytes, bool]" = OrderedDict()
 
     # ------------------------------------------------------------- checks
 
@@ -300,6 +318,50 @@ class _Curve:
         """Number of points currently remembered as valid."""
         with self._lock:
             return len(self._validated)
+
+    # ------------------------------------------- verified-signature memo
+
+    def verified_before(self, fingerprint: bytes) -> bool:
+        """True if an ECDSA verification with this ``fingerprint`` (see
+        :func:`repro.crypto.ecdsa.ecdsa_verify`) succeeded before; counts
+        a memo hit or miss.
+
+        Nothing flushes the memo: whether a signature over exact bytes
+        verifies under an exact key never changes.  Revocation, expiry
+        and distrust are decided by checks that run on every validation
+        around the verify, and a hit skips none of them.
+        """
+        with self._lock:
+            memo = self._verified_signatures
+            if fingerprint in memo:
+                memo.move_to_end(fingerprint)
+                self.stats.bump("verify_memo_hits")
+                return True
+        self.stats.bump("verify_memo_misses")
+        return False
+
+    def remember_verified(self, fingerprint: bytes) -> None:
+        """Record a successful verification; failures are never stored.
+
+        The ladder runs outside the lock, so two threads racing on the
+        same new signature both compute it and both store the same entry.
+        """
+        with self._lock:
+            memo = self._verified_signatures
+            memo[fingerprint] = True
+            if len(memo) > VERIFY_MEMO_CAPACITY:
+                memo.popitem(last=False)
+
+    def reset_verified_signatures(self) -> None:
+        """Drop every remembered verification (tests and benchmarks)."""
+        with self._lock:
+            self._verified_signatures.clear()
+
+    @property
+    def verify_memo_size(self) -> int:
+        """Number of verifications currently remembered."""
+        with self._lock:
+            return len(self._verified_signatures)
 
     # ------------------------------------------------------- group arithmetic
 

@@ -84,7 +84,11 @@ def ecdsa_verify(public_key: Point, message: bytes, signature: Tuple[int, int],
     256-bit moduli, identical result), and ``u1*G + u2*Q`` is computed in
     a single Shamir/Strauss wNAF ladder
     (:meth:`~repro.crypto.ec._Curve.multiply_dual`) instead of two full
-    scalar multiplications plus an addition.  The accept/reject verdict is
+    scalar multiplications plus an addition.  A verification that
+    succeeded before on the same key, message digest and ``(r, s)`` is
+    answered from the curve's memo
+    (:meth:`~repro.crypto.ec._Curve.verified_before`) without the
+    ladder; failures are never remembered.  The accept/reject verdict is
     bit-identical to :func:`ecdsa_verify_reference`.
 
     Raises:
@@ -95,13 +99,20 @@ def ecdsa_verify(public_key: Point, message: bytes, signature: Tuple[int, int],
     n = curve.n
     if not (1 <= r < n and 1 <= s < n):
         raise InvalidSignature("signature component out of range")
-    z = _bits2int(sha256(message), n) % n
+    message_hash = sha256(message)
+    # Fixed-width public inputs only: SEC1 point, digest, r and s.
+    fingerprint = sha256(curve.encode_point(public_key) + message_hash
+                         + signature_to_bytes(signature, curve))
+    if curve.verified_before(fingerprint):
+        return
+    z = _bits2int(message_hash, n) % n
     s_inv = pow(s, -1, n)
     u1 = z * s_inv % n
     u2 = r * s_inv % n
     point: Optional[Point] = curve.multiply_dual(u1, u2, public_key)
     if point is None or point.x % n != r:
         raise InvalidSignature("ECDSA verification failed")
+    curve.remember_verified(fingerprint)
 
 
 def ecdsa_verify_reference(public_key: Point, message: bytes,

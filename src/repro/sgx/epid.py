@@ -21,7 +21,7 @@ module only needs exactly the properties listed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro.crypto.constant_time import ct_bytes_eq
 from repro.crypto.gcm import AesGcm
@@ -80,6 +80,9 @@ class EpidGroup:
         self.group_id = group_id
         self._master = master_secret
         self._sealing_key = hkdf(master_secret, b"", b"epid-seal" + group_id, 16)
+        # One AEAD for every signature this manager opens: the key never
+        # changes, and AesGcm keeps no per-call state.
+        self._sealing_aead = AesGcm(self._sealing_key)
 
     # ------------------------------------------------------------ issuance
 
@@ -101,10 +104,9 @@ class EpidGroup:
 
     def open_signature(self, signature: EpidSignature) -> bytes:
         """Recover the signing member's id (group manager privilege)."""
-        aead = AesGcm(self._sealing_key)
         try:
-            return aead.decrypt(signature.nonce, signature.sealed_member,
-                                signature.group_id)
+            return self._sealing_aead.decrypt(
+                signature.nonce, signature.sealed_member, signature.group_id)
         except InvalidTag as exc:
             raise QuoteError("cannot open EPID signature") from exc
 
@@ -140,17 +142,21 @@ def _tag(member_secret: bytes, basename: bytes, message: bytes) -> bytes:
     return hmac_sha256(member_secret, b"tag" + basename + message)
 
 
-def epid_sign(member: EpidMemberKey, sealing_key: bytes, message: bytes,
-              basename: bytes, rng: Optional[HmacDrbg] = None) -> EpidSignature:
+def epid_sign(member: EpidMemberKey, sealing_key: Union[bytes, AesGcm],
+              message: bytes, basename: bytes,
+              rng: Optional[HmacDrbg] = None) -> EpidSignature:
     """Produce a group signature over ``message``.
 
-    ``sealing_key`` is distributed to members at provisioning time so they
-    can encrypt their identity to the manager.
+    ``sealing_key`` is distributed to members at provisioning time so
+    they can encrypt their identity to the manager.  A holder that signs
+    many quotes (the quoting enclave) passes the :class:`AesGcm` it
+    built from the key once.
     """
     rng = rng or default_rng()
     nonce = rng.random_bytes(12)
-    sealed = AesGcm(sealing_key).encrypt(nonce, member.member_id,
-                                         member.group_id)
+    aead = (sealing_key if isinstance(sealing_key, AesGcm)
+            else AesGcm(sealing_key))
+    sealed = aead.encrypt(nonce, member.member_id, member.group_id)
     return EpidSignature(
         group_id=member.group_id,
         basename=basename,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.crypto.gcm import AesGcm
 from repro.crypto.keys import EcPrivateKey, generate_keypair
 from repro.crypto.rng import HmacDrbg
 from repro.errors import QuoteError
@@ -88,9 +89,11 @@ class QeBehavior:
 
     def provision_member(self, member_key: EpidMemberKey,
                          sealing_key: bytes) -> None:
-        """Store the platform's EPID member key in enclave-private memory."""
+        """Store the platform's EPID member key in enclave-private memory,
+        with the AEAD over its member-id sealing key, built once here for
+        every quote the QE will sign."""
         self._api.memory.write("epid_member", member_key)
-        self._api.memory.write("epid_sealing_key", sealing_key)
+        self._api.memory.write("epid_sealing_aead", AesGcm(sealing_key))
 
     def get_quote(self, report_bytes: bytes, basename: bytes) -> bytes:
         """Verify a local report aimed at the QE; return a signed quote."""
@@ -99,7 +102,7 @@ class QeBehavior:
         if not self._api.memory.contains("epid_member"):
             raise QuoteError("platform has no EPID member key provisioned")
         member: EpidMemberKey = self._api.memory.read("epid_member")
-        sealing_key: bytes = self._api.memory.read("epid_sealing_key")
+        sealing_aead: AesGcm = self._api.memory.read("epid_sealing_aead")
         quote = Quote(
             mrenclave=report.mrenclave,
             mrsigner=report.mrsigner,
@@ -110,7 +113,7 @@ class QeBehavior:
             basename=basename,
             attributes=report.attributes,
         )
-        signature = epid_sign(member, sealing_key, quote.body_bytes(),
+        signature = epid_sign(member, sealing_aead, quote.body_bytes(),
                               basename, self._api.rng)
         import dataclasses
 

@@ -177,6 +177,53 @@ def test_ec_validation_cache_concurrent():
     assert P256.validation_cache_size <= P256.validation_cache_capacity
 
 
+def test_verify_memo_accounting_under_tight_switching(monkeypatch):
+    """Eight fleet workers share the verified-signature memo: every
+    ``ecdsa_verify`` counts as exactly one hit or one miss, and the issued
+    certificates are byte-identical to the serial loop's."""
+    import sys
+
+    from repro.core import Deployment
+    from repro.crypto import keys
+    from repro.crypto.ec import P256, VERIFY_MEMO_CAPACITY
+
+    def certificates(dep):
+        return {name: dep.vm.issued_certificate(name).to_bytes()
+                for name in dep.vnf_names}
+
+    def build():
+        return Deployment(seed=b"stress-verify-memo", vnf_count=8,
+                          host_count=2)
+
+    serial = build()
+    assert serial.run_workflow().fully_succeeded
+
+    calls = []
+    verify = keys.ecdsa_verify
+
+    def counted(*args):
+        calls.append(None)  # list.append is atomic
+        return verify(*args)
+
+    monkeypatch.setattr(keys, "ecdsa_verify", counted)
+    P256.stats.reset()
+    dep = build()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = dep.enroll_fleet(workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert report.fully_succeeded, report.failed
+    stats = P256.stats.snapshot()
+    assert stats["verify_memo_hits"] + stats["verify_memo_misses"] \
+        == len(calls)
+    assert stats["verify_memo_hits"] > 0
+    assert P256.verify_memo_size <= VERIFY_MEMO_CAPACITY
+    assert certificates(dep) == certificates(serial)
+
+
 # ------------------------------------------------------------ telemetry
 
 
