@@ -77,6 +77,8 @@ SERIALIZE_SINKS: Set[str] = {
 TRANSPORT_SINKS: Set[str] = {
     "send", "send_json", "send_frame", "publish", "record", "emit",
     "put", "broadcast",
+    # repro.net.transport.ClientStream: every client exchange
+    "exchange_http", "exchange_frame",
 }
 FORMAT_SINKS: Set[str] = {"format", "str", "repr", "format_map"}
 

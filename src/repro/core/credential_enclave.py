@@ -21,7 +21,8 @@ from typing import Callable, Optional, Tuple
 from repro.crypto.keys import EcPrivateKey, generate_keypair
 from repro.errors import ProvisioningError, SdnError
 from repro.net.address import Address
-from repro.net.rest import HttpParser, HttpRequest
+from repro.net.rest import HttpRequest
+from repro.net.transport import ClientStream
 from repro.pki.certificate import Certificate
 from repro.pki.truststore import Truststore
 from repro.sgx.enclave import Enclave, EnclaveImage
@@ -230,39 +231,36 @@ class CredentialEnclaveBehavior:
 
     # ----------------------------------------------------- controller I/O
 
-    def _ensure_connection(self):
-        if self._api.memory.contains("conn"):
-            conn = self._api.memory.read("conn")
-            if not conn.closed and not conn.eof:
-                return conn
+    def _connect_controller(self):
+        """The controller stream's opener: an OCALL for the raw channel,
+        then the TLS handshake, inside the enclave."""
         if not self._api.memory.contains("bundle"):
             raise ProvisioningError("enclave holds no credentials")
         address = self._api.memory.read("controller_address")
         channel = self._api.ocall(self._open_channel, address)
         client: TlsClient = self._api.memory.read("tls_client")
-        conn = client.connect(channel, server_name=address)
-        self._api.memory.write("conn", conn)
-        self._api.memory.write("parser", HttpParser(is_server_side=False))
-        return conn
+        return client.connect(channel, server_name=address)
 
     def request(self, method: str, path: str,
                 body: bytes = b"") -> Tuple[int, bytes]:
-        """One HTTPS exchange with the controller, fully inside the enclave."""
-        conn = self._ensure_connection()
-        parser: HttpParser = self._api.memory.read("parser")
-        conn.send(HttpRequest(method, path, body=body).encode())
-        responses = parser.feed(conn.recv_available())
-        if not responses:
+        """One HTTPS exchange with the controller, fully inside the enclave.
+
+        The stream holder lives in enclave memory, so the TLS session it
+        carries never leaves the enclave.
+        """
+        if not self._api.memory.contains("conn"):
+            self._api.memory.write("conn",
+                                   ClientStream(self._connect_controller))
+        response = self._api.memory.read("conn").exchange_http(
+            HttpRequest(method, path, body=body))
+        if response is None:
             raise SdnError("controller returned no response")
-        response = responses[0]
         return response.status, response.body
 
     def disconnect(self) -> None:
         """Close the controller session (session keys are wiped with it)."""
         if self._api.memory.contains("conn"):
             self._api.memory.read("conn").close()
-            self._api.memory.delete("conn")
-            self._api.memory.delete("parser")
 
     # -------------------------------------------------------- persistence
 

@@ -26,13 +26,13 @@ Locking rules for everything the workers share are catalogued in
 
 from __future__ import annotations
 
-import contextlib
 from typing import Dict, Iterable, Optional
 
 from repro.analysis.sanitizer import make_lock, make_rlock
 from repro.core.enrollment import STATE_HOST_ATTESTED, EnrollmentSession
-from repro.errors import ChannelClosed, NetError, ReproError, VnfSgxError
+from repro.errors import NetError, ReproError, VnfSgxError
 from repro.ias.api import IasClient
+from repro.net.transport import ClientStream
 
 
 class PooledIasClient(IasClient):
@@ -40,11 +40,12 @@ class PooledIasClient(IasClient):
 
     The base client dials IAS and runs a full TLS handshake for every
     quote; a fleet of N VNFs on H hosts performs N + H verifications, so
-    the handshake tax dominates.  This subclass opens the connection
-    once, pipelines report requests over it (the IAS server's parser
-    loop already answers back-to-back requests on one connection), and
-    transparently reconnects when the transport faults mid-exchange so
-    the retry layer sees exactly the usual transient errors.
+    the handshake tax dominates.  This subclass keeps one
+    :class:`~repro.net.transport.ClientStream` open, pipelines report
+    requests over it (the IAS server's parser loop already answers
+    back-to-back requests on one connection), and replays once on a
+    fresh connection when a *reused* one faults, so the retry layer sees
+    exactly the usual transient errors.
 
     Thread-safe: the pooled connection is a lockstep request/response
     rail, so whole exchanges serialize under ``_pool_lock`` — the
@@ -53,20 +54,23 @@ class PooledIasClient(IasClient):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._pooled_conn = None
+        self._stream = ClientStream(self._dial)
         self._pool_lock = make_rlock("ias_pool")
         #: Exchanges served over a reused connection (telemetry for E12).
         self.reused_exchanges = 0
         #: Connections (re-)established, including the first.
         self.connects = 0
 
-    # ----------------------------------------------- pooled connection
+    def _dial(self):
+        conn = self._open_connection()
+        self.connects += 1
+        return conn
 
-    def _pooled_exchange(self, exchange):
-        """Run ``exchange(conn)`` on the pooled connection.
+    def _verify_once(self, quote_bytes, nonce):
+        """One verification on the pooled connection.
 
         On a transport fault over a *reused* connection, the connection
-        may simply have gone stale since the last exchange — retry once
+        may simply have gone stale since the last exchange — replay once
         on a fresh handshake within this same attempt, so the error
         that ultimately reaches the retry layer (and, once the retry
         deadline is exhausted, the caller) is the underlying
@@ -75,40 +79,20 @@ class PooledIasClient(IasClient):
         and propagates for the retry layer's backoff.
         """
         with self._pool_lock:
-            reused = self._pooled_conn is not None
+            reused = self._stream.is_open
             if reused:
                 self.reused_exchanges += 1
-            else:
-                self._pooled_conn = self._open_connection()
-                self.connects += 1
             try:
-                return exchange(self._pooled_conn)
-            except (NetError, ChannelClosed):
-                self.close()
+                return self._verify_on(self._stream, quote_bytes, nonce)
+            except NetError:
                 if not reused:
                     raise
-                self._pooled_conn = self._open_connection()
-                self.connects += 1
-                try:
-                    return exchange(self._pooled_conn)
-                except (NetError, ChannelClosed):
-                    self.close()
-                    raise
-
-    def _verify_once(self, quote_bytes, nonce):
-        return self._pooled_exchange(
-            lambda conn: self._exchange_on(conn, quote_bytes, nonce)
-        )
+                return self._verify_on(self._stream, quote_bytes, nonce)
 
     def close(self) -> None:
         """Tear down the pooled connection (idempotent)."""
         with self._pool_lock:
-            conn = self._pooled_conn
-            self._pooled_conn = None
-            if conn is not None:
-                # Best-effort: a dropped channel cannot block teardown.
-                with contextlib.suppress(NetError, ChannelClosed):
-                    conn.close()
+            self._stream.close()
 
 
 class SingleFlightHosts:

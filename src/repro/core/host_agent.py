@@ -12,18 +12,17 @@ themselves established via attestation.)
 
 from __future__ import annotations
 
-import contextlib
 from typing import Dict
 
 from repro.analysis.sanitizer import make_rlock
 from repro.core.attestation_enclave import AttestationEnclave, QuotedEvidence
 from repro.core.credential_enclave import CredentialEnclave
 from repro.core.provisioning import ProvisioningMessage
-from repro.errors import NetError, VnfSgxError
+from repro.errors import VnfSgxError
 from repro.net.address import Address
-from repro.net.framing import send_frame, try_recv_frame
 from repro.net.retry import RetryingMixin
 from repro.net.simnet import Network
+from repro.net.transport import ClientStream, serve_frames
 from repro.pki import der
 
 AGENT_PORT = 7000
@@ -38,7 +37,7 @@ class HostAgent:
         self.address = Address(host.name, port)
         self._attestation = attestation_enclave
         self._credential_enclaves: Dict[str, CredentialEnclave] = {}
-        network.listen(self.address, self._accept)
+        serve_frames(network, self.address, self._handle)
 
     def register_vnf(self, credential_enclave: CredentialEnclave) -> None:
         """Expose a VNF's credential enclave to the Verification Manager."""
@@ -55,17 +54,7 @@ class HostAgent:
                 f"host {self.host.name} has no VNF enclave {vnf_name!r}"
             ) from exc
 
-    # ------------------------------------------------------------ transport
-
-    def _accept(self, channel) -> None:
-        def on_data(ch) -> None:
-            while True:
-                frame = try_recv_frame(ch)
-                if frame is None:
-                    return
-                send_frame(ch, self._handle(frame))
-
-        channel.on_receive(on_data)
+    # ------------------------------------------------------------ serving
 
     def _handle(self, frame: bytes) -> bytes:
         try:
@@ -115,7 +104,8 @@ class HostAgent:
 class HostAgentClient(RetryingMixin):
     """The Verification Manager's stub for one host agent.
 
-    The stub keeps one persistent framed channel; a configured
+    The stub keeps one persistent framed channel (a
+    :class:`~repro.net.transport.ClientStream`); a configured
     :class:`~repro.net.retry.RetryPolicy` makes every call resilient to
     transient transport faults (refused connects, mid-stream drops):
     each re-attempt re-establishes the channel and re-sends the request.
@@ -131,8 +121,8 @@ class HostAgentClient(RetryingMixin):
                  source_host: str = "verification-manager") -> None:
         self._network = network
         self._address = address
-        self._source_host = source_host
-        self._channel = None
+        self._stream = ClientStream(
+            lambda: network.connect(source_host, address))
         self._exchange_lock = make_rlock("agent")
 
     @property
@@ -140,34 +130,12 @@ class HostAgentClient(RetryingMixin):
         """The agent endpoint this stub talks to."""
         return self._address
 
-    def _ensure_channel(self):
-        stale = (self._channel is None or self._channel.closed
-                 or self._channel.eof)
-        if stale:
-            self._channel = self._network.connect(self._source_host,
-                                                  self._address)
-        return self._channel
-
-    def _reset_channel(self) -> None:
-        if self._channel is not None and not self._channel.closed:
-            # close must never mask the error being recovered from
-            with contextlib.suppress(NetError):
-                self._channel.close()
-        self._channel = None
-
     def _exchange(self, payload: bytes) -> bytes:
-        from repro.net.framing import recv_frame
-
+        # A suspect channel (dropped mid-stream, half-closed, out of
+        # lockstep) is dropped inside the exchange, so a retry starts
+        # clean.
         with self._exchange_lock:
-            channel = self._ensure_channel()
-            try:
-                send_frame(channel, payload)
-                return recv_frame(channel)
-            except NetError:
-                # The channel is suspect (dropped mid-stream, half-closed,
-                # out of lockstep): drop it so a retry starts clean.
-                self._reset_channel()
-                raise
+            return self._stream.exchange_frame(payload)
 
     def _call(self, request: list):
         payload = der.encode(request)

@@ -21,13 +21,13 @@ from repro.ias.service import IasService
 from repro.net.address import Address
 from repro.net.rest import (
     TRANSIENT_STATUSES,
-    HttpParser,
     HttpRequest,
     HttpResponse,
     RestServer,
 )
 from repro.net.retry import RetryingMixin
 from repro.net.simnet import Network
+from repro.net.transport import ClientStream, injected_fault, serve_http
 from repro.pki.ca import CertificateAuthority
 from repro.pki.name import DistinguishedName
 from repro.pki.truststore import Truststore
@@ -65,8 +65,9 @@ class IasHttpService:
             rng=rng,
             now=network.clock.now_seconds,
         )
-        self._tls = TlsServer(tls_config)
-        network.listen(address, self._accept)
+        serve_http(network, address,
+                   lambda request, _stream: self._respond(request),
+                   tls=TlsServer(tls_config))
 
     @property
     def ias_truststore(self) -> Truststore:
@@ -74,15 +75,6 @@ class IasHttpService:
         return Truststore([self._ca.certificate])
 
     # ------------------------------------------------------------ handlers
-
-    def _accept(self, channel) -> None:
-        parser = HttpParser(is_server_side=True)
-
-        def on_data(conn) -> None:
-            for request in parser.feed(conn.recv_available()):
-                conn.send(self._respond(request).encode())
-
-        self._tls.accept(channel, on_data=on_data)
 
     def _respond(self, request: HttpRequest) -> HttpResponse:
         """Dispatch one request, honouring any installed fault plan.
@@ -92,16 +84,8 @@ class IasHttpService:
         :class:`IasService` — the outage is purely at the REST surface,
         exactly like a real IAS brown-out.
         """
-        faults = self._network.faults
-        if faults is not None:
-            injected = faults.next_http_error(self.address)
-            if injected is not None:
-                return HttpResponse(
-                    injected,
-                    headers={"retry-after": "1"},
-                    body=b"injected fault: service unavailable",
-                )
-        return self._rest.dispatch(request)
+        return (injected_fault(self._network, self.address, "service")
+                or self._rest.dispatch(request))
 
     def _handle_report(self, request: HttpRequest) -> HttpResponse:
         try:
@@ -161,14 +145,14 @@ class IasClient(RetryingMixin):
 
     def _open_connection(self):
         """Dial IAS and complete the TLS handshake; returns the record
-        connection.  Callers own closing it."""
+        connection (the opener of this client's :class:`ClientStream`)."""
         channel = self._network.connect(self._source_host, self._address)
         return self._tls_client.connect(channel,
                                         server_name=str(self._address))
 
-    def _exchange_on(self, conn, quote_bytes: bytes,
-                     nonce: str) -> AttestationVerificationReport:
-        """One report request/response over an *established* connection.
+    def _verify_on(self, stream: ClientStream, quote_bytes: bytes,
+                   nonce: str) -> AttestationVerificationReport:
+        """One report request/response over ``stream``.
 
         Split out from :meth:`_verify_once` so a pooled client (one
         persistent connection, many verifications — see
@@ -180,16 +164,13 @@ class IasClient(RetryingMixin):
             "isvEnclaveQuote": quote_bytes.hex(),
             "nonce": nonce,
         }).encode("utf-8")
-        conn.send(HttpRequest(
+        response = stream.exchange_http(HttpRequest(
             "POST", REPORT_PATH,
             headers={"content-type": "application/json"},
             body=payload,
-        ).encode())
-        parser = HttpParser(is_server_side=False)
-        responses = parser.feed(conn.recv_available())
-        if not responses:
+        ))
+        if response is None:
             raise IasError("no response from IAS")
-        response = responses[0]
         if response.status in TRANSIENT_STATUSES:
             raise IasUnavailable(
                 f"IAS returned {response.status}: "
@@ -208,8 +189,5 @@ class IasClient(RetryingMixin):
 
     def _verify_once(self, quote_bytes: bytes,
                      nonce: str) -> AttestationVerificationReport:
-        conn = self._open_connection()
-        try:
-            return self._exchange_on(conn, quote_bytes, nonce)
-        finally:
-            conn.close()
+        with ClientStream(self._open_connection) as stream:
+            return self._verify_on(stream, quote_bytes, nonce)

@@ -41,8 +41,9 @@ from repro.errors import (
 )
 from repro.kms.service import KeyManagerService
 from repro.net.address import Address
-from repro.net.rest import HttpParser, HttpRequest, HttpResponse
+from repro.net.rest import HttpRequest, HttpResponse
 from repro.net.simnet import Network
+from repro.net.transport import ClientStream, injected_fault, serve_http
 from repro.obs.metrics import NULL_TELEMETRY
 
 API_PREFIX = "/kms/v1"
@@ -82,7 +83,8 @@ class KmsEndpoint:
         self._network = network
         self._telemetry = NULL_TELEMETRY
         self.requests_served = 0
-        network.listen(address, self._accept)
+        serve_http(network, address,
+                   lambda request, _stream: self._serve(request))
 
     def close(self) -> None:
         """Stop listening."""
@@ -97,32 +99,14 @@ class KmsEndpoint:
 
     # ------------------------------------------------------------- serving
 
-    def _accept(self, channel) -> None:
-        parser = HttpParser(is_server_side=True)
-
-        def on_data(ch) -> None:
-            for request in parser.feed(ch.recv_available()):
-                ch.send(self._serve(request).encode())
-
-        channel.on_receive(on_data)
-
-    def _injected_fault(self) -> Optional[HttpResponse]:
-        """An injected ``http_error`` response for this request, if the
-        network's fault plan schedules one (KMS brown-out)."""
-        faults = self._network.faults
-        if faults is None:
-            return None
-        status = faults.next_http_error(self.address)
-        if status is None:
-            return None
-        return HttpResponse(status, headers={"retry-after": "1"},
-                            body=b"injected fault: key manager unavailable")
-
     def _serve(self, request: HttpRequest) -> HttpResponse:
         tel = self._telemetry
         self.requests_served += 1
         op = "unroutable"
-        response = self._injected_fault()
+        # An injected brown-out answers before routing, and counts as
+        # an unroutable request.
+        response = injected_fault(self._network, self.address,
+                                  "key manager")
         if response is None:
             op, respond = self._route(request)
             child = tel.kms_request_seconds.labels(op=op)
@@ -247,7 +231,8 @@ class KmsEndpoint:
 
 
 class KmsClient:
-    """Tenant-side KMS client over one persistent channel.
+    """Tenant-side KMS client over one persistent channel (a
+    :class:`~repro.net.transport.ClientStream`).
 
     Args:
         network: the simulated fabric.
@@ -259,19 +244,15 @@ class KmsClient:
 
     def __init__(self, network: Network, address: Address, tenant: str,
                  token: str, source_host: str) -> None:
-        self._network = network
         self._address = address
         self.tenant = tenant
         self._token = token
-        self._source_host = source_host
-        self._channel = None
-        self._parser: Optional[HttpParser] = None
+        self._stream = ClientStream(
+            lambda: network.connect(source_host, address))
 
     def close(self) -> None:
         """Drop the persistent channel."""
-        if self._channel is not None:
-            self._channel.close()
-            self._channel = None
+        self._stream.close()
 
     # ------------------------------------------------------------ transport
 
@@ -281,23 +262,14 @@ class KmsClient:
             "authorization": f"Bearer {self._token}",
         }, body=body)
         try:
-            return self._send(request)
+            response = self._stream.exchange_http(request)
         except ChannelClosed:
             # Persistent connection dropped (fault injection or server
             # restart): reconnect once and replay the request.
-            self.close()
-            return self._send(request)
-
-    def _send(self, request: HttpRequest) -> HttpResponse:
-        if self._channel is None:
-            self._channel = self._network.connect(self._source_host,
-                                                  self._address)
-            self._parser = HttpParser(is_server_side=False)
-        self._channel.send(request.encode())
-        responses = self._parser.feed(self._channel.recv_available())
-        if not responses:
+            response = self._stream.exchange_http(request)
+        if response is None:
             raise RestError(f"no response from {self._address}")
-        return responses[0]
+        return response
 
     def _checked(self, response: HttpResponse, expect: int) -> dict:
         if response.status == expect:

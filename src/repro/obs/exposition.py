@@ -23,8 +23,9 @@ from typing import Dict, Tuple
 
 from repro.errors import ObservabilityError, RestError
 from repro.net.address import Address
-from repro.net.rest import HttpParser, HttpRequest, HttpResponse, RestServer
+from repro.net.rest import HttpRequest, HttpResponse, RestServer
 from repro.net.simnet import Network
+from repro.net.transport import ClientStream, serve_http
 from repro.obs.metrics import Telemetry
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 
@@ -187,22 +188,14 @@ class TelemetryEndpoint:
         self._rest = RestServer()
         self._rest.route("GET", METRICS_PATH, self._handle_metrics)
         self._rest.route("GET", TRACES_PATH, self._handle_traces)
-        network.listen(address, self._accept)
+        serve_http(network, address,
+                   lambda request, _stream: self._rest.dispatch(request))
 
     def close(self) -> None:
         """Stop listening."""
         self._network.stop_listening(self.address)
 
     # ----------------------------------------------------------- handlers
-
-    def _accept(self, channel) -> None:
-        parser = HttpParser(is_server_side=True)
-
-        def on_data(ch) -> None:
-            for request in parser.feed(ch.recv_available()):
-                ch.send(self._rest.dispatch(request).encode())
-
-        channel.on_receive(on_data)
 
     def _handle_metrics(self, request: HttpRequest) -> HttpResponse:
         self.scrapes_served += 1
@@ -230,22 +223,16 @@ def scrape(network: Network, address: Address, path: str = METRICS_PATH,
     Raises:
         RestError: non-200 response or no response at all.
     """
-    channel = network.connect(source_host, address)
-    try:
-        channel.send(HttpRequest("GET", path).encode())
-        parser = HttpParser(is_server_side=False)
-        responses = parser.feed(channel.recv_available())
-        if not responses:
-            raise RestError(f"no response scraping {path}")
-        response = responses[0]
-        if response.status != 200:
-            raise RestError(
-                f"scrape of {path} returned {response.status}: "
-                f"{response.body.decode(errors='replace')}"
-            )
-        return response.body
-    finally:
-        channel.close()
+    with ClientStream(lambda: network.connect(source_host, address)) as stream:
+        response = stream.exchange_http(HttpRequest("GET", path))
+    if response is None:
+        raise RestError(f"no response scraping {path}")
+    if response.status != 200:
+        raise RestError(
+            f"scrape of {path} returned {response.status}: "
+            f"{response.body.decode(errors='replace')}"
+        )
+    return response.body
 
 
 def scrape_text(network: Network, address: Address,

@@ -45,8 +45,8 @@ from repro.errors import (
     RevocationError,
 )
 from repro.net.address import Address
-from repro.net.framing import recv_frame, send_frame, try_recv_frame
 from repro.net.simnet import Network
+from repro.net.transport import ClientStream, serve_frames
 from repro.obs.metrics import NULL_TELEMETRY
 from repro.sdn.controller import FloodlightController
 from repro.sdn.replication import (
@@ -111,6 +111,16 @@ class ConvergenceReport:
     seconds: float = 0.0
 
 
+def _call_replica(network: Network, source_host: str, address: Address,
+                  payload: Dict[str, object]) -> Dict[str, object]:
+    """One JSON request/reply with the replica at ``address``, on a
+    connection of its own."""
+    with ClientStream(lambda: network.connect(source_host, address)) as stream:
+        reply = stream.exchange_frame(
+            json.dumps(payload, sort_keys=True).encode("utf-8"))
+    return json.loads(reply.decode("utf-8"))
+
+
 class ControllerReplica:
     """One controller replica: a Floodlight core plus the replication
     endpoint serving the log/keystore protocol on the sim network.
@@ -137,7 +147,7 @@ class ControllerReplica:
         self._suspected: Set[int] = set()
         self._busy_until = 0.0
         self._lock = make_lock("fabric")
-        network.listen(self.address, self._accept)
+        serve_frames(network, self.address, self._respond)
 
     # ------------------------------------------------------------- timeline
 
@@ -168,22 +178,14 @@ class ControllerReplica:
 
     # -------------------------------------------------------------- serving
 
-    def _accept(self, channel) -> None:
-        def on_data(ch) -> None:
-            while True:
-                frame = try_recv_frame(ch)
-                if frame is None:
-                    return
-                try:
-                    request = json.loads(frame.decode("utf-8"))
-                except ValueError:
-                    reply = {"ok": False, "error": "malformed request"}
-                else:
-                    reply = self._handle(request)
-                send_frame(ch, json.dumps(reply, sort_keys=True
-                                          ).encode("utf-8"))
-
-        channel.on_receive(on_data)
+    def _respond(self, frame: bytes) -> bytes:
+        try:
+            request = json.loads(frame.decode("utf-8"))
+        except ValueError:
+            reply = {"ok": False, "error": "malformed request"}
+        else:
+            reply = self._handle(request)
+        return json.dumps(reply, sort_keys=True).encode("utf-8")
 
     def _handle(self, request: Dict[str, object]) -> Dict[str, object]:
         op = request.get("op")
@@ -247,15 +249,15 @@ class ControllerReplica:
                 unreachable.append(rank)
                 continue
             try:
-                reply = self._exchange(address, {"op": "append",
-                                                 "entries": wire})
+                reply = _call_replica(self._network, self.host, address,
+                                      {"op": "append", "entries": wire})
                 if not reply.get("ok"):
                     suffix = self.log.entries_after(
                         int(reply.get("needFrom", 0)))
-                    reply = self._exchange(address, {
-                        "op": "append",
-                        "entries": [e.to_wire() for e in suffix],
-                    })
+                    reply = _call_replica(
+                        self._network, self.host, address,
+                        {"op": "append",
+                         "entries": [e.to_wire() for e in suffix]})
             except (ConnectionRefused, ChannelClosed, NetError):
                 self._clock.advance(PROBE_TIMEOUT, ACCOUNT_PROBE)
                 self._suspected.add(rank)
@@ -266,16 +268,6 @@ class ControllerReplica:
             else:
                 unreachable.append(rank)
         return acked, unreachable
-
-    def _exchange(self, address: Address,
-                  payload: Dict[str, object]) -> Dict[str, object]:
-        channel = self._network.connect(self.host, address)
-        try:
-            send_frame(channel, json.dumps(payload,
-                                           sort_keys=True).encode("utf-8"))
-            return json.loads(recv_frame(channel).decode("utf-8"))
-        finally:
-            channel.close()
 
 
 class TrustedFabric:
@@ -609,13 +601,8 @@ class TrustedFabric:
 
     def _exchange(self, address: Address,
                   payload: Dict[str, object]) -> Dict[str, object]:
-        channel = self.network.connect(self.client_host, address)
-        try:
-            send_frame(channel, json.dumps(payload,
-                                           sort_keys=True).encode("utf-8"))
-            return json.loads(recv_frame(channel).decode("utf-8"))
-        finally:
-            channel.close()
+        return _call_replica(self.network, self.client_host, address,
+                             payload)
 
     # ------------------------------------------------------------- failover
 

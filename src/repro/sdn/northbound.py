@@ -20,8 +20,9 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import FlowError, RestError, SdnError
 from repro.net.address import Address
-from repro.net.rest import HttpParser, HttpRequest, HttpResponse
+from repro.net.rest import HttpRequest, HttpResponse
 from repro.net.simnet import Network
+from repro.net.transport import injected_fault, serve_http
 from repro.obs.metrics import NULL_TELEMETRY
 from repro.pki.certificate import Certificate
 from repro.pki.keystore import Keystore
@@ -100,32 +101,9 @@ class NorthboundEndpoint:
         self._tls: Optional[TlsServer] = None
         if mode in (MODE_TRUSTED, MODE_RATLS):
             tls_config.require_client_auth = True
-        if tls_config is not None:
+        if mode != MODE_HTTP:
             self._tls = TlsServer(tls_config)
-        network.listen(address, self._accept)
-
-    # ------------------------------------------------------------ transport
-
-    def _accept(self, channel) -> None:
-        if self.mode == MODE_HTTP:
-            parser = HttpParser(is_server_side=True)
-            auth = AuthContext(self.mode)
-
-            def on_plain(ch) -> None:
-                for request in parser.feed(ch.recv_available()):
-                    ch.send(self._dispatch(request, auth).encode())
-
-            channel.on_receive(on_plain)
-            return
-
-        parser = HttpParser(is_server_side=True)
-
-        def on_tls_data(conn) -> None:
-            auth = AuthContext(self.mode, conn.peer_certificate)
-            for request in parser.feed(conn.recv_available()):
-                conn.send(self._dispatch(request, auth).encode())
-
-        self._tls.accept(channel, on_data=on_tls_data)
+        serve_http(network, address, self._dispatch, tls=self._tls)
 
     # ----------------------------------------------------------- telemetry
 
@@ -136,21 +114,14 @@ class NorthboundEndpoint:
 
     # ------------------------------------------------------------- routing
 
-    def _injected_fault(self) -> Optional[HttpResponse]:
-        """An injected ``http_error`` response for this request, if the
-        network's fault plan schedules one (controller brown-out)."""
-        faults = self._network.faults
-        if faults is None:
-            return None
-        status = faults.next_http_error(self.address)
-        if status is None:
-            return None
-        return HttpResponse(status, headers={"retry-after": "1"},
-                            body=b"injected fault: controller unavailable")
-
-    def _dispatch(self, request: HttpRequest,
-                  auth: AuthContext) -> HttpResponse:
-        response = self._injected_fault() or self._route(request, auth)
+    def _dispatch(self, request: HttpRequest, stream) -> HttpResponse:
+        # The transport establishes the caller: a client certificate
+        # validated in the TLS handshake, or nobody over plain HTTP.
+        peer = None if self._tls is None else stream.peer_certificate
+        response = (
+            injected_fault(self._network, self.address, "controller")
+            or self._route(request, AuthContext(self.mode, peer))
+        )
         self._telemetry.northbound_requests.labels(
             mode=self.mode, method=request.method.upper(),
             status=str(response.status),

@@ -10,7 +10,6 @@ same ``request`` API so experiments can swap them.
 
 from __future__ import annotations
 
-import contextlib
 import json
 from typing import Dict, List, Optional
 
@@ -18,9 +17,10 @@ from repro.crypto.keys import EcPrivateKey
 from repro.crypto.rng import HmacDrbg
 from repro.errors import ControllerUnavailable, NetError, SdnError
 from repro.net.address import Address
-from repro.net.rest import TRANSIENT_STATUSES, HttpParser, HttpRequest, HttpResponse
+from repro.net.rest import TRANSIENT_STATUSES, HttpRequest, HttpResponse
 from repro.net.retry import RetryingMixin
 from repro.net.simnet import Network
+from repro.net.transport import ClientStream
 from repro.pki.certificate import Certificate
 from repro.pki.truststore import Truststore
 from repro.sdn.northbound import (
@@ -93,8 +93,7 @@ class VnfRestClient(ControllerOps, RetryingMixin):
         self._address = controller_address
         self._source_host = source_host
         self.mode = mode
-        self._stream = None
-        self._parser: Optional[HttpParser] = None
+        self._stream = ClientStream(self._open)
         self._tls_client: Optional[TlsClient] = None
         if mode != MODE_HTTP:
             self._tls_client = TlsClient(TlsConfig(
@@ -107,26 +106,16 @@ class VnfRestClient(ControllerOps, RetryingMixin):
 
     # ----------------------------------------------------------- transport
 
-    def _ensure_stream(self):
-        if self._stream is not None and not self._stream.closed:
-            return self._stream
+    def _open(self):
         channel = self._network.connect(self._source_host, self._address)
         if self._tls_client is None:
-            self._stream = channel
-        else:
-            self._stream = self._tls_client.connect(
-                channel, server_name=str(self._address)
-            )
-        self._parser = HttpParser(is_server_side=False)
-        return self._stream
+            return channel
+        return self._tls_client.connect(channel,
+                                        server_name=str(self._address))
 
     def close(self) -> None:
         """Close the persistent connection (if any)."""
-        if self._stream is not None and not self._stream.closed:
-            # a dropped channel cannot block a local close
-            with contextlib.suppress(NetError):
-                self._stream.close()
-        self._stream = None
+        self._stream.close()
 
     # ------------------------------------------------------------- requests
 
@@ -139,25 +128,20 @@ class VnfRestClient(ControllerOps, RetryingMixin):
         as :class:`~repro.errors.ControllerUnavailable` and retried; on
         give-up that exception propagates.
         """
-        encoded = HttpRequest(method, path, body=body).encode()
+        request = HttpRequest(method, path, body=body)
         return self._retrying(
-            lambda: self._request_once(encoded),
+            lambda: self._request_once(request),
             operation="northbound", clock=self._network.clock,
             retryable=(NetError, ControllerUnavailable),
         )
 
-    def _request_once(self, encoded: bytes) -> HttpResponse:
-        try:
-            stream = self._ensure_stream()
-            stream.send(encoded)
-            responses = self._parser.feed(stream.recv_available())
-        except NetError:
-            self.close()  # reconnect (and re-handshake) on the next attempt
-            raise
-        if not responses:
+    def _request_once(self, request: HttpRequest) -> HttpResponse:
+        # A transport fault drops the stream, so the next attempt
+        # reconnects (and re-handshakes).
+        response = self._stream.exchange_http(request)
+        if response is None:
             self.close()
             raise SdnError("controller returned no response")
-        response = responses[0]
         if (self._retry_policy is not None
                 and self._retry_policy.max_attempts > 1
                 and response.status in TRANSIENT_STATUSES):

@@ -214,7 +214,7 @@ def test_pooled_ias_surfaces_service_error_not_stale_transport():
 
     # The server silently drops the idle connection (it is now stale),
     # and the service brown-out outlasts the whole retry budget.
-    pool._pooled_conn._channel.peer.close()
+    pool._stream._current._channel.peer.close()
     dep.install_faults(FaultPlan().http_error(IAS_ADDRESS, 503, count=10))
 
     with pytest.raises(IasUnavailable) as excinfo:

@@ -47,6 +47,6 @@ def test_agent_survives_errors(deployment):
 
 def test_client_reconnects_after_channel_close(deployment):
     deployment.agent_client.attest_host(b"\x00" * 16, b"b")
-    deployment.agent_client._channel.close()
+    deployment.agent_client._stream._current.close()
     evidence = deployment.agent_client.attest_host(b"\x04" * 16, b"b")
     assert evidence.quote is not None

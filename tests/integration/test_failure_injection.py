@@ -107,7 +107,7 @@ def test_replayed_host_evidence_rejected():
 def test_half_open_agent_channel_recovers():
     deployment = Deployment(seed=b"fail-halfopen", vnf_count=1)
     deployment.agent_client.attest_host(b"\x01" * 16, b"b")
-    deployment.agent_client._channel.close()
+    deployment.agent_client._stream._current.close()
     # The stub reconnects transparently.
     evidence = deployment.agent_client.attest_host(b"\x02" * 16, b"b")
     assert evidence.quote is not None

@@ -121,13 +121,20 @@ def test_fault_plan_brownout_then_recovery(world, alpha):
 
 
 def test_client_survives_channel_drop(world, alpha):
-    alpha.store("db", b"v")
+    # Drop budgets bind when a connection opens, so the plan goes in
+    # before the first request.  Both directions count toward the
+    # budget: the store's request and response are sends 1 and 2, and
+    # the fetch's request, send 3, drops on the reused channel.
     plan = FaultPlan()
-    plan.drop_after_sends(KMS_ADDRESS, sends=1)
+    plan.drop_after_sends(KMS_ADDRESS, sends=3)
     world.network.install_faults(plan)
+    alpha.store("db", b"v")
+    assert world.network.connections_opened == 1
     # The drop kills the persistent channel mid-request; the client
     # reconnects and replays transparently.
     assert alpha.fetch("db") == b"v"
+    assert plan.injected == {"connection-drop": 1}
+    assert world.network.connections_opened == 2
 
 
 # --------------------------------------------------------------- telemetry
