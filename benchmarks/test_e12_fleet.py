@@ -14,9 +14,15 @@ full fleet must finish in at most ``SPEEDUP_GATE`` of the serial loop's
 wall time at the largest size — and, crucially, issue **byte-identical
 certificates** (reserved serials + per-VNF DRBGs + RFC 6979 make worker
 interleaving unobservable in the credentials).
+
+Each round times one serial and one fleet run, alternating which goes
+first, and the gate reads the median of the per-round fleet/serial wall
+ratios: a stall on a shared machine then spoils one round's ratio, not
+the best time of one side.
 """
 
 import gc
+import statistics
 import time
 
 import pytest
@@ -30,8 +36,9 @@ from repro.core import events as ev
 SIZES = (8,) if smoke_mode() else (8, 32)
 #: IML entries per host — appraisal work each *serial* enrollment repeats.
 IML_ENTRIES = 600 if smoke_mode() else 2500
-ROUNDS = 2          # best-of rounds (fresh deployment each — enrollment
-                    # is stateful, so runs cannot be repeated in place)
+#: Paired rounds per size (a fresh deployment each — enrollment is
+#: stateful, so runs cannot be repeated in place).
+ROUNDS = 5 if smoke_mode() else 3
 WORKERS = 8
 #: Pooled wall time must be at most this fraction of serial wall time at
 #: the largest fleet size (full mode); smoke mode uses a lenient gate
@@ -64,6 +71,28 @@ def _certs(dep):
             for name in dep.vnf_names}
 
 
+def _serial(size):
+    dep = _build(size)
+    trace, wall, sim = _timed(lambda d: d.run_workflow(), dep)
+    assert trace.fully_succeeded, trace.failed
+    return dep, wall, sim
+
+
+def _fleet(size):
+    dep = _build(size)
+    fleet, wall, sim = _timed(
+        lambda d: d.enroll_fleet(workers=WORKERS), dep
+    )
+    assert fleet.fully_succeeded, fleet.failed
+    # One pooled connection served the whole fleet.
+    assert fleet.ias_connects == 1
+    assert fleet.ias_reused_exchanges == size
+    return dep, wall, sim
+
+
+SIDES = {"serial": _serial, "fleet": _fleet}
+
+
 @pytest.mark.experiment("E12")
 def test_e12_fleet_enrollment():
     report = BenchReport("E12")
@@ -76,49 +105,39 @@ def test_e12_fleet_enrollment():
 
     ratios = {}
     for size in SIZES:
-        serial_wall = fleet_wall = float("inf")
-        serial_sim = fleet_sim = float("inf")
-        serial_certs = fleet_certs = None
-        serial_attests = fleet_attests = None
-        for _ in range(ROUNDS):
-            dep = _build(size)
-            trace, wall, sim = _timed(
-                lambda d: d.run_workflow(), dep
-            )
-            assert trace.fully_succeeded, trace.failed
-            serial_wall, serial_sim = (min(serial_wall, wall),
-                                       min(serial_sim, sim))
-            serial_certs = _certs(dep)
-            serial_attests = len(
-                dep.vm.audit.events(kind=ev.EVENT_HOST_ATTESTED)
-            )
-
-            dep = _build(size)
-            fleet, wall, sim = _timed(
-                lambda d: d.enroll_fleet(workers=WORKERS), dep
-            )
-            assert fleet.fully_succeeded, fleet.failed
-            fleet_wall, fleet_sim = (min(fleet_wall, wall),
-                                     min(fleet_sim, sim))
-            fleet_certs = _certs(dep)
-            fleet_attests = len(
-                dep.vm.audit.events(kind=ev.EVENT_HOST_ATTESTED)
-            )
-            # One pooled connection served the whole fleet.
-            assert fleet.ias_connects == 1
-            assert fleet.ias_reused_exchanges == size
+        walls = {side: [] for side in SIDES}
+        sims = {side: [] for side in SIDES}
+        certs = {}
+        attests = {}
+        for round_index in range(ROUNDS):
+            order = list(SIDES)
+            if round_index % 2:
+                order.reverse()
+            for side in order:
+                dep, wall, sim = SIDES[side](size)
+                walls[side].append(wall)
+                sims[side].append(sim)
+                certs[side] = _certs(dep)
+                attests[side] = len(
+                    dep.vm.audit.events(kind=ev.EVENT_HOST_ATTESTED)
+                )
 
         # Byte-identity: worker interleaving must be unobservable in the
         # issued credentials (serials, keys, signatures — everything).
-        assert fleet_certs == serial_certs
+        assert certs["fleet"] == certs["serial"]
 
         # The amortization the speedup comes from, stated exactly: the
         # serial loop attested the host once per VNF, the fleet once.
-        assert serial_attests == size
-        assert fleet_attests == 1
+        assert attests["serial"] == size
+        assert attests["fleet"] == 1
 
-        ratio = fleet_wall / serial_wall
+        round_ratios = [fleet / serial for serial, fleet
+                        in zip(walls["serial"], walls["fleet"])]
+        ratio = statistics.median(round_ratios)
         ratios[size] = ratio
+        serial_wall = statistics.median(walls["serial"])
+        fleet_wall = statistics.median(walls["fleet"])
+        serial_sim, fleet_sim = min(sims["serial"]), min(sims["fleet"])
         table.add_row(size, serial_wall * 1000, fleet_wall * 1000, ratio,
                       serial_sim * 1000, fleet_sim * 1000)
         report.add(
@@ -127,6 +146,7 @@ def test_e12_fleet_enrollment():
             serial_wall_seconds=serial_wall,
             fleet_wall_seconds=fleet_wall,
             wall_ratio=ratio,
+            wall_ratios=round_ratios,
             serial_sim_seconds=serial_sim,
             fleet_sim_seconds=fleet_sim,
         )
@@ -139,12 +159,13 @@ def test_e12_fleet_enrollment():
     report.add_table(table)
     report.write()
 
-    # Acceptance gate at the largest fleet (like E11's 3x crypto gate).
+    # Acceptance gate at the largest fleet (like E11's 3x crypto gate),
+    # on the median round.
     largest = max(SIZES)
     assert ratios[largest] <= SPEEDUP_GATE, (
         f"fleet of {largest} VNFs: pooled wall time is "
-        f"{ratios[largest]:.2f}x the serial loop's "
-        f"(gate: <= {SPEEDUP_GATE}x)"
+        f"{ratios[largest]:.2f}x the serial loop's in the median of "
+        f"{ROUNDS} rounds (gate: <= {SPEEDUP_GATE}x)"
     )
     if len(SIZES) > 1:
         # Scaling trend: amortization improves (or holds) as the fleet

@@ -88,7 +88,8 @@ class ClientStream:
     ``opener`` dials the peer and returns the stream: a plain
     :class:`~repro.net.channel.Channel`, or a TLS connection for the
     HTTPS clients.  Each exchange reuses the current stream unless it is
-    absent, closed or at EOF; then it opens a new one (the old one is
+    absent, closed, at EOF or (TLS) truncated — its transport ended
+    without a ``close_notify``; then it opens a new one (the old one is
     dropped, not closed, so nothing more goes on the wire).  A transport
     fault (:class:`~repro.errors.NetError`) during an exchange closes
     the stream and propagates, so the next exchange starts fresh.
@@ -108,7 +109,8 @@ class ClientStream:
     def is_open(self) -> bool:
         """True if the next exchange reuses the current stream."""
         stream = self._current
-        return stream is not None and not stream.closed and not stream.eof
+        return (stream is not None and not stream.closed and not stream.eof
+                and not getattr(stream, "truncated", False))
 
     def exchange_http(self, request: HttpRequest) -> Optional[HttpResponse]:
         """Send ``request``; return the response, or ``None`` if the peer

@@ -18,6 +18,7 @@ else.
 from __future__ import annotations
 
 import inspect
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -73,20 +74,13 @@ class EnclaveImage:
         ``code``) changes MRENCLAVE — the property integrity verification
         rests on.  When source is unavailable (REPL-defined classes), the
         image falls back to a deterministic serialization of the class's
-        compiled methods.
+        compiled methods.  Either way the bytes are read once per class
+        object and reused by every later image of it.
         """
-        try:
-            code = inspect.getsource(behavior_class).encode("utf-8")
-        except (OSError, TypeError):
-            parts = [behavior_class.__qualname__.encode("utf-8")]
-            for attr_name in sorted(vars(behavior_class)):
-                attr = vars(behavior_class)[attr_name]
-                func_code = getattr(attr, "__code__", None)
-                if func_code is not None:
-                    parts.append(attr_name.encode("utf-8"))
-                    parts.append(func_code.co_code)
-                    parts.append(repr(func_code.co_consts).encode("utf-8"))
-            code = b"\x00".join(parts)
+        code = _MEASURED_CODE.get(behavior_class)
+        if code is None:
+            code = _measured_code(behavior_class)
+            _MEASURED_CODE[behavior_class] = code
         return cls(name=name, version=version, code=code,
                    behavior_factory=behavior_class)
 
@@ -100,6 +94,34 @@ class EnclaveImage:
             code=self.code + extra,
             behavior_factory=self.behavior_factory,
         )
+
+
+#: Each behavior class's measured code, filled on its first image.  The
+#: loaded class is what runs and its code cannot change under it (an edit
+#: on disk leaves it alone; a redefinition is a new key), so nothing
+#: flushes this, and every launch still measures and checks the
+#: SIGSTRUCT.  Weak keys never pin a class.  Threads racing on a class's
+#: first image store equal bytes.
+_MEASURED_CODE: "weakref.WeakKeyDictionary[type, bytes]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _measured_code(behavior_class: type) -> bytes:
+    """The class's source text, or a serialization of its compiled
+    methods when the source cannot be found."""
+    try:
+        return inspect.getsource(behavior_class).encode("utf-8")
+    except (OSError, TypeError):
+        parts = [behavior_class.__qualname__.encode("utf-8")]
+        for attr_name in sorted(vars(behavior_class)):
+            attr = vars(behavior_class)[attr_name]
+            func_code = getattr(attr, "__code__", None)
+            if func_code is not None:
+                parts.append(attr_name.encode("utf-8"))
+                parts.append(func_code.co_code)
+                parts.append(repr(func_code.co_consts).encode("utf-8"))
+        return b"\x00".join(parts)
 
 
 class EnclaveApi:

@@ -84,12 +84,21 @@ class TlsClient:
 
     def connect(self, channel: Channel, server_name: str = "") -> TlsConnection:
         """Run the handshake on ``channel``; returns the established
-        connection.  ``server_name`` keys the client-side resumption cache."""
+        connection.  ``server_name`` keys the client-side resumption cache.
+
+        A handshake that fails for any reason closes ``channel`` before
+        the error propagates, so the server sees EOF and neither end
+        outlives the refusal.
+        """
         tel = _TELEMETRY
         start = tel.now()
         with tel.span("tls-handshake", role="client",
                       server=server_name) as span:
-            connection = self._connect(channel, server_name, tel)
+            try:
+                connection = self._connect(channel, server_name, tel)
+            except BaseException:
+                channel.close()
+                raise
             span.set_attribute("resumed", connection.resumed)
             span.set_attribute("suite", connection.suite_name)
         tel.observe_handshake("client", connection.resumed,

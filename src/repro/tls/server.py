@@ -101,6 +101,9 @@ class _ServerHandshake:
     def _handle_bytes(self, channel: Channel) -> None:
         if self._state == "established":
             return  # the TlsConnection's handler owns the channel now
+        if channel.eof:
+            channel.close()  # the client left before the handshake ended
+            return
         data = channel.recv_available()
         try:
             while True:

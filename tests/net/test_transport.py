@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core import Deployment
-from repro.errors import ChannelClosed, ConnectionRefused
+from repro.errors import (
+    ChannelClosed,
+    ConnectionRefused,
+    HandshakeFailure,
+    TlsAlert,
+)
 from repro.net.address import Address
 from repro.net.faults import FaultPlan
 from repro.net.rest import HttpRequest, HttpResponse
@@ -13,6 +18,9 @@ from repro.net.transport import (
     serve_frames,
     serve_http,
 )
+from repro.sdn.northbound import MODE_TRUSTED
+
+from tests.net.test_transport_faults import _tracked
 
 HTTP = Address("web", 80)
 FRAMES = Address("agent", 7000)
@@ -185,3 +193,36 @@ def test_enclave_client_recovers_from_a_dropped_session():
     connects = network.connections_opened
     assert client.summary()["controller"] == "floodlight"
     assert network.connections_opened == connects + 1
+
+
+# ----------------------------------------------------- refused handshakes
+
+
+def test_a_handshake_the_client_refuses_closes_both_ends():
+    """Trusted HTTPS asks for a client certificate the baseline client
+    lacks: the client gives up mid-handshake and must not strand the
+    channel, and the server, seeing EOF, closes its end too."""
+    deployment = Deployment(seed=b"refused-handshake", vnf_count=1)
+    opened = _tracked(deployment.network)
+    client = deployment.baseline_client(MODE_TRUSTED)
+    for _ in range(3):
+        with pytest.raises(HandshakeFailure):
+            client.summary()
+    assert len(opened) == 3
+    assert [(ch.closed, ch.peer.closed)
+            for _, ch in opened] == [(True, True)] * 3
+
+
+def test_a_handshake_the_server_refuses_closes_both_ends():
+    """A revoked VNF's in-enclave client meets the controller's fatal
+    alert; the server closes its end and the client closes its own."""
+    deployment = Deployment(seed=b"refused-handshake", vnf_count=1)
+    deployment.enroll("vnf-1")
+    client = deployment.enclave_client("vnf-1")
+    client.close()
+    deployment.vm.revoke_vnf("vnf-1")
+    opened = _tracked(deployment.network)
+    with pytest.raises(TlsAlert):
+        client.summary()
+    [(_, channel)] = opened
+    assert (channel.closed, channel.peer.closed) == (True, True)
