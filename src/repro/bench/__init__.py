@@ -2,7 +2,6 @@
 
 from repro.bench.harness import (
     Measurement,
-    Recorder,
     Summary,
     Table,
     measure,
@@ -16,7 +15,6 @@ from repro.bench.workloads import (
 
 __all__ = [
     "Measurement",
-    "Recorder",
     "Summary",
     "Table",
     "measure",

@@ -5,8 +5,7 @@ output reads like the tables a paper would carry.  :func:`measure` wraps a
 callable and reports both *simulated* time (virtual clock — machine
 independent, what the experiment shapes are judged on) and wall time.
 :func:`summarize` condenses repeated samples into the min/median/p90/max
-row the experiment tables cite, and :class:`Recorder` streams measurements
-into a metrics registry so tables can also quote histogram percentiles.
+row the experiment tables cite.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.clock import VirtualClock
-from repro.obs import Histogram, MetricsRegistry
 
 #: Environment variable: directory BENCH_E*.json files are written to.
 #: Unset (the default) means no files are written — local runs stay clean.
@@ -93,44 +91,6 @@ def summarize(samples: Sequence[float]) -> Summary:
         p90=_nearest_rank(ordered, 0.90),
         maximum=ordered[-1],
     )
-
-
-class Recorder:
-    """Streams measurements into a metrics registry.
-
-    Experiments that want their tables backed by the same histogram
-    machinery the telemetry subsystem uses can attach a
-    :class:`~repro.obs.MetricsRegistry` (or let the recorder create one)
-    and observe every measurement under a named series::
-
-        recorder = Recorder()
-        recorder.observe("e4_request_seconds", m.simulated_seconds,
-                         placement="enclave")
-        recorder.summary("e4_request_seconds", placement="enclave")
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    def _histogram(self, name: str, labelnames: Sequence[str]) -> Histogram:
-        # The registry's get-or-create enforces kind *and* labelname
-        # agreement with the first registration.  (The old code returned
-        # any existing metric unchecked, so observing with a different
-        # label set silently mis-filed samples instead of failing.)
-        return self.registry.histogram(
-            name, f"benchmark samples for {name}",
-            labelnames=tuple(labelnames),
-        )
-
-    def observe(self, name: str, value: float, **labels: str) -> None:
-        """Record one sample under ``name`` (labels create the series on
-        first use; later calls must use the same label names)."""
-        histogram = self._histogram(name, sorted(labels))
-        histogram.labels(**labels).observe(value)
-
-    def summary(self, name: str, **labels: str) -> dict:
-        """The histogram child's summary dict (count/sum/p50/p90/p99)."""
-        return self.registry.get(name).labels(**labels).summary()
 
 
 class BenchReport:

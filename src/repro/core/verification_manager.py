@@ -37,7 +37,7 @@ from repro.crypto.keys import EcPublicKey, generate_keypair
 from repro.crypto.rng import HmacDrbg, default_rng
 from repro.errors import AttestationFailed, RevocationError, VnfSgxError
 from repro.ias.api import IasClient
-from repro.obs.metrics import NULL_TELEMETRY
+from repro.net.clock import VirtualClock
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import Certificate, KEY_USAGE_CLIENT_AUTH
 from repro.pki.crl import REASON_PLATFORM_UNTRUSTED, REASON_UNSPECIFIED
@@ -76,7 +76,7 @@ class VerificationManager:
                  now: Callable[[], float] = lambda: 0.0,
                  rng: Optional[HmacDrbg] = None,
                  ca_name: str = "Verification-Manager-CA",
-                 clock=None,
+                 clock: Optional[VirtualClock] = None,
                  verification_cache: Optional[VerificationCache] = None
                  ) -> None:
         self._ias = ias_client
@@ -85,19 +85,19 @@ class VerificationManager:
             expected_values, require_tpm=policy.require_tpm
         )
         self._now = now
-        self._clock = clock
+        self._clock = clock or VirtualClock()
         self._rng = rng or default_rng()
         self.ca = CertificateAuthority(
             DistinguishedName(ca_name, "RISE"), now=int(now()), rng=self._rng
         )
         self.audit = ev.AuditLog(now=now)
+        self.audit.observer = self._observe_audit
         #: Memoised IAS verdicts for byte-identical evidence (retry storms
         #: re-submit the same quote+nonce).  Revocation paths flush it.
         self.verification_cache = (
             verification_cache if verification_cache is not None
             else VerificationCache(now=now)
         )
-        self._telemetry = NULL_TELEMETRY  # see instrument()
         #: Guards the trust-state maps below plus the revocation paths.
         #: Lock ordering: the VM lock may be taken *before* the CA lock
         #: and the cache locks, never after (``docs/CONCURRENCY.md``).
@@ -119,20 +119,15 @@ class VerificationManager:
 
     # ----------------------------------------------------------- telemetry
 
-    def instrument(self, telemetry) -> None:
-        """Attach a :class:`repro.obs.Telemetry`: attestation, IAS and
-        provisioning paths gain histograms/spans, and every audit event is
-        mirrored into ``vnf_sgx_audit_events_total{kind=...}``.
+    def _observe_audit(self, event: ev.AuditEvent) -> None:
+        """Mirror every audit event into
+        ``vnf_sgx_audit_events_total{kind=...}``.
 
-        ``NULL_TELEMETRY`` detaches: every hook then makes no-op calls,
-        and neither way charges anything to the virtual clock.
+        Like the attestation, IAS and provisioning paths, it emits into
+        the telemetry of the clock, read at each use (``NULL_TELEMETRY``
+        while telemetry is off); neither way charges the clock.
         """
-        self._telemetry = telemetry
-        self.audit.observer = telemetry.observe_audit
-        with self._lock:
-            verifiers = list(self._ratls_verifiers)
-        for verifier in verifiers:
-            verifier.instrument(telemetry)
+        self._clock.telemetry.observe_audit(event)
 
     def swap_ias_client(self, client: IasClient) -> IasClient:
         """Install a different IAS client; returns the previous one.
@@ -192,7 +187,7 @@ class VerificationManager:
                 in the result (and recorded), not raised, so callers can
                 inspect them.
         """
-        tel = self._telemetry
+        tel = self._clock.telemetry
         start = tel.now()
         outcome = "error"
         try:
@@ -231,11 +226,10 @@ class VerificationManager:
             aik_public=self._aiks.get(host_name),
             nonce=nonce,
         )
-        if self._clock is not None:
-            self._clock.advance(
-                result.entries_checked * self.APPRAISAL_SECONDS_PER_ENTRY,
-                "appraisal-compute",
-            )
+        self._clock.advance(
+            result.entries_checked * self.APPRAISAL_SECONDS_PER_ENTRY,
+            "appraisal-compute",
+        )
         with self._lock:
             self._hosts[host_name] = HostTrustRecord(
                 host_name, self._now(), result
@@ -257,7 +251,7 @@ class VerificationManager:
         The host must have passed appraisal first ("the protocol continues
         only if the host is considered trustworthy").
         """
-        tel = self._telemetry
+        tel = self._clock.telemetry
         with tel.span("enclave-attestation", vnf=vnf_name, host=host_name), \
                 tel.time(tel.vnf_attestation_seconds.labels(
                     variant="delivery")):
@@ -303,7 +297,7 @@ class VerificationManager:
                 serials in submission order so pooled and serial
                 enrollments issue byte-identical certificates.
         """
-        tel = self._telemetry
+        tel = self._clock.telemetry
         with tel.span("credential-provisioning", vnf=vnf_name,
                       variant="delivery"), \
                 tel.time(tel.provisioning_seconds.labels(variant="delivery")):
@@ -362,7 +356,7 @@ class VerificationManager:
         """
         from repro.pki.csr import CertificateSigningRequest
 
-        tel = self._telemetry
+        tel = self._clock.telemetry
         with tel.span("credential-provisioning", vnf=vnf_name,
                       variant="csr"), \
                 tel.time(tel.provisioning_seconds.labels(variant="csr")):
@@ -459,8 +453,7 @@ class VerificationManager:
         verifier = RatlsVerifier(
             verify_evidence=self.verify_ratls_evidence,
             check_identity=self.check_credential_identity,
-            now=self._now,
-            telemetry=self._telemetry,
+            clock=self._clock,
         )
         with self._lock:
             self._ratls_verifiers.append(verifier)
@@ -590,7 +583,7 @@ class VerificationManager:
 
     def _verify_quote_with_ias(self, quote: Quote, nonce: bytes,
                                subject: str) -> None:
-        tel = self._telemetry
+        tel = self._clock.telemetry
         quote_bytes = quote.to_bytes()
         nonce_hex = nonce.hex()
         avr = self.verification_cache.lookup(quote_bytes, nonce_hex)

@@ -60,7 +60,6 @@ from repro.sdn.switch import Switch
 from repro.sdn.vnf import VnfRestClient
 from repro.sgx.ecall import CostModel
 from repro.tls import TlsConfig
-from repro.tls import client as tls_client
 
 CONTROLLER_HOST = "controller"
 IAS_ADDRESS = Address("ias.intel.example", 443)
@@ -289,16 +288,12 @@ class Deployment:
             )
 
         # Telemetry is opt-in; see enable_telemetry().
-        self.telemetry = NULL_TELEMETRY
         self.telemetry_endpoint = None
 
-        # The long-lived components: each takes every later telemetry and
+        # The long-lived network clients: each takes every later
         # retry-policy change.  Later builds add theirs via _register().
-        self._components: List[object] = [
-            self.vm, self.ias, self.ias_client,
-            *self.agent_clients.values(), *self.endpoints.values(),
-            *(host.platform.accountant for host in self.hosts),
-            tls_client,  # the process-wide TLS client hook
+        self._components: List[RetryingMixin] = [
+            self.ias_client, *self.agent_clients.values(),
         ]
 
         # The key manager is opt-in; see build_kms().
@@ -363,42 +358,45 @@ class Deployment:
             HmacDrbg(self._seed, personalization=b"retry-jitter")
             if policy is not None else None
         )
-        for component in self._components:
-            if isinstance(component, RetryingMixin):
-                component.configure_retries(policy, rng=self._retry_rng)
+        for client in self._components:
+            self._wire(client)
 
     def install_faults(self, plan: Optional[FaultPlan]) -> None:
         """Install (or clear, with ``None``) a fault plan on the network."""
         self.network.install_faults(plan)
 
-    def _wire(self, component):
-        """Give ``component`` the current telemetry and, if it is a
-        network client, the current retry policy; returns it."""
-        component.instrument(self.telemetry)
-        if isinstance(component, RetryingMixin):
-            component.configure_retries(self.retry_policy,
-                                        rng=self._retry_rng)
-        return component
+    def _wire(self, client: RetryingMixin) -> RetryingMixin:
+        """Give a network client the current retry policy; returns it."""
+        client.configure_retries(self.retry_policy, rng=self._retry_rng)
+        return client
 
-    def _register(self, component):
-        """Wire a component built after construction and keep it wired
-        through every later telemetry or retry-policy change."""
-        self._components.append(self._wire(component))
-        return component
+    def _register(self, client: RetryingMixin) -> RetryingMixin:
+        """Wire a client built after construction and keep it wired
+        through every later retry-policy change."""
+        self._components.append(self._wire(client))
+        return client
 
     # ------------------------------------------------------------ telemetry
 
+    @property
+    def telemetry(self):
+        """The deployment's telemetry: its clock's, ``NULL_TELEMETRY``
+        while telemetry is off."""
+        return self.clock.telemetry
+
     def enable_telemetry(self, registry=None, serve: bool = True,
                          address: Address = TELEMETRY_ADDRESS):
-        """Wire the observability subsystem through the whole deployment.
+        """Turn on the observability subsystem for the whole deployment.
 
         Creates a :class:`repro.obs.Telemetry` on this deployment's
-        virtual clock and attaches it to every registered component: the
-        Verification Manager (and its audit log and RA-TLS verifiers),
-        the IAS service and clients, the host-agent stubs, every
-        northbound endpoint, every host's transition accountant, the
-        process-wide TLS client hook, and whatever :meth:`build_kms`,
-        :meth:`build_ratls` and :meth:`build_fabric` added, before or
+        virtual clock and sets it as the clock's ``telemetry``.  Every
+        emitting component reads that attribute from the clock it holds
+        when it emits: the Verification Manager (with its audit log and
+        RA-TLS verifiers), the IAS endpoint and clients, the host-agent
+        stubs, every northbound endpoint, every host's transition
+        accountant, every TLS client handshake on this network (the
+        in-enclave ones included), and whatever :meth:`build_kms`,
+        :meth:`build_ratls` and :meth:`build_fabric` build, before or
         after this call.  Then (``serve=True``) it mounts ``GET /metrics``
         and ``GET /traces`` at ``address`` on the simulated network.
 
@@ -414,17 +412,13 @@ class Deployment:
         from repro.obs import MetricsRegistry, Telemetry, TelemetryEndpoint
 
         # A deployment gets its own registry by default, so two
-        # deployments in one process keep separate metrics and spans —
-        # except client TLS handshakes: the TLS client hook is
-        # process-wide, so the deployment that enabled telemetry last
-        # receives every client handshake in the process.  Pass
-        # repro.obs.default_registry() to share the process-wide registry.
-        self.telemetry = Telemetry(
+        # deployments in one process keep separate metrics and spans.
+        # Pass repro.obs.default_registry() to share the process-wide
+        # registry.
+        self.clock.telemetry = Telemetry(
             registry=registry if registry is not None else MetricsRegistry(),
             now=self.clock.now,
         )
-        for component in self._components:
-            component.instrument(self.telemetry)
         if serve:
             self.telemetry_endpoint = TelemetryEndpoint(
                 self.telemetry, self.network, address
@@ -432,13 +426,11 @@ class Deployment:
         return self.telemetry
 
     def disable_telemetry(self) -> None:
-        """Give every component the null telemetry back and stop serving
-        ``/metrics``."""
+        """Give the clock the null telemetry back, so every component
+        stops recording, and stop serving ``/metrics``."""
         if self.telemetry is NULL_TELEMETRY:
             return
-        self.telemetry = NULL_TELEMETRY
-        for component in self._components:
-            component.instrument(NULL_TELEMETRY)
+        self.clock.telemetry = NULL_TELEMETRY
         if self.telemetry_endpoint is not None:
             self.telemetry_endpoint.close()
             self.telemetry_endpoint = None
@@ -481,8 +473,6 @@ class Deployment:
         )
         if serve:
             self.kms_endpoint = KmsEndpoint(self.kms, self.network, address)
-        # A served KMS's endpoint wires the service's telemetry too.
-        self._register(self.kms_endpoint if serve else self.kms)
         return self.kms
 
     def kms_client(self, tenant: str, token: str, source_host: str = ""):
@@ -531,10 +521,10 @@ class Deployment:
             rng=self.rng,
             now=self.clock.now_seconds,
         )
-        self.ratls_endpoint = self._register(NorthboundEndpoint(
+        self.ratls_endpoint = NorthboundEndpoint(
             self.controller, self.network,
             self.controller_address(MODE_RATLS), MODE_RATLS, tls_config,
-        ))
+        )
         self.endpoints[MODE_RATLS] = self.ratls_endpoint
         self.ratls_verifier = verifier
         return verifier
@@ -586,12 +576,12 @@ class Deployment:
             return self.fabric
         from repro.sdn.fabric import TrustedFabric
 
-        fabric = self._register(TrustedFabric(
+        fabric = TrustedFabric(
             self.network, replica_count=replica_count,
             topology=self.controller.topology,
             primary_controller=self.controller,
             vm=self.vm,
-        ))
+        )
         for anchor in self.vm.controller_truststore().anchors():
             fabric.anchor_ca(anchor.subject.common_name, anchor.to_bytes())
         if endpoint_count:
@@ -617,8 +607,8 @@ class Deployment:
 
     def pooled_ias_client(self) -> PooledIasClient:
         """A fresh :class:`~repro.core.fleet.PooledIasClient` to this
-        deployment's IAS, with its current retry policy and telemetry
-        (later changes reach it only if it is registered)."""
+        deployment's IAS, with its current retry policy (later changes
+        reach it only if it is registered)."""
         return self._wire(PooledIasClient(
             self.network, IAS_ADDRESS, self.ias_http.ias_truststore,
             self.ias.report_signing_public_key, rng=self.rng,

@@ -5,7 +5,9 @@ using the protocol provided by the SGX implementation"; the real service is
 an HTTPS API.  :class:`IasHttpService` exposes
 ``POST /attestation/v4/report`` (quote in, AVR out) and
 ``GET /attestation/v4/sigrl`` on the simulated network over server-
-authenticated TLS; :class:`IasClient` is the relying-party stub.
+authenticated TLS, counting every verdict it returns in
+``vnf_sgx_ias_verdicts_total{status=...}``; :class:`IasClient` is the
+relying-party stub.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ class IasHttpService:
         except (ValueError, KeyError) as exc:
             return HttpResponse(400, body=f"bad request: {exc}".encode())
         avr = self.service.verify_quote(quote_bytes, nonce)
+        self._network.clock.telemetry.ias_verdicts.labels(
+            status=avr.quote_status).inc()
         return HttpResponse(200, headers={"content-type": "application/json"},
                             body=avr.to_json())
 

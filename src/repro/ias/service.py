@@ -14,7 +14,6 @@ from repro.crypto.rng import HmacDrbg, default_rng
 from repro.errors import IasError, QuoteError, ReproError
 from repro.ias.report import AttestationVerificationReport, sign_report
 from repro.ias.revocation_lists import PrivRl, SigRl
-from repro.obs.metrics import NULL_TELEMETRY
 from repro.sgx.epid import EpidGroup
 from repro.sgx.platform import SgxPlatform
 from repro.sgx.quote import Quote
@@ -57,12 +56,6 @@ class IasService:
         self._platforms: Dict[bytes, str] = {}  # member id -> platform name
         self._report_counter = 0
         self.quotes_verified = 0
-        self._telemetry = NULL_TELEMETRY  # see instrument()
-
-    def instrument(self, telemetry) -> None:
-        """Attach telemetry: every verdict increments
-        ``vnf_sgx_ias_verdicts_total{status=...}``."""
-        self._telemetry = telemetry
 
     # --------------------------------------------------------- provisioning
 
@@ -122,7 +115,6 @@ class IasService:
         self.quotes_verified += 1
         quote = Quote.from_bytes(quote_bytes)
         status = self._status_for(quote)
-        self._telemetry.ias_verdicts.labels(status=status).inc()
         self._report_counter += 1
         return sign_report(
             self._report_key,

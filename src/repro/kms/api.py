@@ -14,9 +14,9 @@ REST surface without touching the service).  Routes::
 
 Authorization rides in ``authorization: Bearer <hex token>``; the typed
 service errors map onto HTTP statuses (401 missing token, 403 denied,
-404 unknown namespace/secret, 429 over quota).  With telemetry attached,
-every request lands in ``vnf_sgx_kms_requests_total{op,status}`` and a
-per-op latency histogram.
+404 unknown namespace/secret, 429 over quota).  With telemetry enabled on
+the network's clock, every request lands in
+``vnf_sgx_kms_requests_total{op,status}`` and a per-op latency histogram.
 
 :class:`KmsClient` is the tenant-side counterpart: one persistent
 channel (reconnecting transparently if it drops), raising the same
@@ -44,7 +44,6 @@ from repro.net.address import Address
 from repro.net.rest import HttpRequest, HttpResponse
 from repro.net.simnet import Network
 from repro.net.transport import ClientStream, injected_fault, serve_http
-from repro.obs.metrics import NULL_TELEMETRY
 
 API_PREFIX = "/kms/v1"
 
@@ -81,7 +80,6 @@ class KmsEndpoint:
         self.service = service
         self.address = address
         self._network = network
-        self._telemetry = NULL_TELEMETRY
         self.requests_served = 0
         serve_http(network, address,
                    lambda request, _stream: self._serve(request))
@@ -90,17 +88,10 @@ class KmsEndpoint:
         """Stop listening."""
         self._network.stop_listening(self.address)
 
-    def instrument(self, telemetry) -> None:
-        """Attach a :class:`repro.obs.Telemetry` for request counters,
-        latency histograms, and spans; also wires the service's
-        audit/gauge mirroring."""
-        self._telemetry = telemetry
-        self.service.instrument(telemetry)
-
     # ------------------------------------------------------------- serving
 
     def _serve(self, request: HttpRequest) -> HttpResponse:
-        tel = self._telemetry
+        tel = self._network.clock.telemetry
         self.requests_served += 1
         op = "unroutable"
         # An injected brown-out answers before routing, and counts as

@@ -34,7 +34,6 @@ from repro.kms.shard import SecretShard, shard_identity
 from repro.kms.store import KmsCostModel, ShardedSecretStore
 from repro.kms.tenancy import TenantQuota, TenantRegistry, valid_name
 from repro.net.clock import VirtualClock
-from repro.obs.metrics import NULL_TELEMETRY
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import Certificate
 from repro.pki.keystore import Keystore
@@ -63,7 +62,6 @@ class KeyManagerService:
         self._rng = HmacDrbg(seed, personalization=b"repro.kms")
         self.keystore = keystore if keystore is not None else Keystore()
         self.registry = TenantRegistry(ca, clock.now, self._rng)
-        self._telemetry = NULL_TELEMETRY
         # One audit trail per tenant; the dict itself is guarded by a
         # plain lock (trail creation only — AuditLog has its own lock).
         self._trails: Dict[str, AuditLog] = {}
@@ -93,21 +91,18 @@ class KeyManagerService:
         self.keystore.get_or_create(f"kms-{label}", factory)
 
     # ---------------------------------------------------------- telemetry
+    #
+    # Both mirrors emit into the clock's telemetry, read at each use:
+    # per-tenant audit events into ``vnf_sgx_audit_events_total`` and,
+    # after every mutation, shard occupancy into ``vnf_sgx_kms_secrets``.
 
-    def instrument(self, telemetry) -> None:
-        """Attach a :class:`repro.obs.Telemetry`: per-tenant audit events
-        mirror into ``vnf_sgx_audit_events_total`` and shard occupancy
-        into ``vnf_sgx_kms_secrets``."""
-        self._telemetry = telemetry
-        with self._trails_lock:
-            trails = list(self._trails.values())
-        for trail in trails:
-            trail.observer = telemetry.observe_audit
-        self._sync_shard_gauge()
+    def _observe_audit(self, event: AuditEvent) -> None:
+        self._clock.telemetry.observe_audit(event)
 
     def _sync_shard_gauge(self) -> None:
+        gauge = self._clock.telemetry.kms_secrets
         for label, count in self.store_backend.secret_counts().items():
-            self._telemetry.kms_secrets.labels(shard=label).set(count)
+            gauge.labels(shard=label).set(count)
 
     # -------------------------------------------------------------- audit
 
@@ -116,7 +111,7 @@ class KeyManagerService:
             trail = self._trails.get(tenant)
             if trail is None:
                 trail = AuditLog(now=self._clock.now)
-                trail.observer = self._telemetry.observe_audit
+                trail.observer = self._observe_audit
                 self._trails[tenant] = trail
             return trail
 

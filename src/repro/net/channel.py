@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import ChannelClosed, NetError
+from repro.net.clock import VirtualClock
 
 
 class Channel:
@@ -40,6 +41,9 @@ class Channel:
         self._peer_closed = False
         self._on_receive: Optional[Callable[["Channel"], None]] = None
         self.peer: Optional["Channel"] = None  # wired by the Network
+        #: The network's clock (wired by the Network); a TLS client
+        #: records its handshake in this clock's telemetry.
+        self.clock: Optional[VirtualClock] = None
 
     # ------------------------------------------------------------- sending
 
@@ -133,7 +137,8 @@ class Channel:
 
     def _peer_did_close(self) -> None:
         self._peer_closed = True
-        if self._on_receive is not None:
+        # Like bytes, the peer's EOF is not delivered to a closed endpoint.
+        if self._on_receive is not None and not self._closed:
             self._on_receive(self)
 
     @property

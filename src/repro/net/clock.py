@@ -19,6 +19,17 @@ session that measures its own simulated cost as a delta of
 sessions charged concurrently — and in a single-threaded run the local
 delta equals the global delta, so serial and pooled runs report the
 same per-step simulated timings.  See ``docs/CONCURRENCY.md``.
+
+Telemetry
+---------
+
+The clock also carries its deployment's telemetry: ``telemetry`` is
+:data:`~repro.obs.metrics.NULL_TELEMETRY` until
+:meth:`~repro.core.workflow.Deployment.enable_telemetry` sets it, and
+again after ``disable_telemetry``.  Every emitting component reads it
+from a clock it already holds at the moment it emits, so two
+deployments in one process each record only their own work.  Only
+enable and disable write it; readers take no lock.
 """
 
 from __future__ import annotations
@@ -38,6 +49,11 @@ class VirtualClock:
     """
 
     def __init__(self, start: float = 0.0) -> None:
+        # Imported here: repro.obs imports repro.net, which imports this.
+        from repro.obs.metrics import NULL_TELEMETRY
+
+        #: The deployment's telemetry (see the module docstring).
+        self.telemetry = NULL_TELEMETRY
         self._now = float(start)
         self._charges: Dict[str, float] = {}
         self._lock = make_lock("clock")

@@ -16,8 +16,8 @@ is the shared executor.  Semantics:
   everything else (appraisal failures, protocol violations, application
   errors) propagates immediately.  On give-up the *original* exception
   is re-raised, so callers' exception contracts are unchanged.
-- **observable**: with a real :class:`repro.obs.Telemetry` attached,
-  re-attempts and give-ups land in
+- **observable**: with a real :class:`repro.obs.Telemetry` (a
+  retrying client's is its clock's), re-attempts and give-ups land in
   ``vnf_sgx_retry_attempts_total{operation=...}`` /
   ``vnf_sgx_retry_giveups_total{operation=...}``, backoff sleeps in
   ``vnf_sgx_retry_backoff_seconds``, and each retry adds an event to the
@@ -187,12 +187,12 @@ class RetryingMixin:
 
     Subclasses call :meth:`_retrying` around one attempt-closure; the
     mixin holds the policy and the jitter DRBG (``None`` by default, which
-    reproduces pre-retry behaviour) and the telemetry (the null object).
+    reproduces pre-retry behaviour).  Retries are counted in the
+    telemetry of the clock each attempt-closure is charged to.
     """
 
     _retry_policy: Optional[RetryPolicy] = None
     _retry_rng = None
-    _retry_telemetry = NULL_TELEMETRY
 
     def configure_retries(self, policy: Optional[RetryPolicy],
                           rng=None) -> None:
@@ -200,19 +200,14 @@ class RetryingMixin:
         self._retry_policy = policy
         self._retry_rng = rng
 
-    def instrument(self, telemetry) -> None:
-        """Attach a :class:`repro.obs.Telemetry` for retry counters and
-        span events."""
-        self._retry_telemetry = telemetry
-
     def _retrying(self, fn: Callable[[], T], *, operation: str,
-                  clock: Optional[VirtualClock],
+                  clock: VirtualClock,
                   retryable: Tuple[Type[BaseException], ...] = TRANSIENT_ERRORS
                   ) -> T:
         return retry_call(
             fn, policy=self._retry_policy, clock=clock, operation=operation,
             rng=self._retry_rng, retryable=retryable,
-            telemetry=self._retry_telemetry,
+            telemetry=clock.telemetry,
         )
 
 

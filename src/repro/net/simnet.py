@@ -192,6 +192,7 @@ class Network:
         )
         client_side.peer = server_side
         server_side.peer = client_side
+        client_side.clock = server_side.clock = self.clock
         acceptor(server_side)
         return client_side
 

@@ -19,9 +19,22 @@ from typing import Callable, Optional
 
 from repro.errors import NetError
 from repro.net.address import Address
+from repro.net.channel import Channel
 from repro.net.framing import recv_frame, send_frame, try_recv_frame
 from repro.net.rest import HttpParser, HttpRequest, HttpResponse
 from repro.net.simnet import Network
+
+
+def _until_eof(on_data: Callable[[Channel], None]
+               ) -> Callable[[Channel], None]:
+    """A channel receive handler: ``on_data`` on every delivery, then,
+    once the client's transport has ended, close this end (which sends
+    nothing) so the connection does not outlive its client."""
+    def handler(channel: Channel) -> None:
+        on_data(channel)
+        if channel.eof:
+            channel.close()
+    return handler
 
 
 def serve_http(network: Network, address: Address,
@@ -34,8 +47,10 @@ def serve_http(network: Network, address: Address,
     or with ``tls`` (a :class:`~repro.tls.TlsServer`) the established
     TLS connection, whose ``peer_certificate`` names an authenticated
     client.  Requests pipelined on one connection are answered in order.
+    The server closes its end when the client's transport ends (the TLS
+    server does so for its connections).
     """
-    def accept(channel) -> None:
+    def accept(channel: Channel) -> None:
         parser = HttpParser(is_server_side=True)
 
         def on_data(stream) -> None:
@@ -43,7 +58,7 @@ def serve_http(network: Network, address: Address,
                 stream.send(respond(request, stream).encode())
 
         if tls is None:
-            channel.on_receive(on_data)
+            channel.on_receive(_until_eof(on_data))
         else:
             tls.accept(channel, on_data=on_data)
 
@@ -52,15 +67,17 @@ def serve_http(network: Network, address: Address,
 
 def serve_frames(network: Network, address: Address,
                  respond: Callable[[bytes], bytes]) -> None:
-    """Listen at ``address``; answer every frame with ``respond(frame)``."""
-    def on_data(channel) -> None:
+    """Listen at ``address``; answer every frame with ``respond(frame)``,
+    and close the server's end when the client's transport ends."""
+    def on_data(channel: Channel) -> None:
         while True:
             frame = try_recv_frame(channel)
             if frame is None:
                 return
             send_frame(channel, respond(frame))
 
-    network.listen(address, lambda channel: channel.on_receive(on_data))
+    network.listen(address,
+                   lambda channel: channel.on_receive(_until_eof(on_data)))
 
 
 def injected_fault(network: Network, address: Address,
@@ -89,10 +106,12 @@ class ClientStream:
     :class:`~repro.net.channel.Channel`, or a TLS connection for the
     HTTPS clients.  Each exchange reuses the current stream unless it is
     absent, closed, at EOF or (TLS) truncated — its transport ended
-    without a ``close_notify``; then it opens a new one (the old one is
-    dropped, not closed, so nothing more goes on the wire).  A transport
-    fault (:class:`~repro.errors.NetError`) during an exchange closes
-    the stream and propagates, so the next exchange starts fresh.
+    without a ``close_notify``; then it closes the old one and opens a
+    new one.  Closing a stream whose peer has closed puts nothing on the
+    wire: a TLS ``close_notify`` fails to send, and :meth:`close`
+    suppresses that.  A transport fault (:class:`~repro.errors.NetError`)
+    during an exchange closes the stream and propagates, so the next
+    exchange starts fresh.
 
     A stream is a lockstep request/response rail: a holder shared across
     threads needs its owner's lock around each whole exchange (see
@@ -138,7 +157,7 @@ class ClientStream:
 
     def _stream(self):
         if not self.is_open:
-            self._current = None
+            self.close()
             self._current = self._opener()
             self._parser = None
         return self._current

@@ -3,21 +3,23 @@
 The subsystem has three layers (see ``docs/OBSERVABILITY.md``):
 
 - :mod:`repro.obs.registry` — Prometheus-style :class:`Counter`,
-  :class:`Gauge` and :class:`Histogram` families with labels, configurable
-  buckets and exact percentile derivation, collected by a
-  :class:`MetricsRegistry` (a process-wide default exists for tests).
+  :class:`Gauge` and :class:`Histogram` families with labels and
+  configurable buckets (a histogram keeps counts, never raw samples),
+  collected by a :class:`MetricsRegistry` (a process-wide default exists
+  for tests).
 - :mod:`repro.obs.tracing` — a :class:`Tracer` producing deterministic
   span trees timestamped from the virtual clock.
 - :mod:`repro.obs.exposition` — the Prometheus text renderer/parser and
   the :class:`TelemetryEndpoint` serving ``/metrics`` and ``/traces`` on
   the simulated network.
 
-:class:`~repro.obs.metrics.Telemetry` ties the three together and is what
-components accept in their ``instrument(telemetry)`` hooks.  Telemetry is
-opt-in: components hold :data:`~repro.obs.metrics.NULL_TELEMETRY`, which
+:class:`~repro.obs.metrics.Telemetry` ties the three together.  Each
+deployment's lives on its virtual clock (``clock.telemetry``), and every
+emitting component reads it from a clock it already holds.  Telemetry is
+opt-in: the clock holds :data:`~repro.obs.metrics.NULL_TELEMETRY`, which
 records nothing, until
-:meth:`repro.core.workflow.Deployment.enable_telemetry` (or a manual hook)
-installs a real one, and observation never advances the virtual clock.
+:meth:`repro.core.workflow.Deployment.enable_telemetry` sets a real one,
+and observation never advances the virtual clock.
 """
 
 from repro.obs.exposition import (

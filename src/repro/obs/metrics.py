@@ -3,11 +3,12 @@
 One :class:`Telemetry` object bundles a :class:`~repro.obs.registry.
 MetricsRegistry`, a :class:`~repro.obs.tracing.Tracer` and the simulated
 time source, and pre-registers every metric the instrumented hot paths
-emit.  Components receive it through their ``instrument(telemetry)`` hooks.
-Until one is installed they hold :data:`NULL_TELEMETRY`: the same class
-built over a registry and a tracer that keep nothing, so an instrumented
-path runs the same code either way and, with telemetry off, each update is
-a no-op call that records nothing and reads no clock.
+emit.  A deployment keeps it on its virtual clock, where components read
+it when they emit.  Until one is set the clock holds
+:data:`NULL_TELEMETRY`: the same class built over a registry and a tracer
+that keep nothing, so an instrumented path runs the same code either way
+and, with telemetry off, each update is a no-op call that records nothing
+and reads no clock.
 
 Metric naming follows the Prometheus conventions: ``vnf_sgx_`` prefix,
 ``_total`` suffix for counters, ``_seconds`` for time histograms, labels

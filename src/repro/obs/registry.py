@@ -232,32 +232,30 @@ class Gauge(MetricFamily):
 
 
 class HistogramChild:
-    """Bucketed observations with exact-percentile support.
+    """Bucketed observations: a count, a sum and one count per bucket
+    (thread-safe).
 
-    Unlike a wire-efficient production client, the simulation keeps every
-    raw sample, so percentiles are exact (nearest-rank), not interpolated
-    from bucket boundaries.
+    Like a wire-efficient production client it keeps no raw samples, so
+    its memory stays constant however many observations it takes.
+    Benchmarks that want exact percentiles take them with
+    :func:`repro.bench.summarize` over their own samples.
     """
 
-    __slots__ = ("_buckets", "_bucket_counts", "_sum", "_samples",
-                 "_sorted", "_lock")
+    __slots__ = ("_buckets", "_bucket_counts", "_count", "_sum", "_lock")
 
     def __init__(self, buckets: Tuple[float, ...]) -> None:
         self._buckets = buckets
         self._bucket_counts = [0] * (len(buckets) + 1)  # +1 for +Inf
+        self._count = 0
         self._sum = 0.0
-        self._samples: List[float] = []
-        self._sorted = True
         self._lock = make_rlock("child")
 
     def observe(self, value: float) -> None:
         """Record one observation."""
         value = float(value)
         with self._lock:
+            self._count += 1
             self._sum += value
-            if self._samples and value < self._samples[-1]:
-                self._sorted = False
-            self._samples.append(value)
             for index, bound in enumerate(self._buckets):
                 if value <= bound:
                     self._bucket_counts[index] += 1
@@ -267,7 +265,7 @@ class HistogramChild:
     @property
     def count(self) -> int:
         """Number of observations."""
-        return len(self._samples)
+        return self._count
 
     @property
     def sum(self) -> float:
@@ -289,32 +287,6 @@ class HistogramChild:
                 out.append((bound, running))
             out.append((math.inf, running + self._bucket_counts[-1]))
             return out
-
-    def _ensure_sorted(self) -> None:
-        if not self._sorted:
-            self._samples.sort()
-            self._sorted = True
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile; ``q`` in [0, 100]."""
-        if not 0 <= q <= 100:
-            raise ObservabilityError(f"percentile {q} out of [0, 100]")
-        with self._lock:
-            if not self._samples:
-                raise ObservabilityError("percentile of an empty histogram")
-            self._ensure_sorted()
-            rank = max(1, math.ceil(q / 100.0 * len(self._samples)))
-            return self._samples[rank - 1]
-
-    def summary(self) -> Dict[str, float]:
-        """The derived summary: p50/p90/p99 plus count and sum."""
-        return {
-            "count": float(self.count),
-            "sum": self.sum,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
-        }
 
 
 class Histogram(MetricFamily):
@@ -346,10 +318,6 @@ class Histogram(MetricFamily):
     def count(self) -> int:
         """Observation count of the label-less child."""
         return self._unlabelled().count
-
-    def percentile(self, q: float) -> float:
-        """Percentile of the label-less child."""
-        return self._unlabelled().percentile(q)
 
     def total_count(self) -> int:
         """Observations summed over every child."""

@@ -47,7 +47,6 @@ from repro.errors import (
 from repro.net.address import Address
 from repro.net.simnet import Network
 from repro.net.transport import ClientStream, serve_frames
-from repro.obs.metrics import NULL_TELEMETRY
 from repro.sdn.controller import FloodlightController
 from repro.sdn.replication import (
     K_ANCHOR,
@@ -297,7 +296,6 @@ class TrustedFabric:
         self.topology = topology if topology is not None else Topology()
         self.client_host = client_host
         self._vm = vm
-        self._telemetry = NULL_TELEMETRY
         self._by_rank: Dict[int, ControllerReplica] = {}
         self._switches: Dict[str, Switch] = {}
         self._homes: Dict[str, int] = {}
@@ -370,10 +368,6 @@ class TrustedFabric:
             for rank, replica in sorted(self._by_rank.items())
             if rank not in crashed
         }
-
-    def instrument(self, telemetry) -> None:
-        """Attach fabric telemetry."""
-        self._telemetry = telemetry
 
     def status(self, rank: int) -> Dict[str, object]:
         """The ``/wm/fabric/status/json`` payload, as seen by ``rank``."""
@@ -498,8 +492,8 @@ class TrustedFabric:
         (CA + CRL + RA-TLS session eviction) when attached, then log
         replication to every live replica and fan-out to every homed
         switch.  Returns the measured :class:`FanoutReport`."""
-        with self._telemetry.span("fabric-revocation-fanout",
-                                  subject=subject, kind=K_REVOKE):
+        with self.clock.telemetry.span("fabric-revocation-fanout",
+                                       subject=subject, kind=K_REVOKE):
             if self._vm is not None:
                 try:
                     self._vm.revoke_vnf(subject, reason)
@@ -513,8 +507,8 @@ class TrustedFabric:
         """Distrust a container host fabric-wide: every credential
         enrolled on it is revoked on every replica and evicted from
         every switch (the containment property, at fabric scale)."""
-        with self._telemetry.span("fabric-revocation-fanout",
-                                  subject=host, kind=K_DISTRUST):
+        with self.clock.telemetry.span("fabric-revocation-fanout",
+                                       subject=host, kind=K_DISTRUST):
             if self._vm is not None:
                 try:
                     self._vm.distrust_host(host)
@@ -534,7 +528,7 @@ class TrustedFabric:
                               [int(r) for r in reply.get("unreachable", [])])
         report.replication_seconds = replication_seconds
         report.total_seconds = self.clock.now() - sim_start
-        self._telemetry.fabric_fanout_seconds.labels(kind=kind).observe(
+        self.clock.telemetry.fabric_fanout_seconds.labels(kind=kind).observe(
             report.total_seconds
         )
         return report
@@ -565,7 +559,7 @@ class TrustedFabric:
         return report
 
     def _count_replication(self, kind: str) -> None:
-        self._telemetry.fabric_replications.labels(kind=kind).inc()
+        self.clock.telemetry.fabric_replications.labels(kind=kind).inc()
 
     # -------------------------------------------------------------- propose
 
@@ -628,7 +622,8 @@ class TrustedFabric:
         fanned out while the switch's old home was dead still reaches it
         (the hypothesis property in ``tests/property`` pins this).
         """
-        with self._telemetry.span("fabric-converge"):
+        tel = self.clock.telemetry
+        with tel.span("fabric-converge"):
             report = ConvergenceReport()
             sim_start = self.clock.now()
             statuses: Dict[int, Dict[str, object]] = {}
@@ -680,9 +675,9 @@ class TrustedFabric:
             if orphaned:
                 self._drain(ACCOUNT_CONVERGE)
             report.seconds = self.clock.now() - sim_start
-            self._telemetry.fabric_convergence_seconds.observe(report.seconds)
+            tel.fabric_convergence_seconds.observe(report.seconds)
             if report.switches_rehomed:
-                self._telemetry.fabric_rehomes.inc(report.switches_rehomed)
+                tel.fabric_rehomes.inc(report.switches_rehomed)
             return report
 
     def _rehome(self, dpid: str, rank: int) -> None:

@@ -23,7 +23,6 @@ from repro.net.address import Address
 from repro.net.rest import HttpRequest, HttpResponse
 from repro.net.simnet import Network
 from repro.net.transport import injected_fault, serve_http
-from repro.obs.metrics import NULL_TELEMETRY
 from repro.pki.certificate import Certificate
 from repro.pki.keystore import Keystore
 from repro.sdn.controller import FloodlightController
@@ -97,7 +96,6 @@ class NorthboundEndpoint:
         self._network = network
         self.requests_served = 0
         self.unauthenticated_writes = 0
-        self._telemetry = NULL_TELEMETRY  # see instrument()
         self._tls: Optional[TlsServer] = None
         if mode in (MODE_TRUSTED, MODE_RATLS):
             tls_config.require_client_auth = True
@@ -105,24 +103,19 @@ class NorthboundEndpoint:
             self._tls = TlsServer(tls_config)
         serve_http(network, address, self._dispatch, tls=self._tls)
 
-    # ----------------------------------------------------------- telemetry
-
-    def instrument(self, telemetry) -> None:
-        """Attach telemetry: every dispatched request increments
-        ``vnf_sgx_northbound_requests_total{mode,method,status}``."""
-        self._telemetry = telemetry
-
     # ------------------------------------------------------------- routing
 
     def _dispatch(self, request: HttpRequest, stream) -> HttpResponse:
         # The transport establishes the caller: a client certificate
         # validated in the TLS handshake, or nobody over plain HTTP.
+        # Every request lands in the network clock's telemetry, in
+        # vnf_sgx_northbound_requests_total{mode,method,status}.
         peer = None if self._tls is None else stream.peer_certificate
         response = (
             injected_fault(self._network, self.address, "controller")
             or self._route(request, AuthContext(self.mode, peer))
         )
-        self._telemetry.northbound_requests.labels(
+        self._network.clock.telemetry.northbound_requests.labels(
             mode=self.mode, method=request.method.upper(),
             status=str(response.status),
         ).inc()

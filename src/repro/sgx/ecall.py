@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.clock import VirtualClock
-from repro.obs.metrics import NULL_TELEMETRY
 
 ACCOUNT = "enclave-transitions"
 
@@ -52,7 +51,8 @@ class CostModel:
 class TransitionAccountant:
     """Counts transitions and charges their cost to the virtual clock.
 
-    ``platform`` labels the telemetry counters (the platform's name).
+    With a clock, each transition also lands in the clock's telemetry
+    counters, labelled with ``platform`` (the platform's name).
     """
 
     def __init__(self, model: CostModel, clock: Optional[VirtualClock],
@@ -63,32 +63,27 @@ class TransitionAccountant:
         self.ecalls = 0
         self.ocalls = 0
         self.bytes_crossed = 0
-        self.instrument(NULL_TELEMETRY)
-
-    def instrument(self, telemetry) -> None:
-        """Mirror transition counts into telemetry counters, labelled with
-        the platform name."""
-        self._ecall_metric = telemetry.ecalls.labels(platform=self.platform)
-        self._ocall_metric = telemetry.ocalls.labels(platform=self.platform)
-        self._bytes_metric = telemetry.boundary_bytes.labels(
-            platform=self.platform)
 
     def charge_ecall(self, payload_bytes: int) -> None:
         """Record one ECALL round trip."""
         self.ecalls += 1
         self.bytes_crossed += payload_bytes
-        self._ecall_metric.inc()
-        self._bytes_metric.inc(payload_bytes)
         if self._clock is not None:
+            tel = self._clock.telemetry
+            tel.ecalls.labels(platform=self.platform).inc()
+            tel.boundary_bytes.labels(platform=self.platform).inc(
+                payload_bytes)
             self._clock.advance(self.model.ecall_cost(payload_bytes), ACCOUNT)
 
     def charge_ocall(self, payload_bytes: int) -> None:
         """Record one OCALL round trip."""
         self.ocalls += 1
         self.bytes_crossed += payload_bytes
-        self._ocall_metric.inc()
-        self._bytes_metric.inc(payload_bytes)
         if self._clock is not None:
+            tel = self._clock.telemetry
+            tel.ocalls.labels(platform=self.platform).inc()
+            tel.boundary_bytes.labels(platform=self.platform).inc(
+                payload_bytes)
             self._clock.advance(self.model.ocall_cost(payload_bytes), ACCOUNT)
 
     def charge_page_fault(self, count: int = 1) -> None:

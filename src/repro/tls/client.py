@@ -15,7 +15,7 @@ from repro.crypto.ecdh import ecdh_shared_secret
 from repro.crypto.keys import EcPublicKey, generate_keypair
 from repro.errors import HandshakeFailure, TlsError
 from repro.net.channel import Channel
-from repro.obs.metrics import NULL_TELEMETRY, Telemetry
+from repro.obs.metrics import Telemetry
 from repro.pki.certificate import KEY_USAGE_SERVER_AUTH
 from repro.pki.chain import validate_chain
 from repro.tls import handshake as hs
@@ -42,40 +42,17 @@ from repro.tls.session import (
 )
 
 
-# Process-wide telemetry hook (see repro.obs).  Installed by
-# Deployment.enable_telemetry() so that *every* client handshake — including
-# the ones running inside credential enclaves, whose TlsClient instances
-# are created in enclave-private memory and are unreachable from outside —
-# lands in the same histogram.  Being process-wide, it holds one telemetry
-# at a time: the deployment that enabled telemetry last receives every
-# client handshake in the process.  The null object (the default) records
-# nothing; each handshake then pays a few no-op calls.
-_TELEMETRY = NULL_TELEMETRY
-
-
-def instrument(telemetry) -> None:
-    """Install the module-wide handshake telemetry (``NULL_TELEMETRY``
-    removes it).  The object must offer ``now()``, ``span()`` and
-    ``observe_handshake()`` — i.e. :class:`repro.obs.Telemetry`."""
-    global _TELEMETRY
-    _TELEMETRY = telemetry
-
-
 class TlsClient:
     """Opens TLS connections over simulated-network channels.
 
     Args:
         config: endpoint configuration; the client always authenticates
-            the server, so either ``truststore`` (chain validation) or
-            ``server_validator`` (e.g. the RA-TLS quote verifier) must
-            be set.
+            the server's chain, so ``truststore`` must be set.
     """
 
     def __init__(self, config: TlsConfig) -> None:
-        if config.truststore is None and config.server_validator is None:
-            raise TlsError(
-                "TLS client requires a truststore or a server_validator"
-            )
+        if config.truststore is None:
+            raise TlsError("TLS client requires a truststore")
         config.validate(server_side=False)
         self._config = config
         self._resumption: Dict[str, TlsSession] = {}
@@ -89,8 +66,12 @@ class TlsClient:
         A handshake that fails for any reason closes ``channel`` before
         the error propagates, so the server sees EOF and neither end
         outlives the refusal.
+
+        The handshake is recorded in the telemetry of the channel's
+        clock: the deployment that owns the network, even when this
+        client lives inside a credential enclave.
         """
-        tel = _TELEMETRY
+        tel = channel.clock.telemetry
         start = tel.now()
         with tel.span("tls-handshake", role="client",
                       server=server_name) as span:
@@ -176,14 +157,11 @@ class TlsClient:
         if not cert_msg.chain:
             raise HandshakeFailure("server sent an empty certificate chain")
         server_cert = cert_msg.chain[0]
-        if config.server_validator is not None:
-            config.server_validator(server_cert)
-        else:
-            validate_chain(
-                server_cert, config.truststore, config.effective_now(),
-                intermediates=cert_msg.chain[1:], crl=config.crl,
-                required_usage=KEY_USAGE_SERVER_AUTH,
-            )
+        validate_chain(
+            server_cert, config.truststore, config.effective_now(),
+            intermediates=cert_msg.chain[1:], crl=config.crl,
+            required_usage=KEY_USAGE_SERVER_AUTH,
+        )
 
         msg_type, ske = inbound.next_handshake()
         if msg_type != HS_SERVER_KEY_EXCHANGE:

@@ -1,11 +1,12 @@
 """The shared endpoint machinery: record processing, alerts, application I/O.
 
 :class:`TlsConnection` is the stream both sides hand to application code
-once the handshake completes.  Its read interface mirrors
-:class:`repro.net.channel.Channel` (``recv_available`` / ``recv_exactly`` /
-``recv_line`` / ``bytes_available`` / ``eof``), so the REST layer works
-identically over plain channels and TLS — which is how the controller's
-three security modes share one code path.
+once the handshake completes.  Its stream interface mirrors
+:class:`repro.net.channel.Channel` (``send`` / ``recv_available`` /
+``close`` / ``closed`` / ``eof``), so the HTTP layer works identically
+over plain channels and TLS — which is how the controller's three
+security modes share one code path.  Length-prefixed frames never ride
+TLS, so it offers no ``recv_exactly``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import contextlib
 from typing import Callable, Optional
 
-from repro.errors import ChannelClosed, NetError, TlsAlert, TlsError
+from repro.errors import ChannelClosed, TlsAlert, TlsError
 from repro.net.channel import Channel
 from repro.pki.certificate import Certificate
 from repro.tls import alerts
@@ -90,38 +91,11 @@ class TlsConnection:
         else:
             raise TlsError(f"unknown content type {record.content_type}")
 
-    @property
-    def bytes_available(self) -> int:
-        """Plaintext bytes currently readable."""
-        return len(self._plaintext)
-
     def recv_available(self) -> bytes:
         """Drain all buffered plaintext."""
         data = bytes(self._plaintext)
         self._plaintext.clear()
         return data
-
-    def recv_exactly(self, n: int) -> bytes:
-        """Read exactly ``n`` plaintext bytes (synchronous-simulation rules
-        as for :meth:`repro.net.channel.Channel.recv_exactly`)."""
-        if len(self._plaintext) < n:
-            if self._peer_closed:
-                raise ChannelClosed("TLS peer closed with short read")
-            raise NetError("TLS read out of lockstep")
-        data = bytes(self._plaintext[:n])
-        del self._plaintext[:n]
-        return data
-
-    def recv_line(self, max_length: int = 16384) -> bytes:
-        """Read one CRLF-terminated plaintext line."""
-        idx = self._plaintext.find(b"\r\n")
-        if idx < 0:
-            raise NetError("no complete TLS plaintext line buffered")
-        if idx > max_length:
-            raise NetError("TLS plaintext line too long")
-        line = bytes(self._plaintext[:idx])
-        del self._plaintext[:idx + 2]
-        return line
 
     # -------------------------------------------------------------- closing
 
@@ -153,9 +127,12 @@ class TlsConnection:
         TLS requires an authenticated end-of-data signal precisely so a
         network attacker cannot silently chop the tail off a response (the
         classic truncation attack).  Applications should treat a truncated
-        stream as an error, never as a short-but-valid response.
+        stream as an error, never as a short-but-valid response.  A
+        connection closed locally is never truncated: the peer's EOF is
+        then only the answer to our own close.
         """
-        return self._channel.eof and not self._peer_closed
+        return (not self._closed and self._channel.eof
+                and not self._peer_closed)
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

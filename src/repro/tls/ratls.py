@@ -44,7 +44,7 @@ from repro.errors import (
     PkiError,
     RatlsError,
 )
-from repro.obs.metrics import NULL_TELEMETRY
+from repro.net.clock import VirtualClock
 from repro.pki.certificate import (
     KEY_USAGE_CLIENT_AUTH,
     KEY_USAGE_DIGITAL_SIGNATURE,
@@ -132,12 +132,14 @@ class RatlsVerifier:
     """Validates quote-bearing peer certificates during TLS handshakes.
 
     Plugs into ``TlsConfig`` twice: :meth:`validate` as the
-    ``client_validator`` (or ``server_validator``), and :meth:`resumable`
-    as the ``resumption_validator``.  The attestation machinery itself is
+    ``client_validator``, and :meth:`resumable` as the
+    ``resumption_validator``.  The attestation machinery itself is
     injected — ``verify_evidence`` is the Verification Manager's
     IAS-with-cache path and ``check_identity`` its policy check — so the
     verifier owns only the RA-TLS-specific logic: structural checks,
-    key binding, and revocation.
+    key binding, and revocation.  ``clock`` (the manager's) times the
+    validity checks, and its telemetry counts validations and
+    resumption decisions.
 
     Thread-safety: handshakes from concurrent fleet workers call
     :meth:`validate` in parallel while the manager revokes on another
@@ -148,12 +150,10 @@ class RatlsVerifier:
 
     def __init__(self, verify_evidence: EvidenceVerifier,
                  check_identity: IdentityChecker,
-                 now: Callable[[], float],
-                 telemetry=NULL_TELEMETRY) -> None:
+                 clock: VirtualClock) -> None:
         self._verify_evidence = verify_evidence
         self._check_identity = check_identity
-        self._now = now
-        self._telemetry = telemetry
+        self._clock = clock
         self._lock = make_lock("ratls")
         self._denied_subjects: set = set()
         self._denied_hosts: set = set()
@@ -166,10 +166,6 @@ class RatlsVerifier:
         self.resumptions_denied = 0
 
     # ------------------------------------------------------------ wiring
-
-    def instrument(self, telemetry) -> None:
-        """Install metrics emission (``NULL_TELEMETRY`` removes it)."""
-        self._telemetry = telemetry
 
     def attach_session_cache(self, cache: SessionCache) -> None:
         """Register a session cache to sweep on revocation."""
@@ -207,7 +203,7 @@ class RatlsVerifier:
         """``client_validator`` hook: full attested validation of a peer.
 
         Checks, in order: self-signature over the TBS bytes, validity
-        window at the injected clock, quote extraction, report-data key
+        window at the clock's time, quote extraction, report-data key
         binding, the revocation denylist, enclave identity, and the IAS
         evidence path (which memoizes verdicts, so reconnects are free).
 
@@ -215,7 +211,7 @@ class RatlsVerifier:
             RatlsError: on any failure — a :class:`PkiError` subclass,
                 so the TLS server answers with ``bad_certificate``.
         """
-        tel = self._telemetry
+        tel = self._clock.telemetry
         with self._lock:
             self.validations += 1
         try:
@@ -241,7 +237,7 @@ class RatlsVerifier:
             raise RatlsError(
                 f"RA-TLS self-signature invalid for {subject}: {exc}"
             ) from exc
-        certificate.check_validity(int(self._now()))
+        certificate.check_validity(int(self._clock.now()))
 
         quote = quote_from_certificate(certificate)
         expected = ratls_report_data(certificate.public_key_bytes)
@@ -273,7 +269,7 @@ class RatlsVerifier:
         re-validation?  Denies sessions whose attested identity (or
         host) has been revoked; the forced full handshake then delivers
         the definitive refusal through :meth:`validate`."""
-        tel = self._telemetry
+        tel = self._clock.telemetry
         certificate = session.peer_certificate
         with self._lock:
             self.resumption_checks += 1

@@ -46,7 +46,6 @@ from repro.tls.session import (
     finished_verify_data,
 )
 
-EstablishedHandler = Callable[[TlsConnection], None]
 DataHandler = Callable[[TlsConnection], None]
 
 
@@ -60,10 +59,10 @@ class TlsServer:
             self._config.session_cache = SessionCache()
 
     def accept(self, channel: Channel,
-               on_established: Optional[EstablishedHandler] = None,
                on_data: Optional[DataHandler] = None) -> None:
-        """Start serving a freshly accepted channel."""
-        _ServerHandshake(self._config, channel, on_established, on_data)
+        """Start serving a freshly accepted channel; ``on_data`` is the
+        established connection's application-data handler."""
+        _ServerHandshake(self._config, channel, on_data)
 
     @property
     def session_cache(self) -> SessionCache:
@@ -75,11 +74,9 @@ class _ServerHandshake:
     """Per-connection handshake driver."""
 
     def __init__(self, config: TlsConfig, channel: Channel,
-                 on_established: Optional[EstablishedHandler],
                  on_data: Optional[DataHandler]) -> None:
         self._config = config
         self._channel = channel
-        self._on_established = on_established
         self._on_data = on_data
         self._records = RecordLayer()
         self._buffer = hs.HandshakeBuffer()
@@ -380,10 +377,14 @@ class _ServerHandshake:
             self._session_id, self._suite.name,
             resumed=self._resumed_session is not None,
         )
-        self._channel.on_receive(
-            lambda ch: connection.deliver(ch.recv_available())
-        )
+
+        def on_bytes(channel: Channel) -> None:
+            connection.deliver(channel.recv_available())
+            if channel.eof:
+                # The client's transport ended: close the raw channel,
+                # sending nothing (not even a close_notify of our own).
+                channel.close()
+
+        self._channel.on_receive(on_bytes)
         if self._on_data is not None:
             connection.on_app_data(self._on_data)
-        if self._on_established is not None:
-            self._on_established(connection)

@@ -91,7 +91,6 @@ class SessionCache:
 
 
 ClientValidator = Callable[[Certificate], None]
-ServerValidator = Callable[[Certificate], None]
 ResumptionValidator = Callable[[TlsSession], bool]
 
 
@@ -111,10 +110,6 @@ class TlsConfig:
             ``truststore`` (the paper's trusted-CA model); the Floodlight
             keystore model plugs in here for experiment E3, and the
             RA-TLS quote verifier for attested channels.
-        server_validator: client-side override for server-certificate
-            validation (mirror of ``client_validator``): RA-TLS clients
-            validate a quote-bearing self-signed server certificate
-            instead of building a chain to ``truststore``.
         resumption_validator: server-side gate consulted before an
             abbreviated handshake; returning ``False`` forces a full
             handshake (the RA-TLS verifier denies resumption for
@@ -144,7 +139,6 @@ class TlsConfig:
     session_cache: Optional[SessionCache] = None
     offer_resumption: bool = True
     cipher_suites: Optional[List[int]] = None  # client offer order
-    server_validator: Optional[ServerValidator] = None
     resumption_validator: Optional[ResumptionValidator] = None
 
     def effective_rng(self) -> HmacDrbg:
@@ -161,7 +155,6 @@ class TlsConfig:
         return (self.truststore is not None or self.crl is not None
                 or self.require_client_auth
                 or self.client_validator is not None
-                or self.server_validator is not None
                 or self.resumption_validator is not None)
 
     def validate(self, server_side: bool) -> None:

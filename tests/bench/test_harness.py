@@ -8,7 +8,6 @@ from repro.bench.harness import (
     BENCH_JSON_DIR_ENV,
     BENCH_SMOKE_ENV,
     BenchReport,
-    Recorder,
     Summary,
     Table,
     measure,
@@ -86,46 +85,6 @@ def test_summarize_rejects_empty():
 def test_summary_row_scaling():
     summary = summarize([0.001, 0.002, 0.003])
     assert summary.row(scale=1e3) == pytest.approx((1.0, 2.0, 3.0, 3.0))
-
-
-def test_recorder_streams_into_registry():
-    recorder = Recorder()
-    for value in (0.1, 0.2, 0.3, 0.4):
-        recorder.observe("e4_request_seconds", value, placement="enclave")
-    recorder.observe("e4_request_seconds", 0.05, placement="plain")
-    enclave = recorder.summary("e4_request_seconds", placement="enclave")
-    assert enclave["count"] == 4
-    assert enclave["p50"] == 0.2
-    plain = recorder.summary("e4_request_seconds", placement="plain")
-    assert plain["count"] == 1
-    # Samples landed in a real registry histogram.
-    assert recorder.registry.get("e4_request_seconds").total_count() == 5
-
-
-def test_recorder_accepts_external_registry():
-    from repro.obs import MetricsRegistry
-
-    registry = MetricsRegistry()
-    recorder = Recorder(registry)
-    recorder.observe("probe_seconds", 1.0)
-    assert "probe_seconds" in registry
-
-
-def test_recorder_rejects_labelname_mismatch():
-    # The registry's get-or-create enforces labelname agreement; observing
-    # an existing series with a different label set must fail loudly, not
-    # silently mis-file the sample (the old behaviour).
-    from repro.errors import ObservabilityError
-
-    recorder = Recorder()
-    recorder.observe("mismatch_seconds", 0.1, placement="enclave")
-    with pytest.raises(ObservabilityError):
-        recorder.observe("mismatch_seconds", 0.2, link="wan")
-    with pytest.raises(ObservabilityError):
-        recorder.observe("mismatch_seconds", 0.3)  # unlabelled vs labelled
-    # The original series is intact.
-    assert recorder.summary("mismatch_seconds",
-                            placement="enclave")["count"] == 1
 
 
 def test_bench_report_noop_without_directory(monkeypatch):

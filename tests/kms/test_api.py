@@ -142,7 +142,7 @@ def test_client_survives_channel_drop(world, alpha):
 
 def test_requests_metered_and_spanned(world, alpha):
     telemetry = Telemetry(registry=MetricsRegistry(), now=world.clock.now)
-    world.endpoint.instrument(telemetry)
+    world.clock.telemetry = telemetry
     alpha.store("db", b"v")
     alpha.fetch("db")
     with pytest.raises(TenantAuthError):
@@ -160,11 +160,11 @@ def test_requests_metered_and_spanned(world, alpha):
     # Spans were recorded on the simulated clock.
     assert telemetry.tracer.find("kms.store") is not None
     assert telemetry.tracer.find("kms.fetch") is not None
-    world.endpoint.instrument(NULL_TELEMETRY)
+    world.clock.telemetry = NULL_TELEMETRY
 
 
 def test_audit_counter_mirrors_tenant_trails(world, alpha):
     telemetry = Telemetry(registry=MetricsRegistry(), now=world.clock.now)
-    world.endpoint.instrument(telemetry)
+    world.clock.telemetry = telemetry
     alpha.store("db", b"v")
     assert telemetry.audit_events.labels(kind="kms-store").value == 1

@@ -87,6 +87,19 @@ def test_handler_registered_after_data_fires_immediately(pair):
     assert seen == [b"early"]
 
 
+def test_a_closed_endpoint_hears_nothing_more(pair):
+    """Bytes to a closed endpoint are dropped, and so is the news that
+    its peer closed too."""
+    client, server = pair
+    heard = []
+    client.on_receive(heard.append)
+    server.on_receive(heard.append)
+    client.close()
+    assert heard == [server]  # the open end hears the EOF
+    server.close()
+    assert heard == [server]
+
+
 def test_connect_refused(network):
     with pytest.raises(ConnectionRefused):
         network.connect("cli", Address("nobody", 1))

@@ -18,7 +18,7 @@ from repro.net.transport import (
     serve_frames,
     serve_http,
 )
-from repro.sdn.northbound import MODE_TRUSTED
+from repro.sdn.northbound import MODE_HTTP, MODE_HTTPS, MODE_TRUSTED
 
 from tests.net.test_transport_faults import _tracked
 
@@ -226,3 +226,60 @@ def test_a_handshake_the_server_refuses_closes_both_ends():
         client.summary()
     [(_, channel)] = opened
     assert (channel.closed, channel.peer.closed) == (True, True)
+
+
+# ------------------------------------------------- ends of finished streams
+
+
+def test_a_replaced_stream_is_closed():
+    """The controller closes an idle HTTPS connection; the next summary
+    reopens, and the client closes its end of the finished stream."""
+    deployment = Deployment(seed=b"replaced-stream", vnf_count=1)
+    opened = _tracked(deployment.network)
+    client = deployment.baseline_client(MODE_HTTPS)
+    client.summary()
+    [(_, first)] = opened
+    first.peer.close()
+    client.summary()
+    assert len(opened) == 2
+    assert first.closed
+    assert not opened[1][1].closed
+
+
+def _summary(mode):
+    return lambda deployment: deployment.baseline_client(mode).summary()
+
+
+def _attest(deployment):
+    return deployment.agent_client.attest_host(b"\x01" * 16, b"eof")
+
+
+@pytest.mark.parametrize("request_once", [
+    _summary(MODE_HTTPS), _summary(MODE_HTTP), _attest,
+], ids=["tls-http", "http", "frames"])
+def test_a_listener_closes_its_end_when_the_client_leaves(request_once):
+    """The client's transport ends without a word (no close_notify):
+    the listener closes its end too, and sends nothing."""
+    deployment = Deployment(seed=b"listener-eof", vnf_count=1)
+    opened = _tracked(deployment.network)
+    request_once(deployment)
+    [(_, channel)] = opened
+    assert not channel.peer.closed
+    messages = deployment.network.messages_sent
+    channel.close()
+    assert channel.peer.closed
+    assert deployment.network.messages_sent == messages
+
+
+def test_a_clean_tls_close_is_not_answered():
+    """After the client's close_notify the server closes its channel
+    without a close_notify of its own."""
+    deployment = Deployment(seed=b"listener-eof", vnf_count=1)
+    opened = _tracked(deployment.network)
+    client = deployment.baseline_client(MODE_HTTPS)
+    client.summary()
+    [(_, channel)] = opened
+    messages = deployment.network.messages_sent
+    client.close()
+    assert channel.peer.closed
+    assert deployment.network.messages_sent == messages + 1

@@ -224,7 +224,7 @@ def _prepared(client: Client, policy: Optional[RetryPolicy]):
         subject.retrying.configure_retries(policy)
         telemetry = Telemetry(registry=MetricsRegistry(),
                               now=subject.network.clock.now)
-        subject.retrying.instrument(telemetry)
+        subject.network.clock.telemetry = telemetry
     return subject, telemetry
 
 

@@ -1,6 +1,7 @@
 """The metrics registry: families, labels, histograms, reset semantics."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -100,26 +101,19 @@ def test_histogram_buckets_cumulative(registry):
     assert child.sum == pytest.approx(56.05)
 
 
-def test_histogram_percentiles_nearest_rank(registry):
-    h = registry.histogram("lat_seconds", buckets=(1.0,))
-    for v in (5.0, 1.0, 3.0, 2.0, 4.0):  # deliberately unsorted
-        h.observe(v)
-    assert h.percentile(50) == 3.0
-    assert h.percentile(90) == 5.0
-    assert h.percentile(0) == 1.0
-    assert h.percentile(100) == 5.0
-    summary = h.labels().summary()
-    assert summary["count"] == 5
-    assert summary["p50"] == 3.0
-
-
-def test_histogram_percentile_errors(registry):
-    h = registry.histogram("lat_seconds")
-    with pytest.raises(ObservabilityError):
-        h.percentile(50)  # empty
-    h.observe(1.0)
-    with pytest.raises(ObservabilityError):
-        h.percentile(101)
+def test_histogram_memory_does_not_grow_with_observations(registry):
+    child = registry.histogram("lat_seconds").labels()
+    child.observe(0.5)  # the child and its bucket counts exist
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(100_000):
+            child.observe(index * 1e-5)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert child.count == 100_001
+    assert retained < 4096
 
 
 def test_histogram_default_buckets(registry):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.rng import HmacDrbg
 from repro.crypto.keys import generate_keypair
+from repro.net.clock import VirtualClock
 from repro.tls.ciphersuites import DEFAULT_SUITE
 from repro.tls.ratls import RatlsVerifier, build_ratls_certificate
 from repro.tls.session import SessionCache, TlsSession
@@ -58,7 +59,7 @@ def test_revoked_identity_never_resumes(ops):
     verifier = RatlsVerifier(
         verify_evidence=lambda quote, subject: None,
         check_identity=lambda quote, subject: None,
-        now=lambda: 0,
+        clock=VirtualClock(),
     )
     caches = [SessionCache(), SessionCache()]
     for cache in caches:

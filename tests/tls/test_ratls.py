@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto.keys import generate_keypair
 from repro.errors import RatlsError, AttestationFailed, TlsAlert
+from repro.net.clock import VirtualClock
 from repro.sgx.quote import Quote
 from repro.tls import TlsClient, TlsConfig
 from repro.tls.ratls import (
@@ -40,7 +41,7 @@ def make_cert(rng, name="vnf-ratls", san=("host-1",), now=0,
     return key, cert
 
 
-def make_verifier(now=lambda: 0, fail_evidence=False, fail_identity=False):
+def make_verifier(clock=None, fail_evidence=False, fail_identity=False):
     calls = {"evidence": [], "identity": []}
 
     def verify_evidence(quote, subject):
@@ -53,7 +54,8 @@ def make_verifier(now=lambda: 0, fail_evidence=False, fail_identity=False):
         if fail_identity:
             raise AttestationFailed("wrong MRENCLAVE")
 
-    return RatlsVerifier(verify_evidence, check_identity, now), calls
+    return RatlsVerifier(verify_evidence, check_identity,
+                         clock or VirtualClock()), calls
 
 
 class TestCertificate:
@@ -120,7 +122,7 @@ class TestVerifier:
             verifier.validate(pki.client_cert)
 
     def test_rejects_expired_certificate(self, rng):
-        verifier, _ = make_verifier(now=lambda: 5000)
+        verifier, _ = make_verifier(clock=VirtualClock(5000))
         _, cert = make_cert(rng, validity=3600)
         with pytest.raises(Exception):
             verifier.validate(cert)
@@ -205,7 +207,7 @@ class TestAttestedResumption:
 
 class TestHandshakeIntegration:
     def test_full_handshake_with_ratls_client(self, network, pki, rng):
-        verifier, calls = make_verifier(now=network.clock.now_seconds)
+        verifier, calls = make_verifier(clock=network.clock)
         world = make_world(network, pki, rng, require_client_auth=True,
                            client_validator=verifier.validate)
         key, cert = make_cert(rng, name="vnf-hs")
@@ -222,7 +224,7 @@ class TestHandshakeIntegration:
         assert calls["evidence"] == ["vnf-hs"]
 
     def test_handshake_rejects_bad_binding(self, network, pki, rng):
-        verifier, _ = make_verifier(now=network.clock.now_seconds)
+        verifier, _ = make_verifier(clock=network.clock)
         world = make_world(network, pki, rng, require_client_auth=True,
                            client_validator=verifier.validate, port=445)
         key, cert = make_cert(rng, report_data=b"\xff" * 64)
@@ -237,7 +239,7 @@ class TestHandshakeIntegration:
 
     def test_revoked_identity_cannot_resume_or_reconnect(self, network,
                                                          pki, rng):
-        verifier, _ = make_verifier(now=network.clock.now_seconds)
+        verifier, _ = make_verifier(clock=network.clock)
         world = make_world(network, pki, rng, require_client_auth=True,
                            client_validator=verifier.validate, port=446)
         world.server._config.resumption_validator = verifier.resumable
