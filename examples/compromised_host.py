@@ -27,7 +27,6 @@ def enroll_first_vnf(deployment: Deployment) -> str:
         host_name=deployment.host.name,
         vnf_name="vnf-1",
         controller_address=str(deployment.controller_address()),
-        sim_now=deployment.clock.now,
     )
     try:
         session.attest_host()

@@ -24,8 +24,8 @@ from repro.errors import (
     IasUnavailable,
     NetError,
 )
-from repro.net.retry import RetryPolicy, retry_call
-from repro.obs.metrics import NULL_TELEMETRY
+from repro.net.clock import VirtualClock
+from repro.net.retry import retry_call
 
 #: Failures a step re-attempt can plausibly cure: transport faults and
 #: transient service statuses.  Appraisal/attestation verdicts are not
@@ -54,19 +54,23 @@ class StepTiming:
 class StepTimer:
     """Step timing shared by the enrollment sessions.
 
-    Each step opens a span, records simulated and wall time, fails the
-    session on error, and lands in the
-    ``vnf_sgx_workflow_step_seconds{step=...}`` histogram.  The session
-    supplies ``vnf_name``, ``sim_now``, ``telemetry``, ``state`` and
-    ``timings``; it overrides :meth:`_attempt` to retry a step.
+    Each step opens a span in the clock's telemetry, records simulated
+    and wall time, fails the session on error, and lands in the
+    ``vnf_sgx_workflow_step_seconds{step=...}`` histogram.  Simulated
+    time is the clock's :meth:`~repro.net.clock.VirtualClock.local_seconds`:
+    a fleet worker's steps count only the charges *it* made, and in a
+    single-threaded run they equal the clock's own deltas.  The session
+    supplies ``vnf_name``, ``clock``, ``state`` and ``timings``; it
+    overrides :meth:`_attempt` to retry a step.
     """
 
     def _attempt(self, step: str, fn: Callable[[], object]) -> object:
         return fn()
 
     def _timed(self, step: str, fn: Callable[[], object]) -> object:
-        tel = self.telemetry
-        sim_start = self.sim_now()
+        clock = self.clock
+        tel = clock.telemetry
+        sim_start = clock.local_seconds()
         wall_start = time.perf_counter()
         try:
             with tel.span(step, vnf=self.vnf_name):
@@ -74,7 +78,7 @@ class StepTimer:
         except Exception:
             self.state = STATE_FAILED
             raise
-        simulated = self.sim_now() - sim_start
+        simulated = clock.local_seconds() - sim_start
         self.timings.append(StepTiming(
             step=step,
             simulated_seconds=simulated,
@@ -99,18 +103,14 @@ class EnrollmentSession(StepTimer):
         host_name: the container host.
         vnf_name: the VNF to enrol.
         controller_address: where the enrolled VNF should connect.
-        sim_now: simulated-time source for timings.
-        telemetry: a :class:`repro.obs.Telemetry` (default: the null
-            object); each step opens a span and lands in the
-            ``vnf_sgx_workflow_step_seconds{step=...}`` histogram.
-        retry_policy: optional step-level :class:`RetryPolicy`; a step
-            that fails with a transient error (:data:`STEP_RETRYABLE`)
-            is re-run whole, with backoff charged to ``clock``.  The
-            layering is deliberate: client-level retries absorb single
-            lost packets, session-level retries absorb failures spanning
-            a whole step (e.g. an enclave restart mid-provisioning).
-        clock: virtual clock for retry backoff (required with a policy).
-        retry_rng: DRBG for deterministic backoff jitter.
+
+    The session runs on the Verification Manager's clock: its steps are
+    timed and traced there, and each step follows that clock's retry
+    policy at the moment it runs.  A step that fails with a transient
+    error (:data:`STEP_RETRYABLE`) is re-run whole, with backoff charged
+    to the clock.  The layering is deliberate: client-level retries
+    absorb single lost packets, session-level retries absorb failures
+    spanning a whole step (e.g. an enclave restart mid-provisioning).
     """
 
     vm: VerificationManager
@@ -118,11 +118,6 @@ class EnrollmentSession(StepTimer):
     host_name: str
     vnf_name: str
     controller_address: str
-    sim_now: Callable[[], float] = lambda: 0.0
-    telemetry: object = NULL_TELEMETRY
-    retry_policy: Optional[RetryPolicy] = None
-    clock: Optional[object] = None
-    retry_rng: Optional[object] = None
     state: str = STATE_INIT
     timings: List[StepTiming] = field(default_factory=list)
     certificate_serial: Optional[int] = None
@@ -134,14 +129,16 @@ class EnrollmentSession(StepTimer):
     #: session's failure (see ``WorkflowTrace.failed``).
     error: Optional[str] = None
 
+    @property
+    def clock(self) -> VirtualClock:
+        """The Verification Manager's clock."""
+        return self.vm.clock
+
     def _attempt(self, step: str, fn: Callable[[], object]) -> object:
-        if self.retry_policy is None:
-            return fn()
-        operation = f"enrollment:{step.split(' ')[0]}"
         return retry_call(
-            fn, policy=self.retry_policy, clock=self.clock,
-            operation=operation, rng=self.retry_rng,
-            retryable=STEP_RETRYABLE, telemetry=self.telemetry,
+            fn, clock=self.clock,
+            operation=f"enrollment:{step.split(' ')[0]}",
+            retryable=STEP_RETRYABLE,
         )
 
     # ----------------------------------------------------------- the steps

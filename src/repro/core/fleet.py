@@ -45,7 +45,10 @@ class PooledIasClient(IasClient):
     requests over it (the IAS server's parser loop already answers
     back-to-back requests on one connection), and replays once on a
     fresh connection when a *reused* one faults, so the retry layer sees
-    exactly the usual transient errors.
+    exactly the usual transient errors.  Like every client, it follows
+    the retry policy on its network's clock at each verification, so a
+    pool handed out before ``Deployment.set_retry_policy`` follows the
+    change.
 
     Thread-safe: the pooled connection is a lockstep request/response
     rail, so whole exchanges serialize under ``_pool_lock`` — the

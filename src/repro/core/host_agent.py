@@ -20,7 +20,7 @@ from repro.core.credential_enclave import CredentialEnclave
 from repro.core.provisioning import ProvisioningMessage
 from repro.errors import VnfSgxError
 from repro.net.address import Address
-from repro.net.retry import RetryingMixin
+from repro.net.retry import retry_call
 from repro.net.simnet import Network
 from repro.net.transport import ClientStream, serve_frames
 from repro.pki import der
@@ -101,14 +101,15 @@ class HostAgent:
             return der.encode(["error", f"{type(exc).__name__}: {exc}"])
 
 
-class HostAgentClient(RetryingMixin):
+class HostAgentClient:
     """The Verification Manager's stub for one host agent.
 
     The stub keeps one persistent framed channel (a
-    :class:`~repro.net.transport.ClientStream`); a configured
-    :class:`~repro.net.retry.RetryPolicy` makes every call resilient to
-    transient transport faults (refused connects, mid-stream drops):
-    each re-attempt re-establishes the channel and re-sends the request.
+    :class:`~repro.net.transport.ClientStream`); the retry policy on the
+    network's clock (read at each call, see :mod:`repro.net.retry`) makes
+    every call resilient to transient transport faults (refused
+    connects, mid-stream drops): each re-attempt re-establishes the
+    channel and re-sends the request.
     Application-level agent errors (``VnfSgxError``) are never retried.
 
     Thread-safe: the persistent channel is a lockstep request/response
@@ -139,9 +140,9 @@ class HostAgentClient(RetryingMixin):
 
     def _call(self, request: list):
         payload = der.encode(request)
-        response = der.decode(self._retrying(
+        response = der.decode(retry_call(
             lambda: self._exchange(payload),
-            operation="host-agent", clock=self._network.clock,
+            clock=self._network.clock, operation="host-agent",
         ))
         if response[0] != "ok":
             raise VnfSgxError(f"host agent error: {response[1]}")

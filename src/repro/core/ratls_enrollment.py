@@ -19,7 +19,7 @@ round trips at fleet scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import List
 
 from repro.core.credential_enclave import CredentialEnclave
 from repro.core.enrollment import (
@@ -29,7 +29,7 @@ from repro.core.enrollment import (
     StepTiming,
 )
 from repro.errors import EnrollmentError
-from repro.obs.metrics import NULL_TELEMETRY
+from repro.net.clock import VirtualClock
 
 STATE_PREPARED = "ratls-prepared"
 
@@ -55,9 +55,7 @@ class RatlsEnrollmentSession(StepTimer):
         basename: EPID basename for the quote (deployment policy's).
         anchors: encoded server anchors for validating the controller.
         controller_address: the RA-TLS northbound address.
-        sim_now: simulated-time source for timings.
-        telemetry: a :class:`repro.obs.Telemetry` (default: the null
-            object).
+        clock: the deployment's clock; steps are timed and traced on it.
     """
 
     enclave: CredentialEnclave
@@ -65,8 +63,7 @@ class RatlsEnrollmentSession(StepTimer):
     basename: bytes
     anchors: tuple
     controller_address: str
-    sim_now: Callable[[], float] = lambda: 0.0
-    telemetry: object = NULL_TELEMETRY
+    clock: VirtualClock
     validity_seconds: int = DEFAULT_VALIDITY_SECONDS
     state: str = STATE_INIT
     timings: List[StepTiming] = field(default_factory=list)

@@ -19,7 +19,7 @@ Responsibilities implemented here, keyed to Figure 1:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.sanitizer import make_rlock
 from repro.core import events as ev
@@ -73,7 +73,6 @@ class VerificationManager:
 
     def __init__(self, ias_client: IasClient, policy: DeploymentPolicy,
                  expected_values: ExpectedValues,
-                 now: Callable[[], float] = lambda: 0.0,
                  rng: Optional[HmacDrbg] = None,
                  ca_name: str = "Verification-Manager-CA",
                  clock: Optional[VirtualClock] = None,
@@ -84,19 +83,20 @@ class VerificationManager:
         self.appraisal_engine = AppraisalEngine(
             expected_values, require_tpm=policy.require_tpm
         )
-        self._now = now
-        self._clock = clock or VirtualClock()
+        #: The deployment's clock: time, telemetry and retry policy.
+        self.clock = clock or VirtualClock()
         self._rng = rng or default_rng()
         self.ca = CertificateAuthority(
-            DistinguishedName(ca_name, "RISE"), now=int(now()), rng=self._rng
+            DistinguishedName(ca_name, "RISE"), now=self.clock.now_seconds(),
+            rng=self._rng,
         )
-        self.audit = ev.AuditLog(now=now)
+        self.audit = ev.AuditLog(now=self.clock.now)
         self.audit.observer = self._observe_audit
         #: Memoised IAS verdicts for byte-identical evidence (retry storms
         #: re-submit the same quote+nonce).  Revocation paths flush it.
         self.verification_cache = (
             verification_cache if verification_cache is not None
-            else VerificationCache(now=now)
+            else VerificationCache(now=self.clock.now)
         )
         #: Guards the trust-state maps below plus the revocation paths.
         #: Lock ordering: the VM lock may be taken *before* the CA lock
@@ -127,7 +127,7 @@ class VerificationManager:
         the telemetry of the clock, read at each use (``NULL_TELEMETRY``
         while telemetry is off); neither way charges the clock.
         """
-        self._clock.telemetry.observe_audit(event)
+        self.clock.telemetry.observe_audit(event)
 
     def swap_ias_client(self, client: IasClient) -> IasClient:
         """Install a different IAS client; returns the previous one.
@@ -187,7 +187,7 @@ class VerificationManager:
                 in the result (and recorded), not raised, so callers can
                 inspect them.
         """
-        tel = self._clock.telemetry
+        tel = self.clock.telemetry
         start = tel.now()
         outcome = "error"
         try:
@@ -226,13 +226,13 @@ class VerificationManager:
             aik_public=self._aiks.get(host_name),
             nonce=nonce,
         )
-        self._clock.advance(
+        self.clock.advance(
             result.entries_checked * self.APPRAISAL_SECONDS_PER_ENTRY,
             "appraisal-compute",
         )
         with self._lock:
             self._hosts[host_name] = HostTrustRecord(
-                host_name, self._now(), result
+                host_name, self.clock.now(), result
             )
         if result.trustworthy:
             self.audit.record(ev.EVENT_HOST_ATTESTED, host_name,
@@ -251,7 +251,7 @@ class VerificationManager:
         The host must have passed appraisal first ("the protocol continues
         only if the host is considered trustworthy").
         """
-        tel = self._clock.telemetry
+        tel = self.clock.telemetry
         with tel.span("enclave-attestation", vnf=vnf_name, host=host_name), \
                 tel.time(tel.vnf_attestation_seconds.labels(
                     variant="delivery")):
@@ -297,7 +297,7 @@ class VerificationManager:
                 serials in submission order so pooled and serial
                 enrollments issue byte-identical certificates.
         """
-        tel = self._clock.telemetry
+        tel = self.clock.telemetry
         with tel.span("credential-provisioning", vnf=vnf_name,
                       variant="delivery"), \
                 tel.time(tel.provisioning_seconds.labels(variant="delivery")):
@@ -309,7 +309,7 @@ class VerificationManager:
                 certificate = self.ca.issue(
                     subject=DistinguishedName(vnf_name, "vnf"),
                     public_key_bytes=client_key.public.to_bytes(),
-                    now=int(self._now()),
+                    now=self.clock.now_seconds(),
                     validity=self.policy.credential_validity,
                     key_usage=(KEY_USAGE_CLIENT_AUTH,),
                     serial=serial,
@@ -356,7 +356,7 @@ class VerificationManager:
         """
         from repro.pki.csr import CertificateSigningRequest
 
-        tel = self._clock.telemetry
+        tel = self.clock.telemetry
         with tel.span("credential-provisioning", vnf=vnf_name,
                       variant="csr"), \
                 tel.time(tel.provisioning_seconds.labels(variant="csr")):
@@ -391,7 +391,7 @@ class VerificationManager:
             self.audit.record(ev.EVENT_VNF_ATTESTED, vnf_name,
                               f"on {host_name} (csr)")
             certificate = self.ca.issue_from_csr(
-                csr, now=int(self._now()),
+                csr, now=self.clock.now_seconds(),
                 validity=self.policy.credential_validity,
                 serial=serial,
             )
@@ -453,7 +453,7 @@ class VerificationManager:
         verifier = RatlsVerifier(
             verify_evidence=self.verify_ratls_evidence,
             check_identity=self.check_credential_identity,
-            clock=self._clock,
+            clock=self.clock,
         )
         with self._lock:
             self._ratls_verifiers.append(verifier)
@@ -465,7 +465,7 @@ class VerificationManager:
         """Register a TLS config (e.g. the controller's) for CRL pushes."""
         with self._lock:
             self._crl_subscribers.append(tls_config)
-            tls_config.crl = self.ca.current_crl(int(self._now()))
+            tls_config.crl = self.ca.current_crl(self.clock.now_seconds())
 
     def revoke_vnf(self, vnf_name: str,
                    reason: str = REASON_UNSPECIFIED) -> None:
@@ -485,7 +485,8 @@ class VerificationManager:
                     f"no credentials issued to {vnf_name!r}"
                 )
             if certificate is not None:
-                self.ca.revoke(certificate.serial, int(self._now()), reason)
+                self.ca.revoke(certificate.serial,
+                               self.clock.now_seconds(), reason)
                 self._publish_crl()
             # A revoked VNF must not keep a memoised "trustworthy"
             # verdict: a retry replaying its old evidence has to face IAS
@@ -526,7 +527,7 @@ class VerificationManager:
             for vnf_name, certificate in list(self._issued.items()):
                 if self._vnf_host.get(vnf_name) != host_name:
                     continue
-                self.ca.revoke(certificate.serial, int(self._now()),
+                self.ca.revoke(certificate.serial, self.clock.now_seconds(),
                                REASON_PLATFORM_UNTRUSTED)
                 revoked.append(vnf_name)
             if revoked:
@@ -558,7 +559,7 @@ class VerificationManager:
     def _publish_crl(self) -> None:
         # Callers hold the VM lock; subscriber TLS configs are refreshed
         # before any other thread can see the revocation half-applied.
-        crl = self.ca.current_crl(int(self._now()))
+        crl = self.ca.current_crl(self.clock.now_seconds())
         for config in self._crl_subscribers:
             config.crl = crl
             # Resumed sessions bypass certificate validation, so evict any
@@ -583,7 +584,7 @@ class VerificationManager:
 
     def _verify_quote_with_ias(self, quote: Quote, nonce: bytes,
                                subject: str) -> None:
-        tel = self._clock.telemetry
+        tel = self.clock.telemetry
         quote_bytes = quote.to_bytes()
         nonce_hex = nonce.hex()
         avr = self.verification_cache.lookup(quote_bytes, nonce_hex)

@@ -42,7 +42,7 @@ from repro.ias.api import IasClient, IasHttpService
 from repro.ias.service import IasService
 from repro.net.address import Address
 from repro.net.faults import FaultPlan
-from repro.net.retry import RetryingMixin, RetryPolicy
+from repro.net.retry import NO_RETRY, RetryPolicy
 from repro.net.simnet import Network
 from repro.obs.metrics import NULL_TELEMETRY
 from repro.pki.keystore import Keystore
@@ -174,10 +174,8 @@ class Deployment:
             (stock Floodlight) for the trusted mode.
         cost_model: SGX transition cost parameters.
         retry_policy: optional :class:`~repro.net.retry.RetryPolicy`
-            threaded through the whole pipeline (IAS client, host-agent
-            stubs, enrollment steps); ``None`` keeps the zero-tolerance
-            behaviour.  Jitter is drawn from a dedicated DRBG derived
-            from ``seed``, so retried runs stay bit-reproducible.
+            for the whole pipeline (see :meth:`set_retry_policy`);
+            ``None`` keeps the zero-tolerance behaviour.
     """
 
     def __init__(self, seed: bytes = b"vnf-sgx-deployment",
@@ -199,8 +197,6 @@ class Deployment:
         self.network = Network()
         self.clock = self.network.clock
         self.client_validation = client_validation
-        self.retry_policy: Optional[RetryPolicy] = None
-        self._retry_rng: Optional[HmacDrbg] = None
 
         # --- Intel Attestation Service -------------------------------
         self.ias = IasService(rng=self.rng, now=self.clock.now_seconds)
@@ -216,7 +212,7 @@ class Deployment:
         self.policy = DeploymentPolicy(require_tpm=with_tpm)
         self.vm = VerificationManager(
             self.ias_client, self.policy, self.expected_values,
-            now=self.clock.now, rng=self.rng, clock=self.clock,
+            rng=self.rng, clock=self.clock,
         )
 
         # --- Controller + forwarding plane ----------------------------
@@ -290,12 +286,6 @@ class Deployment:
         # Telemetry is opt-in; see enable_telemetry().
         self.telemetry_endpoint = None
 
-        # The long-lived network clients: each takes every later
-        # retry-policy change.  Later builds add theirs via _register().
-        self._components: List[RetryingMixin] = [
-            self.ias_client, *self.agent_clients.values(),
-        ]
-
         # The key manager is opt-in; see build_kms().
         self.kms = None
         self.kms_endpoint = None
@@ -342,39 +332,31 @@ class Deployment:
 
     # ----------------------------------------------------------- resilience
 
-    def set_retry_policy(self, policy: Optional[RetryPolicy]) -> None:
-        """(Re)configure retries on every client in the deployment.
+    @property
+    def retry_policy(self) -> RetryPolicy:
+        """The deployment's retry policy: its clock's, ``NO_RETRY``
+        until :meth:`set_retry_policy` sets another."""
+        return self.clock.retry_policy
 
-        Threads ``policy`` through every registered network client (the
-        IAS client, every host-agent stub, the RA-TLS IAS pool) and (via
-        :meth:`enroll`) the per-step enrollment retry layer.
-        Backoff jitter comes from a dedicated DRBG derived from the
-        deployment seed, so the main ``rng`` stream — and therefore every
-        key, nonce and quote — is unchanged by retrying.  ``None``
-        restores the zero-tolerance default.
+    def set_retry_policy(self, policy: Optional[RetryPolicy]) -> None:
+        """Set the retry policy of the whole deployment.
+
+        The policy lives on the clock, with a fresh backoff-jitter DRBG
+        derived from the deployment seed (so the main ``rng`` stream —
+        and therefore every key, nonce and quote — is unchanged by
+        retrying).  Every network client on the deployment's network
+        (the IAS client and any pooled one, every host-agent stub, the
+        baseline northbound clients) and every enrollment step reads it
+        when it runs, whenever it was built.  ``None`` restores the
+        zero-tolerance default, :data:`~repro.net.retry.NO_RETRY`.
         """
-        self.retry_policy = policy
-        self._retry_rng = (
-            HmacDrbg(self._seed, personalization=b"retry-jitter")
-            if policy is not None else None
-        )
-        for client in self._components:
-            self._wire(client)
+        self.clock.retry_rng = HmacDrbg(self._seed,
+                                        personalization=b"retry-jitter")
+        self.clock.retry_policy = NO_RETRY if policy is None else policy
 
     def install_faults(self, plan: Optional[FaultPlan]) -> None:
         """Install (or clear, with ``None``) a fault plan on the network."""
         self.network.install_faults(plan)
-
-    def _wire(self, client: RetryingMixin) -> RetryingMixin:
-        """Give a network client the current retry policy; returns it."""
-        client.configure_retries(self.retry_policy, rng=self._retry_rng)
-        return client
-
-    def _register(self, client: RetryingMixin) -> RetryingMixin:
-        """Wire a client built after construction and keep it wired
-        through every later retry-policy change."""
-        self._components.append(self._wire(client))
-        return client
 
     # ------------------------------------------------------------ telemetry
 
@@ -510,7 +492,7 @@ class Deployment:
         verifier = self.vm.ratls_verifier()
         session_cache = SessionCache()
         verifier.attach_session_cache(session_cache)
-        self.ratls_ias_pool = self._register(self.pooled_ias_client())
+        self.ratls_ias_pool = self.pooled_ias_client()
         self.vm.swap_ias_client(self.ratls_ias_pool)
         tls_config = TlsConfig(
             certificate_chain=[self.server_cert],
@@ -551,8 +533,7 @@ class Deployment:
             basename=self.policy.basename,
             anchors=anchors,
             controller_address=str(self.controller_address(MODE_RATLS)),
-            sim_now=self.clock.now,
-            telemetry=self.telemetry,
+            clock=self.clock,
         )
         with self.telemetry.span("ratls-enrollment", vnf=vnf_name):
             session.run(self.enclave_client(vnf_name))
@@ -607,12 +588,11 @@ class Deployment:
 
     def pooled_ias_client(self) -> PooledIasClient:
         """A fresh :class:`~repro.core.fleet.PooledIasClient` to this
-        deployment's IAS, with its current retry policy (later changes
-        reach it only if it is registered)."""
-        return self._wire(PooledIasClient(
+        deployment's IAS."""
+        return PooledIasClient(
             self.network, IAS_ADDRESS, self.ias_http.ias_truststore,
             self.ias.report_signing_public_key, rng=self.rng,
-        ))
+        )
 
     def controller_address(self, mode: str = MODE_TRUSTED) -> Address:
         """The northbound address serving ``mode``."""
@@ -650,14 +630,6 @@ class Deployment:
             host_name=host.name,
             vnf_name=vnf_name,
             controller_address=str(self.controller_address(MODE_TRUSTED)),
-            # Per-thread elapsed time: a fleet worker's step timings count
-            # only the virtual-clock charges *it* performed; in a
-            # single-threaded run they equal the clock's own deltas.
-            sim_now=self.clock.local_seconds,
-            telemetry=self.telemetry,
-            retry_policy=self.retry_policy,
-            clock=self.clock,
-            retry_rng=self._retry_rng,
             reserved_serial=serial,
         )
 

@@ -27,7 +27,7 @@ from repro.net.rest import (
     HttpResponse,
     RestServer,
 )
-from repro.net.retry import RetryingMixin
+from repro.net.retry import retry_call
 from repro.net.simnet import Network
 from repro.net.transport import ClientStream, injected_fault, serve_http
 from repro.pki.ca import CertificateAuthority
@@ -106,15 +106,15 @@ class IasHttpService:
         return HttpResponse(200, body=self.service.sig_rl.to_bytes().hex().encode())
 
 
-class IasClient(RetryingMixin):
+class IasClient:
     """Relying-party stub used by the Verification Manager.
 
-    Configure a :class:`~repro.net.retry.RetryPolicy` via
-    :meth:`configure_retries` and transient failures — connection
-    refusals, mid-stream drops, and 5xx/429 answers
+    Each verification follows the retry policy on the network's clock at
+    the moment it runs (see :mod:`repro.net.retry`): transient failures
+    — connection refusals, mid-stream drops, and 5xx/429 answers
     (:class:`~repro.errors.IasUnavailable`) — are retried with
-    exponential backoff charged to the virtual clock.  Verdict failures
-    (a quote IAS *rejected*) are never retried.
+    exponential backoff charged to that clock.  Verdict failures (a
+    quote IAS *rejected*) are never retried.
     """
 
     def __init__(self, network: Network, address: Address,
@@ -137,14 +137,14 @@ class IasClient(RetryingMixin):
         """Submit a quote; returns the AVR after checking its signature.
 
         Raises:
-            IasUnavailable: transient IAS failure (5xx/429) after any
-                configured retries were exhausted.
+            IasUnavailable: transient IAS failure (5xx/429) after the
+                clock's retry policy was exhausted.
             IasError: malformed AVR, bad AVR signature, nonce mismatch,
                 or a non-transient error status.
         """
-        return self._retrying(
+        return retry_call(
             lambda: self._verify_once(quote_bytes, nonce),
-            operation="ias-verify", clock=self._network.clock,
+            clock=self._network.clock, operation="ias-verify",
         )
 
     def _open_connection(self):

@@ -113,19 +113,6 @@ class Channel:
         del self._rx[:n]
         return data
 
-    def recv_line(self, max_length: int = 16384) -> bytes:
-        """Read one CRLF-terminated line (terminator stripped)."""
-        idx = self._rx.find(b"\r\n")
-        if idx < 0:
-            if self._peer_closed:
-                raise ChannelClosed(f"{self.label}: peer closed mid-line")
-            raise NetError(f"{self.label}: no complete line buffered")
-        if idx > max_length:
-            raise NetError(f"{self.label}: line exceeds {max_length} bytes")
-        line = bytes(self._rx[:idx])
-        del self._rx[:idx + 2]
-        return line
-
     # -------------------------------------------------------------- closing
 
     def close(self) -> None:

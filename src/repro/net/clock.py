@@ -20,16 +20,20 @@ sessions charged concurrently — and in a single-threaded run the local
 delta equals the global delta, so serial and pooled runs report the
 same per-step simulated timings.  See ``docs/CONCURRENCY.md``.
 
-Telemetry
----------
+Telemetry and retries
+---------------------
 
-The clock also carries its deployment's telemetry: ``telemetry`` is
-:data:`~repro.obs.metrics.NULL_TELEMETRY` until
-:meth:`~repro.core.workflow.Deployment.enable_telemetry` sets it, and
-again after ``disable_telemetry``.  Every emitting component reads it
-from a clock it already holds at the moment it emits, so two
-deployments in one process each record only their own work.  Only
-enable and disable write it; readers take no lock.
+The clock also carries its deployment's telemetry and retry policy:
+``telemetry`` is :data:`~repro.obs.metrics.NULL_TELEMETRY` until
+:meth:`~repro.core.workflow.Deployment.enable_telemetry` sets it (and
+again after ``disable_telemetry``); ``retry_policy`` is
+:data:`~repro.net.retry.NO_RETRY` and ``retry_rng`` (the backoff jitter
+DRBG) is ``None`` until
+:meth:`~repro.core.workflow.Deployment.set_retry_policy` sets both.
+Every component reads them from a clock it already holds at the moment
+it emits or retries, so two deployments in one process each keep their
+own, and a client built before a change follows it.  Only those three
+methods write them; readers take no lock.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import threading
 from typing import Dict
 
 from repro.analysis.sanitizer import make_lock, shared_state
+from repro.net.retry import NO_RETRY
 
 
 @shared_state("_now", "_charges")
@@ -52,8 +57,11 @@ class VirtualClock:
         # Imported here: repro.obs imports repro.net, which imports this.
         from repro.obs.metrics import NULL_TELEMETRY
 
-        #: The deployment's telemetry (see the module docstring).
+        #: The deployment's telemetry, retry policy and backoff jitter
+        #: DRBG (see the module docstring).
         self.telemetry = NULL_TELEMETRY
+        self.retry_policy = NO_RETRY
+        self.retry_rng = None
         self._now = float(start)
         self._charges: Dict[str, float] = {}
         self._lock = make_lock("clock")

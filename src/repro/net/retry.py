@@ -1,23 +1,27 @@
 """Retry, timeout and backoff for the enrollment pipeline.
 
-Every network client in the pipeline (``IasClient``, ``HostAgentClient``,
-``VnfRestClient``) and the :class:`~repro.core.enrollment.EnrollmentSession`
-itself can be configured with a :class:`RetryPolicy`; :func:`retry_call`
-is the shared executor.  Semantics:
+A deployment's retry policy lives on its clock:
+``VirtualClock.retry_policy`` (:data:`NO_RETRY` until
+:meth:`~repro.core.workflow.Deployment.set_retry_policy` sets another)
+and ``VirtualClock.retry_rng`` (the jitter DRBG).  :func:`retry_call` is
+the shared executor; every network client (``IasClient`` and its pooled
+twin, ``HostAgentClient``, ``VnfRestClient``) and every
+:class:`~repro.core.enrollment.EnrollmentSession` step calls it with the
+clock it already charges, so each reads the policy in force at the
+moment it runs.  Semantics:
 
-- **transparent**: a policy of :data:`NO_RETRY` (the default everywhere)
-  reproduces the pre-retry behaviour bit-for-bit — one attempt, no clock
-  charges, the original exception propagates.
-- **deterministic**: backoff jitter is drawn from a caller-supplied
-  HMAC-DRBG and the sleep is charged to the virtual clock under the
-  ``"retry-backoff"`` account, so equal seeds give identical retry
-  traces.
+- **transparent**: under :data:`NO_RETRY` (the default) the call is the
+  pre-retry behaviour bit-for-bit — one attempt, no clock charges, the
+  original exception propagates.
+- **deterministic**: backoff jitter is drawn from the clock's HMAC-DRBG
+  and the sleep is charged to the clock under the ``"retry-backoff"``
+  account, so equal seeds give identical retry traces.
 - **typed**: only exceptions in the ``retryable`` set are retried;
   everything else (appraisal failures, protocol violations, application
   errors) propagates immediately.  On give-up the *original* exception
   is re-raised, so callers' exception contracts are unchanged.
-- **observable**: with a real :class:`repro.obs.Telemetry` (a
-  retrying client's is its clock's), re-attempts and give-ups land in
+- **observable**: with a real :class:`repro.obs.Telemetry` on the clock,
+  re-attempts and give-ups land in
   ``vnf_sgx_retry_attempts_total{operation=...}`` /
   ``vnf_sgx_retry_giveups_total{operation=...}``, backoff sleeps in
   ``vnf_sgx_retry_backoff_seconds``, and each retry adds an event to the
@@ -27,11 +31,12 @@ is the shared executor.  Semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Type, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Type, TypeVar
 
 from repro.errors import IasUnavailable, NetError, VnfSgxError
-from repro.net.clock import VirtualClock
-from repro.obs.metrics import NULL_TELEMETRY
+
+if TYPE_CHECKING:  # pragma: no cover — import cycle guard
+    from repro.net.clock import VirtualClock
 
 T = TypeVar("T")
 
@@ -54,7 +59,7 @@ class RetryPolicy:
         max_backoff: backoff ceiling in simulated seconds.
         jitter: fractional jitter; each sleep is scaled by a factor drawn
             uniformly from ``[1 - jitter, 1 + jitter)`` using the
-            caller's DRBG (0 disables jitter).
+            clock's ``retry_rng`` (0 disables jitter).
         attempt_timeout: per-attempt budget in simulated seconds; an
             attempt that fails after exceeding it is classified as a
             timeout (the simulation is synchronous, so the budget cannot
@@ -109,41 +114,28 @@ def _span_event(telemetry, name: str, **attributes) -> None:
         span.add_event(name, timestamp=telemetry.now(), **attributes)
 
 
-def retry_call(fn: Callable[[], T], *, policy: Optional[RetryPolicy],
-               clock: Optional[VirtualClock], operation: str,
-               rng=None,
-               retryable: Tuple[Type[BaseException], ...] = TRANSIENT_ERRORS,
-               telemetry=NULL_TELEMETRY,
-               on_retry: Optional[Callable[[int, BaseException], None]] = None
+def retry_call(fn: Callable[[], T], *, clock: VirtualClock, operation: str,
+               retryable: Tuple[Type[BaseException], ...] = TRANSIENT_ERRORS
                ) -> T:
-    """Run ``fn`` under ``policy``; the shared retry executor.
+    """Run ``fn`` under the clock's retry policy; the shared executor.
 
     Args:
         fn: zero-argument attempt (must be safe to re-run; every client
             re-establishes its connection inside the attempt).
-        policy: the retry policy; ``None`` means :data:`NO_RETRY`.
-        clock: virtual clock for backoff charging and timeout/deadline
-            accounting; may be ``None`` only when the policy never
-            sleeps or measures (i.e. ``NO_RETRY``).
+        clock: the virtual clock the attempts charge.  Its
+            ``retry_policy`` decides how often to try, its ``retry_rng``
+            draws the backoff jitter, backoff sleeps are charged to it,
+            and retries are counted in its ``telemetry``.
         operation: label for metrics and span events.
-        rng: DRBG for jitter (optional; no jitter without it).
         retryable: exception types eligible for retry.
-        telemetry: a :class:`repro.obs.Telemetry` (default: the null
-            object).
-        on_retry: test/diagnostic hook called as ``on_retry(attempt, exc)``
-            before each backoff sleep.
 
     Raises:
         The original exception from the final attempt, unchanged.
     """
-    if policy is None:
-        policy = NO_RETRY
+    policy = clock.retry_policy
     if policy.max_attempts == 1 and policy.deadline is None:
-        return fn()  # fast path: zero overhead, zero clock access
-    if clock is None:
-        raise VnfSgxError(
-            f"retry for {operation!r} needs a clock to charge backoff"
-        )
+        return fn()  # fast path: no time read, nothing charged
+    telemetry, rng = clock.telemetry, clock.retry_rng
     started = clock.now()
     attempt = 0
     while True:
@@ -176,46 +168,14 @@ def retry_call(fn: Callable[[], T], *, policy: Optional[RetryPolicy],
                 error=f"{type(exc).__name__}: {exc}",
                 timed_out=timed_out,
             )
-            if on_retry is not None:
-                on_retry(attempt, exc)
             if backoff > 0.0:
                 clock.advance(backoff, BACKOFF_ACCOUNT)
-
-
-class RetryingMixin:
-    """Shared plumbing for clients that support ``configure_retries``.
-
-    Subclasses call :meth:`_retrying` around one attempt-closure; the
-    mixin holds the policy and the jitter DRBG (``None`` by default, which
-    reproduces pre-retry behaviour).  Retries are counted in the
-    telemetry of the clock each attempt-closure is charged to.
-    """
-
-    _retry_policy: Optional[RetryPolicy] = None
-    _retry_rng = None
-
-    def configure_retries(self, policy: Optional[RetryPolicy],
-                          rng=None) -> None:
-        """Install (or clear, with ``None``) a retry policy."""
-        self._retry_policy = policy
-        self._retry_rng = rng
-
-    def _retrying(self, fn: Callable[[], T], *, operation: str,
-                  clock: VirtualClock,
-                  retryable: Tuple[Type[BaseException], ...] = TRANSIENT_ERRORS
-                  ) -> T:
-        return retry_call(
-            fn, policy=self._retry_policy, clock=clock, operation=operation,
-            rng=self._retry_rng, retryable=retryable,
-            telemetry=clock.telemetry,
-        )
 
 
 __all__ = [
     "BACKOFF_ACCOUNT",
     "NO_RETRY",
     "RetryPolicy",
-    "RetryingMixin",
     "TRANSIENT_ERRORS",
     "retry_call",
 ]

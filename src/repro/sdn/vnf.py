@@ -18,7 +18,7 @@ from repro.crypto.rng import HmacDrbg
 from repro.errors import ControllerUnavailable, NetError, SdnError
 from repro.net.address import Address
 from repro.net.rest import TRANSIENT_STATUSES, HttpRequest, HttpResponse
-from repro.net.retry import RetryingMixin
+from repro.net.retry import retry_call
 from repro.net.simnet import Network
 from repro.net.transport import ClientStream
 from repro.pki.certificate import Certificate
@@ -67,16 +67,16 @@ class ControllerOps:
         return self.request_json("GET", FLOW_LIST_PATH)
 
 
-class VnfRestClient(ControllerOps, RetryingMixin):
+class VnfRestClient(ControllerOps):
     """A REST client for one northbound endpoint, in any security mode.
 
-    With a :class:`~repro.net.retry.RetryPolicy` configured
-    (:meth:`configure_retries`), transient transport failures (refused
-    connects, mid-stream drops) and transient controller statuses
-    (502/503/504/429, surfaced as
-    :class:`~repro.errors.ControllerUnavailable`) are retried with
-    backoff; each re-attempt re-establishes the connection — including a
-    fresh TLS handshake in the HTTPS modes.
+    Each request follows the retry policy on the network's clock at the
+    moment it runs (see :mod:`repro.net.retry`): under a policy with more
+    than one attempt, transient transport failures (refused connects,
+    mid-stream drops) and transient controller statuses (502/503/504/429,
+    surfaced as :class:`~repro.errors.ControllerUnavailable`) are retried
+    with backoff; each re-attempt re-establishes the connection —
+    including a fresh TLS handshake in the HTTPS modes.
     """
 
     def __init__(self, network: Network, controller_address: Address,
@@ -123,15 +123,16 @@ class VnfRestClient(ControllerOps, RetryingMixin):
                 body: bytes = b"") -> HttpResponse:
         """One request/response exchange over the persistent connection.
 
-        Without a retry policy this returns whatever the controller
-        answered, any status.  With one, transient statuses are raised
-        as :class:`~repro.errors.ControllerUnavailable` and retried; on
+        Under :data:`~repro.net.retry.NO_RETRY` this returns whatever
+        the controller answered, any status.  Under a policy that
+        retries, transient statuses are raised as
+        :class:`~repro.errors.ControllerUnavailable` and retried; on
         give-up that exception propagates.
         """
         request = HttpRequest(method, path, body=body)
-        return self._retrying(
+        return retry_call(
             lambda: self._request_once(request),
-            operation="northbound", clock=self._network.clock,
+            clock=self._network.clock, operation="northbound",
             retryable=(NetError, ControllerUnavailable),
         )
 
@@ -142,8 +143,7 @@ class VnfRestClient(ControllerOps, RetryingMixin):
         if response is None:
             self.close()
             raise SdnError("controller returned no response")
-        if (self._retry_policy is not None
-                and self._retry_policy.max_attempts > 1
+        if (self._network.clock.retry_policy.max_attempts > 1
                 and response.status in TRANSIENT_STATUSES):
             raise ControllerUnavailable(
                 f"controller returned {response.status}: "

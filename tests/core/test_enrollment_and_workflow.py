@@ -19,7 +19,6 @@ def make_session(deployment, vnf_name="vnf-1"):
         host_name=deployment.host.name,
         vnf_name=vnf_name,
         controller_address=str(deployment.controller_address()),
-        sim_now=deployment.clock.now,
     )
 
 

@@ -204,10 +204,8 @@ def test_pooled_ias_surfaces_service_error_not_stale_transport():
         dep.network, IAS_ADDRESS, dep.ias_http.ias_truststore,
         dep.ias.report_signing_public_key, rng=dep.rng,
     )
-    pool.configure_retries(
-        RetryPolicy(max_attempts=3, base_backoff=0.01, jitter=0.0),
-        rng=dep.rng,
-    )
+    dep.set_retry_policy(
+        RetryPolicy(max_attempts=3, base_backoff=0.01, jitter=0.0))
     # Warm the pooled connection with a healthy exchange.
     assert pool.verify_quote(quote_bytes, nonce="warm").ok
     assert pool.connects == 1
@@ -248,10 +246,8 @@ def test_pooled_ias_fresh_connection_fault_still_propagates():
         dep.network, IAS_ADDRESS, dep.ias_http.ias_truststore,
         dep.ias.report_signing_public_key, rng=dep.rng,
     )
-    pool.configure_retries(
-        RetryPolicy(max_attempts=2, base_backoff=0.01, jitter=0.0),
-        rng=dep.rng,
-    )
+    dep.set_retry_policy(
+        RetryPolicy(max_attempts=2, base_backoff=0.01, jitter=0.0))
     with pytest.raises(ChannelClosed):
         pool.verify_quote(quote_bytes)
     pool.close()

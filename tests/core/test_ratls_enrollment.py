@@ -67,7 +67,7 @@ class TestEnrollment:
             anchors=anchors,
             controller_address=str(
                 deployment.controller_address(MODE_RATLS)),
-            sim_now=deployment.clock.now,
+            clock=deployment.clock,
         )
         before = deployment.network.messages_sent
         session.prepare()

@@ -1,4 +1,10 @@
-"""Unit tests for the retry/backoff executor (repro.net.retry)."""
+"""Unit tests for the retry/backoff executor (repro.net.retry).
+
+``retry_call`` reads its policy, jitter DRBG and telemetry from the clock
+it charges; a test without a ``Deployment`` sets them on the clock.
+"""
+
+import types
 
 import pytest
 
@@ -11,6 +17,12 @@ from repro.net.retry import (
     RetryPolicy,
     retry_call,
 )
+
+
+def _clock(policy):
+    clock = VirtualClock()
+    clock.retry_policy = policy
+    return clock
 
 
 class Flaky:
@@ -58,79 +70,74 @@ def test_jitter_is_deterministic_and_bounded():
 
 
 def test_no_retry_needs_no_clock():
-    flaky = Flaky(0)
-    assert retry_call(flaky, policy=NO_RETRY, clock=None,
-                      operation="x") == "ok"
-    assert retry_call(lambda: 7, policy=None, clock=None, operation="x") == 7
+    # Under NO_RETRY the executor reads the policy and nothing else: no
+    # time, no telemetry, no jitter DRBG.
+    policy_only = types.SimpleNamespace(retry_policy=NO_RETRY)
+    assert retry_call(Flaky(0), clock=policy_only, operation="x") == "ok"
+    assert retry_call(lambda: 7, clock=VirtualClock(), operation="x") == 7
 
 
 def test_retries_until_success_and_charges_backoff():
-    clock = VirtualClock()
+    clock = _clock(RetryPolicy(max_attempts=4, base_backoff=0.1,
+                               multiplier=2.0, jitter=0.0))
     flaky = Flaky(2)
-    policy = RetryPolicy(max_attempts=4, base_backoff=0.1, multiplier=2.0,
-                         jitter=0.0)
-    assert retry_call(flaky, policy=policy, clock=clock,
-                      operation="t") == "ok"
+    assert retry_call(flaky, clock=clock, operation="t") == "ok"
     assert flaky.calls == 3
     assert clock.charges()[BACKOFF_ACCOUNT] == pytest.approx(0.1 + 0.2)
 
 
 def test_giveup_reraises_original_exception():
-    clock = VirtualClock()
+    clock = _clock(RetryPolicy(max_attempts=3, base_backoff=0.0, jitter=0.0))
     original = ConnectionRefused("still down")
     flaky = Flaky(99, exc=original)
-    policy = RetryPolicy(max_attempts=3, base_backoff=0.0, jitter=0.0)
     with pytest.raises(ConnectionRefused) as excinfo:
-        retry_call(flaky, policy=policy, clock=clock, operation="t")
+        retry_call(flaky, clock=clock, operation="t")
     assert excinfo.value is original
     assert flaky.calls == 3
 
 
 def test_non_retryable_propagates_immediately():
-    clock = VirtualClock()
+    clock = _clock(RetryPolicy(max_attempts=5))
     flaky = Flaky(99, exc=ValueError("logic bug"))
-    policy = RetryPolicy(max_attempts=5)
     with pytest.raises(ValueError):
-        retry_call(flaky, policy=policy, clock=clock, operation="t")
+        retry_call(flaky, clock=clock, operation="t")
     assert flaky.calls == 1
 
 
 def test_deadline_gates_further_attempts():
-    clock = VirtualClock()
+    clock = _clock(RetryPolicy(max_attempts=100, base_backoff=0.0,
+                               jitter=0.0, deadline=25.0))
 
     def slow_failure():
         clock.advance(10.0, "work")
         raise ConnectionRefused("down")
 
-    policy = RetryPolicy(max_attempts=100, base_backoff=0.0, jitter=0.0,
-                         deadline=25.0)
     with pytest.raises(ConnectionRefused):
-        retry_call(slow_failure, policy=policy, clock=clock, operation="t")
+        retry_call(slow_failure, clock=clock, operation="t")
     # 10s + 10s + 10s >= 25s: the third failure gives up.
     assert clock.now() == pytest.approx(30.0)
 
 
-def test_on_retry_hook_observes_each_reattempt():
-    clock = VirtualClock()
-    flaky = Flaky(2)
-    seen = []
-    policy = RetryPolicy(max_attempts=4, base_backoff=0.0, jitter=0.0)
-    retry_call(flaky, policy=policy, clock=clock, operation="t",
-               on_retry=lambda attempt, exc: seen.append(attempt))
-    assert seen == [1, 2]
+def test_span_events_observe_each_reattempt():
+    from repro.obs import MetricsRegistry, Telemetry
+
+    clock = _clock(RetryPolicy(max_attempts=4, base_backoff=0.0, jitter=0.0))
+    clock.telemetry = Telemetry(registry=MetricsRegistry(), now=clock.now)
+    with clock.telemetry.span("op") as span:
+        assert retry_call(Flaky(2), clock=clock, operation="t") == "ok"
+    assert [event["attempt"] for event in span.events] == [1, 2]
 
 
 def test_retry_metrics_and_span_events():
     from repro.obs import MetricsRegistry, Telemetry
 
-    clock = VirtualClock()
+    clock = _clock(RetryPolicy(max_attempts=2, base_backoff=0.5, jitter=0.0))
     telemetry = Telemetry(registry=MetricsRegistry(), now=clock.now)
-    policy = RetryPolicy(max_attempts=2, base_backoff=0.5, jitter=0.0)
+    clock.telemetry = telemetry
     flaky = Flaky(99)
     with telemetry.span("op") as span:
         with pytest.raises(ConnectionRefused):
-            retry_call(flaky, policy=policy, clock=clock, operation="demo",
-                       telemetry=telemetry)
+            retry_call(flaky, clock=clock, operation="demo")
     assert telemetry.retry_attempts.labels(operation="demo").value == 1
     assert telemetry.retry_giveups.labels(operation="demo").value == 1
     names = [event["name"] for event in span.events]

@@ -78,7 +78,6 @@ def test_malicious_vnf_image_rejected_before_credentials():
         vm=deployment.vm, agent=deployment.agent_client,
         host_name=deployment.host.name, vnf_name="vnf-1",
         controller_address=str(deployment.controller_address()),
-        sim_now=deployment.clock.now,
     )
     with pytest.raises(AppraisalFailed):
         session.attest_host()

@@ -37,20 +37,6 @@ def test_recv_exactly_underflow_fails_fast(pair):
         server.recv_exactly(3)
 
 
-def test_recv_line(pair):
-    client, server = pair
-    client.send(b"GET / HTTP/1.1\r\nHost: x\r\n")
-    assert server.recv_line() == b"GET / HTTP/1.1"
-    assert server.recv_line() == b"Host: x"
-
-
-def test_recv_line_incomplete(pair):
-    client, server = pair
-    client.send(b"partial")
-    with pytest.raises(NetError):
-        server.recv_line()
-
-
 def test_close_propagates_eof(pair):
     client, server = pair
     client.send(b"last")

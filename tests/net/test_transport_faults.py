@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple
 
 import pytest
 
@@ -41,7 +41,7 @@ from repro.errors import ReproError
 from repro.kms import KmsClient
 from repro.net.address import Address
 from repro.net.faults import FaultPlan
-from repro.net.retry import RetryPolicy
+from repro.net.retry import NO_RETRY, RetryPolicy
 from repro.net.simnet import Network
 from repro.obs import MetricsRegistry, Telemetry
 from repro.obs.exposition import TRACES_PATH, TelemetryEndpoint, scrape
@@ -63,8 +63,7 @@ class Subject(NamedTuple):
     network: Network
     address: Address          # where the client's stream is dialed
     call: Callable[[], object]  # one request; returns a JSON-able value
-    retrying: Optional[object]  # the RetryingMixin client, if any
-    operation: str            # its retry-counter label
+    operation: str            # its retry-counter label ("" if none)
 
 
 class Client(NamedTuple):
@@ -95,7 +94,7 @@ def _ias(pooled: bool) -> Callable[[], Subject]:
         return Subject(
             deployment.network, IAS_ADDRESS,
             lambda: client.verify_quote(quote, nonce="n").quote_status,
-            client, "ias-verify",
+            "ias-verify",
         )
     return build
 
@@ -107,7 +106,7 @@ def _kms() -> Subject:
     client = KmsClient(world.network, KMS_ADDRESS, "alpha", token,
                        "client.example.org")
     return Subject(world.network, KMS_ADDRESS,
-                   lambda: client.fetch("db").hex(), None, "")
+                   lambda: client.fetch("db").hex(), "")
 
 
 def _vnf_rest(mode: str) -> Callable[[], Subject]:
@@ -121,7 +120,7 @@ def _vnf_rest(mode: str) -> Callable[[], Subject]:
 
         return Subject(deployment.network,
                        deployment.controller_address(mode), call,
-                       client, "northbound")
+                       "northbound")
     return build
 
 
@@ -135,7 +134,7 @@ def _scrape() -> Subject:
     return Subject(
         network, address,
         lambda: scrape(network, address, TRACES_PATH).decode("utf-8"),
-        None, "",
+        "",
     )
 
 
@@ -145,7 +144,7 @@ def _enclave() -> Subject:
     client = deployment.enclave_client("vnf-1")
     client.close()  # step 6 left a session open; start from none
     return Subject(deployment.network, deployment.controller_address(),
-                   client.summary, None, "")
+                   client.summary, "")
 
 
 def _agent() -> Subject:
@@ -154,7 +153,7 @@ def _agent() -> Subject:
     return Subject(
         deployment.network, client.address,
         lambda: len(client.attest_host(b"\x01" * 16, SEED).to_bytes()),
-        client, "host-agent",
+        "host-agent",
     )
 
 
@@ -172,7 +171,7 @@ def _fabric(target_rank: int) -> Callable[[], Subject]:
                     "logs": [r.log.last_index for r in fabric.replicas()]}
 
         return Subject(deployment.network,
-                       fabric.replica(target_rank).address, call, None, "")
+                       fabric.replica(target_rank).address, call, "")
     return build
 
 
@@ -217,18 +216,18 @@ def _tracked(network: Network) -> List[tuple]:
     return opened
 
 
-def _prepared(client: Client, policy: Optional[RetryPolicy]):
+def _prepared(client: Client, policy: RetryPolicy):
     subject = client.build()
     telemetry = None
-    if subject.retrying is not None:
-        subject.retrying.configure_retries(policy)
-        telemetry = Telemetry(registry=MetricsRegistry(),
-                              now=subject.network.clock.now)
-        subject.network.clock.telemetry = telemetry
+    if client.retries:
+        clock = subject.network.clock
+        clock.retry_policy = policy
+        telemetry = Telemetry(registry=MetricsRegistry(), now=clock.now)
+        clock.telemetry = telemetry
     return subject, telemetry
 
 
-def _warm_sends(client: Client, policy: Optional[RetryPolicy]) -> int:
+def _warm_sends(client: Client, policy: RetryPolicy) -> int:
     """Sends one healthy exchange puts on a fresh stream, both ways."""
     subject, _ = _prepared(client, policy)
     before = subject.network.messages_sent
@@ -238,7 +237,7 @@ def _warm_sends(client: Client, policy: Optional[RetryPolicy]) -> int:
 
 def run_case(name: str, fault: str, retry: bool) -> Dict[str, object]:
     client = CLIENTS[name]
-    policy = RETRY if retry else None
+    policy = RETRY if retry else NO_RETRY
     drop_at = _warm_sends(client, policy) + 1 if fault == "reused" else None
     subject, telemetry = _prepared(client, policy)
     network, clock = subject.network, subject.network.clock
