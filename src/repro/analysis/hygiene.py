@@ -9,11 +9,6 @@ HYG003        wall-clock or ambient entropy that bypasses the simulation
               (``time.*`` except ``perf_counter``, ``random.*``,
               ``datetime.now``/``utcnow``, ``os.urandom`` outside
               ``crypto/rng.py``) — use ``VirtualClock`` / the HMAC-DRBG
-HYG004        ``TlsConfig(...)`` constructed without a ``now=`` time
-              source — a peer-validating config silently froze the
-              clock at 0 once (expired/not-yet-valid certificates and
-              CRL windows never fired); every construction site must
-              thread the deployment clock
 HYG005        ``ProcessPoolExecutor`` / ``multiprocessing`` anywhere —
               process pools fork, and a fork while another thread holds
               a lock replicates that lock in the held state forever;
@@ -21,6 +16,8 @@ HYG005        ``ProcessPoolExecutor`` / ``multiprocessing`` anywhere —
               across a pickle boundary.  The simulation stays one
               process (the fleet overlaps work on threads)
 ============  ==========================================================
+
+A retired rule's id is not reused (``docs/ANALYSIS.md`` lists it).
 
 The determinism rule exists because the whole repo is a simulation: test
 reproducibility and byte-identical fleet enrollment both depend on every
@@ -53,7 +50,6 @@ class HygieneChecker(Checker):
         "HYG002": "mutable default argument",
         "HYG003": "nondeterministic time/entropy source bypasses "
                   "VirtualClock/DRBG",
-        "HYG004": "TlsConfig() without a now= time source",
         "HYG005": "process pool / multiprocessing",
     }
 
@@ -91,26 +87,7 @@ class HygieneChecker(Checker):
                             "keep the work in-process")
                 findings.extend(
                     _entropy_findings(self, ctx, line_map, node))
-            elif _is_clockless_tls_config(node):
-                finding("HYG004", node,
-                        "pass now=<deployment clock>.now_seconds (or the "
-                        "relevant clock callable) so certificate validity "
-                        "and CRL windows are checked against simulated "
-                        "time")
         return findings
-
-
-def _is_clockless_tls_config(node: ast.AST) -> bool:
-    """A ``TlsConfig(...)`` call with neither ``now=`` nor ``**kwargs``."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = (func.id if isinstance(func, ast.Name)
-            else func.attr if isinstance(func, ast.Attribute) else None)
-    if name != "TlsConfig":
-        return False
-    return not any(kw.arg is None or kw.arg == "now"
-                   for kw in node.keywords)
 
 
 def _process_pool_findings(

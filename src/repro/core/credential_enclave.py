@@ -213,7 +213,6 @@ class CredentialEnclaveBehavior:
             private_key=private_key,
             truststore=anchors,
             rng=self._api.rng,
-            now=self._untrusted_now,
         )))
         self._api.memory.write("controller_address",
                                bundle.controller_address)

@@ -75,9 +75,7 @@ class VerificationManager:
                  expected_values: ExpectedValues,
                  rng: Optional[HmacDrbg] = None,
                  ca_name: str = "Verification-Manager-CA",
-                 clock: Optional[VirtualClock] = None,
-                 verification_cache: Optional[VerificationCache] = None
-                 ) -> None:
+                 clock: Optional[VirtualClock] = None) -> None:
         self._ias = ias_client
         self.policy = policy
         self.appraisal_engine = AppraisalEngine(
@@ -94,10 +92,7 @@ class VerificationManager:
         self.audit.observer = self._observe_audit
         #: Memoised IAS verdicts for byte-identical evidence (retry storms
         #: re-submit the same quote+nonce).  Revocation paths flush it.
-        self.verification_cache = (
-            verification_cache if verification_cache is not None
-            else VerificationCache(now=self.clock.now)
-        )
+        self.verification_cache = VerificationCache(now=self.clock.now)
         #: Guards the trust-state maps below plus the revocation paths.
         #: Lock ordering: the VM lock may be taken *before* the CA lock
         #: and the cache locks, never after (``docs/CONCURRENCY.md``).

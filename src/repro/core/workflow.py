@@ -8,8 +8,9 @@ network with one virtual clock, and :meth:`Deployment.run_workflow`
 executes steps 1-6 for every VNF, returning the measured trace.
 
 Examples and benchmarks build on this class; its constructor knobs cover
-every experimental axis (TPM rooting, controller security modes, the
-keystore-vs-CA validation model, SGX cost parameters, fleet size).
+every experimental axis (TPM rooting, the keystore-vs-CA validation
+model, SGX cost parameters, fleet size).  The controller always serves
+all three northbound security modes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.containers.host import ContainerHost
 from repro.containers.image import build_image
@@ -169,7 +170,6 @@ class Deployment:
         seed: DRBG seed; equal seeds give bit-identical runs.
         vnf_count: number of VNFs (the paper's figure shows two).
         with_tpm: enable the TPM-rooted IMA configuration (paper §4).
-        modes: which northbound security modes to serve.
         client_validation: ``"ca"`` (the paper's design) or ``"keystore"``
             (stock Floodlight) for the trusted mode.
         cost_model: SGX transition cost parameters.
@@ -180,8 +180,6 @@ class Deployment:
 
     def __init__(self, seed: bytes = b"vnf-sgx-deployment",
                  vnf_count: int = 2, with_tpm: bool = False,
-                 modes: Tuple[str, ...] = (MODE_HTTP, MODE_HTTPS,
-                                           MODE_TRUSTED),
                  client_validation: str = VALIDATION_CA,
                  cost_model: Optional[CostModel] = None,
                  host_count: int = 1,
@@ -233,7 +231,7 @@ class Deployment:
         server_key, server_cert = self.server_key, self.server_cert
         self.keystore = Keystore()
         self.endpoints: Dict[str, NorthboundEndpoint] = {}
-        for mode in modes:
+        for mode in (MODE_HTTP, MODE_HTTPS, MODE_TRUSTED):
             address = Address(CONTROLLER_HOST, MODE_PORTS[mode])
             tls_config = None
             if mode != MODE_HTTP:
@@ -242,7 +240,6 @@ class Deployment:
                     private_key=server_key,
                     truststore=self.vm.controller_truststore(),
                     rng=self.rng,
-                    now=self.clock.now_seconds,
                 )
                 if (mode == MODE_TRUSTED
                         and client_validation == VALIDATION_KEYSTORE):
@@ -501,7 +498,6 @@ class Deployment:
             resumption_validator=verifier.resumable,
             session_cache=session_cache,
             rng=self.rng,
-            now=self.clock.now_seconds,
         )
         self.ratls_endpoint = NorthboundEndpoint(
             self.controller, self.network,

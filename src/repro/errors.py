@@ -42,7 +42,7 @@ class EntropyError(CryptoError):
 # ---------------------------------------------------------------- encoding / PKI
 
 class EncodingError(ReproError):
-    """Malformed serialized data (DER-lite, framing, hex, base64...)."""
+    """Malformed serialized data (DER-lite and the PKI objects built on it)."""
 
 
 class PkiError(ReproError):

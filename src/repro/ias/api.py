@@ -65,7 +65,6 @@ class IasHttpService:
             certificate_chain=[server_cert],
             private_key=server_key,
             rng=rng,
-            now=network.clock.now_seconds,
         )
         serve_http(network, address,
                    lambda request, _stream: self._respond(request),
@@ -129,7 +128,6 @@ class IasClient:
         self._tls_client = TlsClient(TlsConfig(
             truststore=ias_truststore,
             rng=rng,
-            now=network.clock.now_seconds,
         ))
 
     def verify_quote(self, quote_bytes: bytes,

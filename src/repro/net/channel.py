@@ -32,8 +32,13 @@ class Channel:
     """
 
     def __init__(self, label: str, deliver: Callable[["Channel", bytes], None],
-                 notify_close: Callable[["Channel"], None]) -> None:
+                 notify_close: Callable[["Channel"], None],
+                 clock: VirtualClock) -> None:
         self.label = label
+        #: The network's clock, set here and never reassigned: TLS
+        #: endpoints check certificate validity against its time, and a
+        #: TLS client records its handshake in its telemetry.
+        self.clock = clock
         self._deliver = deliver          # pushes bytes toward the peer
         self._notify_close = notify_close
         self._rx = bytearray()
@@ -41,9 +46,6 @@ class Channel:
         self._peer_closed = False
         self._on_receive: Optional[Callable[["Channel"], None]] = None
         self.peer: Optional["Channel"] = None  # wired by the Network
-        #: The network's clock (wired by the Network); a TLS client
-        #: records its handshake in this clock's telemetry.
-        self.clock: Optional[VirtualClock] = None
 
     # ------------------------------------------------------------- sending
 

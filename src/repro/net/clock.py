@@ -112,26 +112,3 @@ class VirtualClock:
         with self._lock:
             self._charges.clear()
 
-
-class StopWatch:
-    """Measures simulated time elapsed across a region of code.
-
-    Example:
-        >>> clock = VirtualClock()
-        >>> with StopWatch(clock) as sw:
-        ...     clock.advance(1.5)
-        >>> sw.elapsed
-        1.5
-    """
-
-    def __init__(self, clock: VirtualClock) -> None:
-        self._clock = clock
-        self._start = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "StopWatch":
-        self._start = self._clock.now()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.elapsed = self._clock.now() - self._start

@@ -60,10 +60,6 @@ class RetryPolicy:
         jitter: fractional jitter; each sleep is scaled by a factor drawn
             uniformly from ``[1 - jitter, 1 + jitter)`` using the
             clock's ``retry_rng`` (0 disables jitter).
-        attempt_timeout: per-attempt budget in simulated seconds; an
-            attempt that fails after exceeding it is classified as a
-            timeout (the simulation is synchronous, so the budget cannot
-            interrupt an attempt — it classifies and gates retries).
         deadline: total simulated-seconds budget across all attempts;
             once exceeded, the next failure gives up regardless of
             ``max_attempts``.
@@ -74,7 +70,6 @@ class RetryPolicy:
     multiplier: float = 2.0
     max_backoff: float = 2.0
     jitter: float = 0.1
-    attempt_timeout: Optional[float] = None
     deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -140,13 +135,9 @@ def retry_call(fn: Callable[[], T], *, clock: VirtualClock, operation: str,
     attempt = 0
     while True:
         attempt += 1
-        attempt_start = clock.now()
         try:
             return fn()
         except retryable as exc:
-            elapsed = clock.now() - attempt_start
-            timed_out = (policy.attempt_timeout is not None
-                         and elapsed > policy.attempt_timeout)
             total = clock.now() - started
             over_deadline = (policy.deadline is not None
                              and total >= policy.deadline)
@@ -166,7 +157,6 @@ def retry_call(fn: Callable[[], T], *, clock: VirtualClock, operation: str,
                 telemetry, "retry", operation=operation, attempt=attempt,
                 backoff_seconds=backoff,
                 error=f"{type(exc).__name__}: {exc}",
-                timed_out=timed_out,
             )
             if backoff > 0.0:
                 clock.advance(backoff, BACKOFF_ACCOUNT)

@@ -184,15 +184,14 @@ class Network:
 
         client_side = Channel(
             f"conn{conn_id}:{source_host}->{destination}",
-            make_deliver("c2s"), notify_close,
+            make_deliver("c2s"), notify_close, self.clock,
         )
         server_side = Channel(
             f"conn{conn_id}:{destination}<-{source_host}",
-            make_deliver("s2c"), notify_close,
+            make_deliver("s2c"), notify_close, self.clock,
         )
         client_side.peer = server_side
         server_side.peer = client_side
-        client_side.clock = server_side.clock = self.clock
         acceptor(server_side)
         return client_side
 

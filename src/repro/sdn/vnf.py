@@ -101,7 +101,6 @@ class VnfRestClient(ControllerOps):
                 private_key=client_key,
                 truststore=truststore,
                 rng=rng,
-                now=network.clock.now_seconds,
             ))
 
     # ----------------------------------------------------------- transport

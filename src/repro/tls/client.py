@@ -67,8 +67,9 @@ class TlsClient:
         the error propagates, so the server sees EOF and neither end
         outlives the refusal.
 
-        The handshake is recorded in the telemetry of the channel's
-        clock: the deployment that owns the network, even when this
+        The server's certificate is checked against the time of the
+        channel's clock, and the handshake is recorded in that clock's
+        telemetry: the deployment that owns the network, even when this
         client lives inside a credential enclave.
         """
         tel = channel.clock.telemetry
@@ -93,10 +94,8 @@ class TlsClient:
         rng = self._config.effective_rng()
         client_random = rng.random_bytes(RANDOM_SIZE)
 
-        offered_session = (
-            self._resumption.get(server_name)
-            if self._config.offer_resumption and server_name else None
-        )
+        offered_session = (self._resumption.get(server_name)
+                           if server_name else None)
         offered_suites = (list(self._config.cipher_suites)
                           if self._config.cipher_suites
                           else list(SUPPORTED_SUITES.keys()))
@@ -158,7 +157,7 @@ class TlsClient:
             raise HandshakeFailure("server sent an empty certificate chain")
         server_cert = cert_msg.chain[0]
         validate_chain(
-            server_cert, config.truststore, config.effective_now(),
+            server_cert, config.truststore, channel.clock.now_seconds(),
             intermediates=cert_msg.chain[1:], crl=config.crl,
             required_usage=KEY_USAGE_SERVER_AUTH,
         )

@@ -225,7 +225,7 @@ class _ServerHandshake:
           certificate — otherwise resumption silently bypasses
           ``require_client_auth``;
         * the cached peer certificate is rechecked against the CRL and
-          the validity window at the current clock — a certificate
+          the validity window at the channel's clock — a certificate
           revoked or expired after caching must not keep resuming;
         * the application's ``resumption_validator`` (e.g. the RA-TLS
           verifier's revocation denylist) gets the final word.
@@ -245,7 +245,7 @@ class _ServerHandshake:
                      and config.crl.is_revoked(cert.serial))
             if not stale:
                 try:
-                    cert.check_validity(config.effective_now())
+                    cert.check_validity(self._channel.clock.now_seconds())
                 except PkiError:
                     stale = True
             if stale:
@@ -296,7 +296,8 @@ class _ServerHandshake:
                 config.client_validator(leaf)
             else:
                 validate_chain(
-                    leaf, config.truststore, config.effective_now(),
+                    leaf, config.truststore,
+                    self._channel.clock.now_seconds(),
                     intermediates=message.chain[1:], crl=config.crl,
                     required_usage=KEY_USAGE_CLIENT_AUTH,
                 )

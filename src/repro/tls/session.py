@@ -116,16 +116,12 @@ class TlsConfig:
             revoked attested identities).
         crl: optional revocation list consulted during peer validation.
         rng: randomness source.
-        now: callable returning current time (certificate validity
-            checks).  ``None`` is only acceptable for endpoints that
-            never validate a peer certificate; any validating
-            configuration must thread a real clock through
-            (:meth:`validate` enforces this — a default of "time zero"
-            would let every expiry check trivially pass).
         session_cache: resumption cache (server side, or shared).
-        offer_resumption: client-side flag to offer cached session ids.
         cipher_suites: client-side offer order (suite ids); ``None``
             offers every supported suite in default order.
+
+    There is no time source here: both endpoints check certificate
+    validity against the clock of the channel they handshake on.
     """
 
     certificate_chain: List[Certificate] = field(default_factory=list)
@@ -135,27 +131,13 @@ class TlsConfig:
     client_validator: Optional[ClientValidator] = None
     crl: Optional[CertificateRevocationList] = None
     rng: Optional[HmacDrbg] = None
-    now: Optional[Callable[[], int]] = None
     session_cache: Optional[SessionCache] = None
-    offer_resumption: bool = True
     cipher_suites: Optional[List[int]] = None  # client offer order
     resumption_validator: Optional[ResumptionValidator] = None
 
     def effective_rng(self) -> HmacDrbg:
         """The configured RNG or the process default."""
         return self.rng or default_rng()
-
-    def effective_now(self) -> int:
-        """The configured clock's reading (0 for clockless endpoints —
-        which :meth:`validate` only permits when nothing is validated)."""
-        return self.now() if self.now is not None else 0
-
-    def _validates_peers(self) -> bool:
-        """Does this configuration ever check a peer certificate?"""
-        return (self.truststore is not None or self.crl is not None
-                or self.require_client_auth
-                or self.client_validator is not None
-                or self.resumption_validator is not None)
 
     def validate(self, server_side: bool) -> None:
         """Fail fast on inconsistent configurations."""
@@ -171,12 +153,6 @@ class TlsConfig:
             leaf = self.certificate_chain[0]
             if leaf.public_key_bytes != self.private_key.public.to_bytes():
                 raise TlsError("private key does not match leaf certificate")
-        if self.now is None and self._validates_peers():
-            raise TlsError(
-                "peer-validating TLS configuration without a time source: "
-                "pass now=<deployment clock>.now_seconds so validity "
-                "windows are checked against simulated time, not zero"
-            )
 
 
 # ----------------------------------------------------------- key derivation

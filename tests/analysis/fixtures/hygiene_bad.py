@@ -40,13 +40,6 @@ def ambient_entropy():
     return jitter, nonce, stamp
 
 
-def frozen_clock_tls(chain, key):
-    return TlsConfig(                     # HYG004: no now= time source
-        certificate_chain=chain,
-        private_key=key,
-    )
-
-
 def rogue_process_pool(jobs):
     from concurrent.futures import ProcessPoolExecutor  # HYG005
     import multiprocessing                               # HYG005

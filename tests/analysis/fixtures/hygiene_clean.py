@@ -30,15 +30,3 @@ def simulated_timeout(clock):
 
 def seeded_bits(drbg):
     return drbg.random_bytes(16)          # the DRBG way
-
-
-def clocked_tls(chain, key, clock):
-    return TlsConfig(                     # now= threads the clock: clean
-        certificate_chain=chain,
-        private_key=key,
-        now=clock.now_seconds,
-    )
-
-
-def forwarded_tls(**kwargs):
-    return TlsConfig(**kwargs)            # **kwargs may carry now=: clean

@@ -1,6 +1,7 @@
 """The runner end-to-end: the live tree is clean under the committed
 baseline, the CLI verb behaves, and rule selection works."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,15 @@ class TestRuleCatalogue:
         ids = [rule for checker in default_checkers()
                for rule in checker.rules]
         assert len(ids) == len(set(ids))
+
+    def test_docs_name_every_rule(self):
+        # The catalogue tables in docs/ANALYSIS.md list exactly the rules
+        # the analyzer and the sanitizer run: no row for a retired rule,
+        # and no rule without a row.
+        text = (REPO_ROOT / "docs" / "ANALYSIS.md").read_text()
+        documented = set(re.findall(r"^\| `([A-Z]+\d{3})` \|", text,
+                                    flags=re.MULTILINE))
+        assert documented == set(all_rules())
 
 
 class TestBrokenInputs:

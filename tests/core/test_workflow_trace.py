@@ -34,15 +34,6 @@ def test_controller_address_per_mode(deployment):
     assert deployment.controller_address(MODE_TRUSTED).port == 9443
 
 
-def test_selected_modes_only():
-    deployment = Deployment(seed=b"modes-subset", vnf_count=1,
-                            modes=(MODE_TRUSTED,))
-    assert set(deployment.endpoints) == {MODE_TRUSTED}
-    assert not deployment.network.is_listening(
-        deployment.controller_address(MODE_HTTP)
-    )
-
-
 def test_deterministic_construction():
     a = Deployment(seed=b"same-seed", vnf_count=1)
     b = Deployment(seed=b"same-seed", vnf_count=1)

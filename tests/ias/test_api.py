@@ -52,9 +52,7 @@ def test_malformed_request_gets_400(wired, quote):
     from repro.net.rest import HttpParser, HttpRequest
     from repro.tls import TlsClient, TlsConfig
 
-    tls_client = TlsClient(TlsConfig(
-        truststore=http.ias_truststore, now=network.clock.now_seconds,
-    ))
+    tls_client = TlsClient(TlsConfig(truststore=http.ias_truststore))
     conn = tls_client.connect(network.connect("vm", http.address))
     conn.send(HttpRequest("POST", "/attestation/v4/report",
                           body=b"not json").encode())
@@ -69,9 +67,7 @@ def test_sigrl_endpoint(wired, ias, quote):
     from repro.net.rest import HttpParser, HttpRequest
     from repro.tls import TlsClient, TlsConfig
 
-    tls_client = TlsClient(TlsConfig(
-        truststore=http.ias_truststore, now=network.clock.now_seconds,
-    ))
+    tls_client = TlsClient(TlsConfig(truststore=http.ias_truststore))
     conn = tls_client.connect(network.connect("vm", http.address))
     conn.send(HttpRequest("GET", "/attestation/v4/sigrl").encode())
     parser = HttpParser(is_server_side=False)

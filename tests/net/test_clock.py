@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.clock import StopWatch, VirtualClock
+from repro.net.clock import VirtualClock
 
 
 def test_starts_at_configured_time():
@@ -41,10 +41,3 @@ def test_reset_charges_keeps_time():
 def test_now_seconds_truncates():
     clock = VirtualClock(41.9)
     assert clock.now_seconds() == 41
-
-
-def test_stopwatch():
-    clock = VirtualClock()
-    with StopWatch(clock) as sw:
-        clock.advance(2.5)
-    assert sw.elapsed == 2.5

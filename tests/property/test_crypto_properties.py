@@ -1,6 +1,5 @@
 """Property-based tests over the crypto primitives."""
 
-import base64
 import hashlib
 import hmac
 
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.aes import AES
-from repro.crypto.encoding import b64_decode, b64_encode
 from repro.crypto.gcm import AesGcm
 from repro.crypto.hkdf import hkdf
 from repro.crypto.hmac import hmac_sha256
@@ -58,13 +56,6 @@ def test_gcm_any_bitflip_detected(key, nonce, plaintext, position):
     sealed[position % len(sealed)] ^= 1 + (position // len(sealed)) % 255
     with pytest.raises(InvalidTag):
         aead.decrypt(nonce, bytes(sealed))
-
-
-@given(st.binary(max_size=300))
-@settings(max_examples=80, deadline=None)
-def test_b64_matches_stdlib(data):
-    assert b64_encode(data) == base64.b64encode(data).decode()
-    assert b64_decode(b64_encode(data)) == data
 
 
 @given(st.binary(min_size=1, max_size=64), st.binary(max_size=64),

@@ -29,13 +29,12 @@ def controller():
     return ctl
 
 
-def tls_config(pki, rng, network, **kwargs):
+def tls_config(pki, rng, **kwargs):
     return TlsConfig(
         certificate_chain=[pki.server_cert],
         private_key=pki.server_key,
         truststore=pki.truststore,
         rng=rng,
-        now=network.clock.now_seconds,
         **kwargs,
     )
 
@@ -61,7 +60,7 @@ def test_http_mode_serves_anyone(controller, network, pki, rng):
 
 def test_https_mode_authenticates_server_only(controller, network, pki, rng):
     endpoint = NorthboundEndpoint(controller, network, Address("server", 8443),
-                                  MODE_HTTPS, tls_config(pki, rng, network))
+                                  MODE_HTTPS, tls_config(pki, rng))
     c = client(network, pki, rng, MODE_HTTPS, 8443, with_cert=False)
     c.push_flow("s1", "anon-tls-rule", {"eth_src": "h1"}, "drop")
     assert endpoint.unauthenticated_writes == 1
@@ -69,7 +68,7 @@ def test_https_mode_authenticates_server_only(controller, network, pki, rng):
 
 def test_trusted_mode_requires_client_cert(controller, network, pki, rng):
     endpoint = NorthboundEndpoint(controller, network, Address("server", 9443),
-                                  MODE_TRUSTED, tls_config(pki, rng, network))
+                                  MODE_TRUSTED, tls_config(pki, rng))
     good = client(network, pki, rng, MODE_TRUSTED, 9443)
     response = good.push_flow("s1", "auth-rule", {"eth_src": "h1"}, "drop")
     assert response["by"] == "client"
@@ -84,8 +83,7 @@ def test_keystore_validation_model(controller, network, pki, rng):
     keystore = Keystore()
     NorthboundEndpoint(
         controller, network, Address("server", 9444), MODE_TRUSTED,
-        tls_config(pki, rng, network,
-                   client_validator=keystore_validator(keystore)),
+        tls_config(pki, rng, client_validator=keystore_validator(keystore)),
     )
     with pytest.raises(ReproError):
         client(network, pki, rng, MODE_TRUSTED, 9444).summary()

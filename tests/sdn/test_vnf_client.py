@@ -19,8 +19,7 @@ def served(network, pki, rng):
     NorthboundEndpoint(
         controller, network, Address("ctl", 8443), MODE_HTTPS,
         TlsConfig(certificate_chain=[pki.server_cert],
-                  private_key=pki.server_key, rng=rng,
-                  now=network.clock.now_seconds),
+                  private_key=pki.server_key, rng=rng),
     )
     return controller
 

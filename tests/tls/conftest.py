@@ -34,7 +34,6 @@ def make_world(network, pki, rng, require_client_auth=False,
         require_client_auth=require_client_auth,
         client_validator=client_validator,
         rng=rng,
-        now=network.clock.now_seconds,
     )
     server = TlsServer(config)
 
@@ -61,12 +60,11 @@ def mutual_world(network, pki, rng) -> TlsWorld:
 
 
 @pytest.fixture
-def client_config(pki, rng, network) -> TlsConfig:
+def client_config(pki, rng) -> TlsConfig:
     """A client config with credentials (usable in both worlds)."""
     return TlsConfig(
         certificate_chain=[pki.client_cert],
         private_key=pki.client_key,
         truststore=pki.truststore,
         rng=rng,
-        now=network.clock.now_seconds,
     )

@@ -29,7 +29,6 @@ def test_garbage_certificate_verify_rejected(network, pki, rng,
         private_key=pki.client_key,           # passes local sanity check
         truststore=pki.truststore,
         rng=rng,
-        now=network.clock.now_seconds,
     )
     client = TlsClient(evil_config)
     # Swap the signing key after config validation: the CertificateVerify
@@ -91,7 +90,6 @@ def test_certificate_substitution_rejected(network, pki, rng, monkeypatch):
         private_key=mitm_key,
         truststore=pki.truststore,
         rng=rng,
-        now=network.clock.now_seconds,
     ))
     with pytest.raises(TlsAlert) as excinfo:
         world.connect(client)

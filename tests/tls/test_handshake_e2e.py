@@ -21,9 +21,8 @@ def test_full_handshake_and_data(world, client_config):
     assert conn.recv_available() == b"HELLO"
 
 
-def test_anonymous_client_ok_without_client_auth(world, pki, rng, network):
-    client = TlsClient(TlsConfig(truststore=pki.truststore, rng=rng,
-                                 now=network.clock.now_seconds))
+def test_anonymous_client_ok_without_client_auth(world, pki, rng):
+    client = TlsClient(TlsConfig(truststore=pki.truststore, rng=rng))
     conn = world.connect(client)
     conn.send(b"anon")
     assert conn.recv_available() == b"ANON"
@@ -36,15 +35,13 @@ def test_mutual_auth_presents_client_cert(mutual_world, client_config):
     assert conn.recv_available() == b"X"
 
 
-def test_mutual_auth_rejects_anonymous(mutual_world, pki, rng, network):
-    client = TlsClient(TlsConfig(truststore=pki.truststore, rng=rng,
-                                 now=network.clock.now_seconds))
+def test_mutual_auth_rejects_anonymous(mutual_world, pki, rng):
+    client = TlsClient(TlsConfig(truststore=pki.truststore, rng=rng))
     with pytest.raises((HandshakeFailure, TlsAlert)):
         mutual_world.connect(client)
 
 
-def test_mutual_auth_rejects_untrusted_client(mutual_world, rng, network,
-                                              pki):
+def test_mutual_auth_rejects_untrusted_client(mutual_world, rng, pki):
     rogue_ca = CertificateAuthority(DistinguishedName("Rogue"), rng=rng)
     rogue_key = generate_keypair(rng)
     rogue_cert = rogue_ca.issue_from_csr(
@@ -52,7 +49,7 @@ def test_mutual_auth_rejects_untrusted_client(mutual_world, rng, network,
     )
     client = TlsClient(TlsConfig(
         certificate_chain=[rogue_cert], private_key=rogue_key,
-        truststore=pki.truststore, rng=rng, now=network.clock.now_seconds,
+        truststore=pki.truststore, rng=rng,
     ))
     with pytest.raises(TlsAlert):
         mutual_world.connect(client)
@@ -74,8 +71,7 @@ def test_client_rejects_untrusted_server(network, rng, pki):
         client_key = pki.client_key
 
     world = make_world(network, FakePki, rng, port=444)
-    client = TlsClient(TlsConfig(truststore=pki.truststore, rng=rng,
-                                 now=network.clock.now_seconds))
+    client = TlsClient(TlsConfig(truststore=pki.truststore, rng=rng))
     from repro.errors import UntrustedCertificate
 
     with pytest.raises(UntrustedCertificate):
@@ -100,14 +96,6 @@ def test_forget_session_forces_full_handshake(world, client_config):
     client.forget_session("server")
     again = world.connect(client)
     assert not again.resumed
-
-
-def test_resumption_disabled_by_config(world, client_config):
-    client_config.offer_resumption = False
-    client = TlsClient(client_config)
-    world.connect(client)
-    second = world.connect(client)
-    assert not second.resumed
 
 
 def test_distinct_servers_have_distinct_sessions(network, pki, rng,

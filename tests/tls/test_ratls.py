@@ -214,7 +214,6 @@ class TestHandshakeIntegration:
         client = TlsClient(TlsConfig(
             certificate_chain=[cert], private_key=key,
             truststore=pki.truststore, rng=rng,
-            now=network.clock.now_seconds,
         ))
         conn = world.connect(client)
         assert conn.peer_certificate.subject.common_name == "server"
@@ -231,7 +230,6 @@ class TestHandshakeIntegration:
         client = TlsClient(TlsConfig(
             certificate_chain=[cert], private_key=key,
             truststore=pki.truststore, rng=rng,
-            now=network.clock.now_seconds,
         ))
         with pytest.raises(TlsAlert):
             world.connect(client)
@@ -248,7 +246,6 @@ class TestHandshakeIntegration:
         client = TlsClient(TlsConfig(
             certificate_chain=[cert], private_key=key,
             truststore=pki.truststore, rng=rng,
-            now=network.clock.now_seconds,
         ))
         first = world.connect(client)
         assert not first.resumed

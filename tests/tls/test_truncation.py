@@ -35,7 +35,7 @@ def test_close_notify_sets_eof_not_truncated(world, client_config, network,
 
     config = TlsConfig(
         certificate_chain=[pki.server_cert], private_key=pki.server_key,
-        rng=rng, now=network.clock.now_seconds,
+        rng=rng,
     )
     server = TlsServer(config)
 
