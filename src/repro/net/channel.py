@@ -18,7 +18,8 @@ See ``docs/CONCURRENCY.md``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import weakref
+from typing import Callable, Optional, Union
 
 from repro.errors import ChannelClosed, NetError
 from repro.net.clock import VirtualClock
@@ -45,7 +46,19 @@ class Channel:
         self._closed = False
         self._peer_closed = False
         self._on_receive: Optional[Callable[["Channel"], None]] = None
-        self.peer: Optional["Channel"] = None  # wired by the Network
+        # Wired by the Network; see ``peer``.
+        self._peer: Union["Channel", "weakref.ref[Channel]", None] = None
+
+    @property
+    def peer(self) -> Optional["Channel"]:
+        """The other endpoint, or ``None`` once it is gone.
+
+        A server end refers to its client end weakly, so the pair forms
+        no reference cycle: when the client drops a closed connection,
+        reference counting frees both ends at once.
+        """
+        peer = self._peer
+        return peer() if isinstance(peer, weakref.ref) else peer
 
     # ------------------------------------------------------------- sending
 
@@ -123,6 +136,10 @@ class Channel:
             return
         self._closed = True
         self._notify_close(self)
+        # A closed endpoint hears nothing more (``_enqueue`` drops bytes,
+        # ``_peer_did_close`` skips the handler), so let the handler go:
+        # it holds the endpoint above, which holds this channel.
+        self._on_receive = None
 
     def _peer_did_close(self) -> None:
         self._peer_closed = True

@@ -21,6 +21,7 @@ see ``docs/CONCURRENCY.md`` for the ownership rules.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
@@ -135,7 +136,10 @@ class Network:
         """Open a connection; returns the client-side channel.
 
         The destination's acceptor runs inline (it typically registers an
-        ``on_receive`` handler on the server-side channel).
+        ``on_receive`` handler on the server-side channel).  The client
+        end holds the server end; the server end holds the client end
+        weakly, so a connection the client drops is freed by reference
+        counting, not left for the cyclic collector.
         """
         with self._lock:
             acceptor = self._listeners.get(destination)
@@ -190,8 +194,8 @@ class Network:
             f"conn{conn_id}:{destination}<-{source_host}",
             make_deliver("s2c"), notify_close, self.clock,
         )
-        client_side.peer = server_side
-        server_side.peer = client_side
+        client_side._peer = server_side
+        server_side._peer = weakref.ref(client_side)
         acceptor(server_side)
         return client_side
 

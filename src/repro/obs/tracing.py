@@ -22,10 +22,15 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Any, Callable, Dict, List, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional
 
-from repro.analysis.sanitizer import make_rlock
+from repro.analysis.sanitizer import make_rlock, shared_state
 from repro.errors import ObservabilityError
+
+#: Root spans (whole traces) a tracer keeps.  Past this the oldest root
+#: is evicted, so trace memory stays bounded however long telemetry runs.
+TRACE_ROOT_CAPACITY = 4096
 
 
 class Span:
@@ -124,8 +129,12 @@ class _SpanContext:
         # Never swallow the exception.
 
 
+@shared_state("_roots", "_dropped_roots")
 class Tracer:
     """Builds span trees from nested instrumented regions.
+
+    It keeps the newest :data:`TRACE_ROOT_CAPACITY` root spans; each one
+    evicted to make room is counted in :attr:`dropped_roots`.
 
     Args:
         now: time source (pass the deployment's ``clock.now`` for
@@ -136,7 +145,8 @@ class Tracer:
         self._now = now
         self._tls = threading.local()   # per-thread open-span stack
         self._lock = make_rlock("tracer")  # guards roots + counters
-        self._roots: List[Span] = []
+        self._roots: Deque[Span] = deque(maxlen=TRACE_ROOT_CAPACITY)
+        self._dropped_roots = 0
         self._span_counter = 0
         self._trace_counter = 0
         self._open_count = 0
@@ -171,6 +181,8 @@ class Tracer:
         span.attributes.update(attributes)
         if parent is None:
             with self._lock:
+                if len(self._roots) == self._roots.maxlen:
+                    self._dropped_roots += 1
                 self._roots.append(span)
         else:
             # The parent span belongs to this thread's stack, so its
@@ -213,6 +225,12 @@ class Tracer:
         with self._lock:
             return list(self._roots)
 
+    @property
+    def dropped_roots(self) -> int:
+        """Root spans evicted, oldest first, to keep the capacity."""
+        with self._lock:
+            return self._dropped_roots
+
     def open_depth(self) -> int:
         """How many spans are open across *all* threads (0 quiescent)."""
         with self._lock:
@@ -251,7 +269,7 @@ class Tracer:
         return None
 
     def reset(self) -> None:
-        """Drop all recorded spans.
+        """Drop all recorded spans and zero :attr:`dropped_roots`.
 
         Raises:
             ObservabilityError: if spans are still open (on any thread).
@@ -262,5 +280,6 @@ class Tracer:
                     f"cannot reset with {self._open_count} span(s) open"
                 )
             self._roots.clear()
+            self._dropped_roots = 0
             self._span_counter = 0
             self._trace_counter = 0

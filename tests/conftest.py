@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+import repro
 from repro.crypto.keys import EcPrivateKey, generate_keypair
 from repro.crypto.rng import HmacDrbg
 from repro.net.simnet import Network
@@ -14,6 +19,19 @@ from repro.pki.certificate import Certificate
 from repro.pki.csr import create_csr
 from repro.pki.name import DistinguishedName
 from repro.pki.truststore import Truststore
+
+
+def run_fresh_python(source: str) -> str:
+    """Run ``source`` in a new interpreter that imports this tree's
+    ``repro``; return its standard output."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parents[1])]
+        + [path for path in [env.get("PYTHONPATH")] if path])
+    return subprocess.run(
+        [sys.executable, "-c", source], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    ).stdout
 
 
 @pytest.fixture

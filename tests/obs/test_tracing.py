@@ -1,12 +1,14 @@
 """The span tracer: nesting, virtual-clock timestamps, determinism, export."""
 
 import json
+import threading
 
 import pytest
 
 from repro.errors import ObservabilityError
 from repro.net.clock import VirtualClock
 from repro.obs import Tracer
+from repro.obs.tracing import TRACE_ROOT_CAPACITY
 
 
 @pytest.fixture
@@ -136,3 +138,27 @@ def test_reset_restarts_counters(tracer):
         pass
     assert span.span_id == "span-0001"
     assert span.trace_id == "trace-0001"
+
+
+def test_a_full_tracer_evicts_its_oldest_roots(tracer):
+    total = 10_000
+    first = tracer.start_span("root-0")  # open on this thread throughout
+
+    def flood():
+        for number in range(1, total):
+            with tracer.span(f"root-{number}"):
+                pass
+
+    worker = threading.Thread(target=flood)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert [root.name for root in tracer.roots()] == [
+        f"root-{number}" for number in range(total - TRACE_ROOT_CAPACITY,
+                                             total)]
+    assert tracer.dropped_roots == total - TRACE_ROOT_CAPACITY
+    tracer.end_span(first)  # evicted while open, it still ends cleanly
+    assert first.finished
+    assert tracer.open_depth() == 0
+    tracer.reset()
+    assert (tracer.roots(), tracer.dropped_roots) == ([], 0)
