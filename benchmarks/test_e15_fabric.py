@@ -31,6 +31,7 @@ import pytest
 from repro.bench.harness import BenchReport, Table, smoke_mode
 from repro.core import Deployment
 from repro.net.faults import FaultPlan
+from repro.net.clock import VirtualClock
 from repro.net.simnet import Network
 from repro.sdn.fabric import TrustedFabric
 
@@ -47,7 +48,7 @@ CONVERGE_BOUND_SECONDS = 1.0
 
 
 def _fabric(replicas: int, endpoints: int) -> TrustedFabric:
-    network = Network()
+    network = Network(VirtualClock())
     network.install_faults(FaultPlan())
     fabric = TrustedFabric(network, replica_count=replicas)
     fabric.add_endpoints(endpoints)

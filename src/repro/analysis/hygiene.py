@@ -7,8 +7,8 @@ HYG001        bare ``except:`` (swallows ``KeyboardInterrupt`` and masks
 HYG002        mutable default argument (shared across calls)
 HYG003        wall-clock or ambient entropy that bypasses the simulation
               (``time.*`` except ``perf_counter``, ``random.*``,
-              ``datetime.now``/``utcnow``, ``os.urandom`` outside
-              ``crypto/rng.py``) — use ``VirtualClock`` / the HMAC-DRBG
+              ``datetime.now``/``utcnow``, ``os.urandom``; no module is
+              exempt) — use ``VirtualClock`` / the HMAC-DRBG
 HYG005        ``ProcessPoolExecutor`` / ``multiprocessing`` anywhere —
               process pools fork, and a fork while another thread holds
               a lock replicates that lock in the held state forever;
@@ -37,8 +37,6 @@ from repro.analysis.findings import Finding
 
 #: ``time`` module attributes allowed everywhere (wall-time measurement).
 ALLOWED_TIME_ATTRS = {"perf_counter", "perf_counter_ns"}
-#: Modules allowed to touch ambient entropy (the DRBG's own seeding).
-ENTROPY_MODULES = {"crypto/rng.py"}
 
 MUTABLE_FACTORIES = {"list", "dict", "set", "bytearray"}
 
@@ -150,6 +148,6 @@ def _entropy_findings(
     elif module == "datetime" and attr in {"now", "utcnow", "today"}:
         yield hit(f"datetime.{attr} — derive timestamps from the "
                   f"VirtualClock")
-    elif (module == "os" and attr == "urandom"
-          and ctx.relpath not in ENTROPY_MODULES):
-        yield hit("os.urandom — only crypto/rng.py may seed from the OS")
+    elif module == "os" and attr == "urandom":
+        yield hit("os.urandom — draw from the seeded HMAC-DRBG the caller "
+                  "passes in")

@@ -61,8 +61,8 @@ ORDER_CHAINS: Dict[str, Tuple[str, ...]] = {
 }
 
 #: Leaf locks are innermost: taking any chain lock while holding one is a
-#: violation.  (``AuditLog`` observers are the canonical case — they may
-#: take the VM lock, which is exactly why ``record`` invokes them *after*
+#: violation.  (``AuditLog.record`` is the canonical case — it counts
+#: each event in the telemetry registry, a chain lock, only *after*
 #: releasing the audit lock.)
 LEAF_DOMAINS: Set[str] = {
     "clock", "audit", "tracer", "simnet", "agent",

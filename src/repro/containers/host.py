@@ -13,7 +13,7 @@ from typing import Dict, Optional
 from repro.containers.container import Container
 from repro.containers.registry import Registry
 from repro.containers.runtime import ContainerRuntime
-from repro.crypto.rng import HmacDrbg, default_rng
+from repro.crypto.rng import HmacDrbg
 from repro.ima.filesystem import SimulatedFilesystem
 from repro.ima.measure import MeasurementAgent
 from repro.ima.policy import ImaPolicy
@@ -48,15 +48,14 @@ class ContainerHost:
             16.04 + Docker 1.12-flavoured file set, as in the prototype).
     """
 
-    def __init__(self, name: str, clock: Optional[VirtualClock] = None,
-                 rng: Optional[HmacDrbg] = None,
+    def __init__(self, name: str, clock: VirtualClock, rng: HmacDrbg,
                  policy: Optional[ImaPolicy] = None,
                  with_tpm: bool = False,
                  cost_model: Optional[CostModel] = None,
                  os_files: Optional[Dict[str, bytes]] = None) -> None:
         self.name = name
         self.clock = clock
-        self._rng = rng or default_rng()
+        self._rng = rng
         self.filesystem = SimulatedFilesystem()
         self.tpm: Optional[TpmDevice] = TpmDevice(self._rng) if with_tpm else None
         self.ima = MeasurementAgent(
@@ -67,9 +66,7 @@ class ContainerHost:
         self.runtime = ContainerRuntime(
             self.filesystem, on_file_written=self.ima.on_file_accessed
         )
-        self.platform = SgxPlatform(
-            name, clock=clock, rng=self._rng, cost_model=cost_model
-        )
+        self.platform = SgxPlatform(name, clock, rng, cost_model=cost_model)
         self._booted = False
         self._os_files = dict(DEFAULT_OS_FILES if os_files is None else os_files)
 

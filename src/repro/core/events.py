@@ -9,9 +9,10 @@ credentials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.sanitizer import make_lock
+from repro.net.clock import VirtualClock
 
 EVENT_HOST_ATTESTED = "host-attested"
 EVENT_HOST_REJECTED = "host-rejected"
@@ -38,32 +39,30 @@ class AuditEvent:
 class AuditLog:
     """Append-only event store with simple querying.
 
-    An optional ``observer`` callable is invoked with every recorded
-    event; the telemetry layer uses it to keep the
-    ``vnf_sgx_audit_events_total`` counter in lock-step with the log.
+    Every recorded event is stamped with ``clock.now()`` and counted in
+    the clock's telemetry (``vnf_sgx_audit_events_total{kind=...}``,
+    a no-op under ``NULL_TELEMETRY``), read at each record.
 
     Thread-safe: concurrent fleet enrollments record trust decisions
     from many worker threads; appends run under an internal lock and
     query methods snapshot the list before filtering (see
-    ``docs/CONCURRENCY.md``).  The observer is invoked *outside* the
-    lock — telemetry counters have their own locks, and calling out
+    ``docs/CONCURRENCY.md``).  The telemetry counter is updated
+    *outside* the lock — counters have their own locks, and calling out
     under ours would invert the lock ordering.
     """
 
-    def __init__(self, now: Callable[[], float] = lambda: 0.0) -> None:
-        self._now = now
+    def __init__(self, clock: VirtualClock) -> None:
+        self._clock = clock
         self._events: List[AuditEvent] = []
         self._lock = make_lock("audit")
-        self.observer: Optional[Callable[[AuditEvent], None]] = None
 
     def record(self, kind: str, subject: str, details: str = "") -> AuditEvent:
         """Append an event stamped with the current simulated time."""
         event = AuditEvent(kind=kind, subject=subject,
-                           timestamp=self._now(), details=details)
+                           timestamp=self._clock.now(), details=details)
         with self._lock:
             self._events.append(event)
-        if self.observer is not None:
-            self.observer(event)
+        self._clock.telemetry.observe_audit(event)
         return event
 
     def events(self, kind: Optional[str] = None,

@@ -11,13 +11,13 @@ look-alike enclave — can decrypt.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.crypto.ecdh import ecdh_shared_secret
 from repro.crypto.gcm import AesGcm
 from repro.crypto.hkdf import hkdf
 from repro.crypto.keys import EcPublicKey, generate_keypair
-from repro.crypto.rng import HmacDrbg, default_rng
+from repro.crypto.rng import HmacDrbg
 from repro.crypto.sha256 import sha256
 from repro.errors import CryptoError, EncodingError, ProvisioningError
 from repro.pki import der
@@ -108,9 +108,8 @@ def _transport_key(shared_secret: bytes, vm_public: bytes,
 
 
 def encrypt_bundle(enclave_public_bytes: bytes, bundle: CredentialBundle,
-                   rng: Optional[HmacDrbg] = None) -> ProvisioningMessage:
+                   rng: HmacDrbg) -> ProvisioningMessage:
     """VM side: encrypt ``bundle`` to the enclave's bound delivery key."""
-    rng = rng or default_rng()
     enclave_public = EcPublicKey.from_bytes(enclave_public_bytes)
     ephemeral = generate_keypair(rng)
     shared = ecdh_shared_secret(ephemeral.scalar, enclave_public.point)

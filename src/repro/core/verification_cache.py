@@ -30,7 +30,6 @@ enrollments never tear the LRU order or lose an eviction; see
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional

@@ -34,7 +34,7 @@ from repro.core.provisioning import (
 )
 from repro.core.verification_cache import VerificationCache
 from repro.crypto.keys import EcPublicKey, generate_keypair
-from repro.crypto.rng import HmacDrbg, default_rng
+from repro.crypto.rng import HmacDrbg
 from repro.errors import AttestationFailed, RevocationError, VnfSgxError
 from repro.ias.api import IasClient
 from repro.net.clock import VirtualClock
@@ -72,24 +72,21 @@ class VerificationManager:
     APPRAISAL_SECONDS_PER_ENTRY = 5e-6
 
     def __init__(self, ias_client: IasClient, policy: DeploymentPolicy,
-                 expected_values: ExpectedValues,
-                 rng: Optional[HmacDrbg] = None,
-                 ca_name: str = "Verification-Manager-CA",
-                 clock: Optional[VirtualClock] = None) -> None:
+                 expected_values: ExpectedValues, rng: HmacDrbg,
+                 clock: VirtualClock) -> None:
         self._ias = ias_client
         self.policy = policy
         self.appraisal_engine = AppraisalEngine(
             expected_values, require_tpm=policy.require_tpm
         )
         #: The deployment's clock: time, telemetry and retry policy.
-        self.clock = clock or VirtualClock()
-        self._rng = rng or default_rng()
+        self.clock = clock
+        self._rng = rng
         self.ca = CertificateAuthority(
-            DistinguishedName(ca_name, "RISE"), now=self.clock.now_seconds(),
-            rng=self._rng,
+            DistinguishedName("Verification-Manager-CA", "RISE"),
+            now=self.clock.now_seconds(), rng=self._rng,
         )
-        self.audit = ev.AuditLog(now=self.clock.now)
-        self.audit.observer = self._observe_audit
+        self.audit = ev.AuditLog(self.clock)
         #: Memoised IAS verdicts for byte-identical evidence (retry storms
         #: re-submit the same quote+nonce).  Revocation paths flush it.
         self.verification_cache = VerificationCache(now=self.clock.now)
@@ -111,18 +108,6 @@ class VerificationManager:
         self._vnf_host: Dict[str, str] = {}        # vnf name -> host name
         self._crl_subscribers: List[object] = []   # TlsConfigs to refresh
         self._ratls_verifiers: List[object] = []   # RatlsVerifier instances
-
-    # ----------------------------------------------------------- telemetry
-
-    def _observe_audit(self, event: ev.AuditEvent) -> None:
-        """Mirror every audit event into
-        ``vnf_sgx_audit_events_total{kind=...}``.
-
-        Like the attestation, IAS and provisioning paths, it emits into
-        the telemetry of the clock, read at each use (``NULL_TELEMETRY``
-        while telemetry is off); neither way charges the clock.
-        """
-        self.clock.telemetry.observe_audit(event)
 
     def swap_ias_client(self, client: IasClient) -> IasClient:
         """Install a different IAS client; returns the previous one.

@@ -42,6 +42,7 @@ from repro.errors import ReproError, VnfSgxError
 from repro.ias.api import IasClient, IasHttpService
 from repro.ias.service import IasService
 from repro.net.address import Address
+from repro.net.clock import VirtualClock
 from repro.net.faults import FaultPlan
 from repro.net.retry import NO_RETRY, RetryPolicy
 from repro.net.simnet import Network
@@ -192,8 +193,8 @@ class Deployment:
             raise VnfSgxError("need at least one container host")
         self._seed = bytes(seed)
         self.rng = HmacDrbg(seed)
-        self.network = Network()
-        self.clock = self.network.clock
+        self.clock = VirtualClock()
+        self.network = Network(self.clock)
         self.client_validation = client_validation
 
         # --- Intel Attestation Service -------------------------------
@@ -363,21 +364,23 @@ class Deployment:
         while telemetry is off."""
         return self.clock.telemetry
 
-    def enable_telemetry(self, registry=None, serve: bool = True,
+    def enable_telemetry(self, serve: bool = True,
                          address: Address = TELEMETRY_ADDRESS):
         """Turn on the observability subsystem for the whole deployment.
 
-        Creates a :class:`repro.obs.Telemetry` on this deployment's
-        virtual clock and sets it as the clock's ``telemetry``.  Every
-        emitting component reads that attribute from the clock it holds
-        when it emits: the Verification Manager (with its audit log and
-        RA-TLS verifiers), the IAS endpoint and clients, the host-agent
-        stubs, every northbound endpoint, every host's transition
-        accountant, every TLS client handshake on this network (the
-        in-enclave ones included), and whatever :meth:`build_kms`,
-        :meth:`build_ratls` and :meth:`build_fabric` build, before or
-        after this call.  Then (``serve=True``) it mounts ``GET /metrics``
-        and ``GET /traces`` at ``address`` on the simulated network.
+        Creates a :class:`repro.obs.Telemetry` over a fresh registry of
+        its own, on this deployment's virtual clock, and sets it as the
+        clock's ``telemetry``; two deployments in one process keep
+        separate metrics and spans.  Every emitting component reads that
+        attribute from the clock it holds when it emits: the
+        Verification Manager (with its audit log and RA-TLS verifiers),
+        the IAS endpoint and clients, the host-agent stubs, every
+        northbound endpoint, every host's transition accountant, every
+        TLS client handshake on this network (the in-enclave ones
+        included), and whatever :meth:`build_kms`, :meth:`build_ratls`
+        and :meth:`build_fabric` build, before or after this call.  Then
+        (``serve=True``) it mounts ``GET /metrics`` and ``GET /traces``
+        at ``address`` on the simulated network.
 
         Observation never advances the virtual clock, so enabling
         telemetry does not change workflow timings; only an actual scrape
@@ -390,14 +393,8 @@ class Deployment:
             return self.telemetry
         from repro.obs import MetricsRegistry, Telemetry, TelemetryEndpoint
 
-        # A deployment gets its own registry by default, so two
-        # deployments in one process keep separate metrics and spans.
-        # Pass repro.obs.default_registry() to share the process-wide
-        # registry.
-        self.clock.telemetry = Telemetry(
-            registry=registry if registry is not None else MetricsRegistry(),
-            now=self.clock.now,
-        )
+        self.clock.telemetry = Telemetry(registry=MetricsRegistry(),
+                                         now=self.clock.now)
         if serve:
             self.telemetry_endpoint = TelemetryEndpoint(
                 self.telemetry, self.network, address

@@ -28,7 +28,7 @@ from repro.crypto.gcm import AesGcm
 from repro.crypto.ec import EcEngineStats, P256
 from repro.crypto.ecdsa import ecdsa_sign, ecdsa_verify, ecdsa_verify_reference
 from repro.crypto.ecdh import ecdh_shared_secret
-from repro.crypto.rng import HmacDrbg, default_rng
+from repro.crypto.rng import HmacDrbg
 from repro.crypto.keys import EcPrivateKey, EcPublicKey, generate_keypair
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "ecdsa_verify_reference",
     "ecdh_shared_secret",
     "HmacDrbg",
-    "default_rng",
     "EcPrivateKey",
     "EcPublicKey",
     "generate_keypair",

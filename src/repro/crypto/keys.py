@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 from repro.crypto.ec import P256, Point, _Curve
 from repro.crypto.ecdsa import (
@@ -12,7 +11,7 @@ from repro.crypto.ecdsa import (
     signature_from_bytes,
     signature_to_bytes,
 )
-from repro.crypto.rng import HmacDrbg, default_rng
+from repro.crypto.rng import HmacDrbg
 from repro.errors import InvalidKey
 
 
@@ -93,15 +92,6 @@ def from_scalar(scalar: int, curve: _Curve = P256) -> EcPrivateKey:
     return EcPrivateKey(scalar, EcPublicKey(point, curve), curve)
 
 
-def generate_keypair(rng: Optional[HmacDrbg] = None,
-                     curve: _Curve = P256) -> EcPrivateKey:
-    """Generate a fresh P-256 key pair from ``rng`` (default process DRBG)."""
-    rng = rng or default_rng()
+def generate_keypair(rng: HmacDrbg, curve: _Curve = P256) -> EcPrivateKey:
+    """Generate a fresh P-256 key pair from ``rng``."""
     return from_scalar(rng.random_scalar(curve.n), curve)
-
-
-def ephemeral_pair(rng: Optional[HmacDrbg] = None,
-                   curve: _Curve = P256) -> Tuple[int, Point]:
-    """Generate an ephemeral ECDH pair as ``(scalar, public point)``."""
-    key = generate_keypair(rng, curve)
-    return key.scalar, key.public.point

@@ -1,15 +1,14 @@
 """HMAC-DRBG (NIST SP 800-90A) and the library's randomness policy.
 
-Every component that needs randomness takes an explicit RNG argument; the
-default is a process-wide HMAC-DRBG seeded from ``os.urandom``.  Simulations
-and tests construct their own DRBG from a fixed seed, which makes entire
-end-to-end runs bit-reproducible — a property the benchmark harness relies
-on.
+Every component that needs randomness takes its DRBG from its caller;
+there is no process-wide generator to fall back on.  A deployment seeds
+one DRBG and hands it (or DRBGs derived from it) to everything it
+builds, and tests construct their own from a fixed seed, so equal seeds
+give byte-identical end-to-end runs — a property the benchmark harness
+relies on.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.analysis.sanitizer import make_lock
 from repro.crypto.hmac import hmac_sha256
@@ -80,23 +79,3 @@ class HmacDrbg:
     def random_scalar(self, order: int) -> int:
         """Uniform integer in ``[1, order)`` — an EC private scalar."""
         return 1 + self.random_int(order - 1)
-
-
-_default_rng = None
-_default_lock = make_lock("rng")
-
-
-def default_rng() -> HmacDrbg:
-    """Process-wide DRBG, lazily seeded from the OS entropy pool."""
-    global _default_rng
-    with _default_lock:
-        if _default_rng is None:
-            _default_rng = HmacDrbg(os.urandom(48), b"repro-default-rng")
-        return _default_rng
-
-
-def set_default_rng(rng: HmacDrbg) -> None:
-    """Replace the process-wide DRBG (used by deterministic simulations)."""
-    global _default_rng
-    with _default_lock:
-        _default_rng = rng

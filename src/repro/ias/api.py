@@ -13,7 +13,6 @@ relying-party stub.
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from repro.crypto.keys import EcPublicKey, generate_keypair
 from repro.crypto.rng import HmacDrbg
@@ -43,7 +42,7 @@ class IasHttpService:
     """Serves an :class:`IasService` over HTTPS on the simulated network."""
 
     def __init__(self, service: IasService, network: Network,
-                 address: Address, rng: Optional[HmacDrbg] = None) -> None:
+                 address: Address, rng: HmacDrbg) -> None:
         self.service = service
         self.address = address
         self._network = network
@@ -119,8 +118,8 @@ class IasClient:
     def __init__(self, network: Network, address: Address,
                  ias_truststore: Truststore,
                  report_signing_key: EcPublicKey,
-                 source_host: str = "verification-manager",
-                 rng: Optional[HmacDrbg] = None) -> None:
+                 source_host: str = "verification-manager", *,
+                 rng: HmacDrbg) -> None:
         self._network = network
         self._address = address
         self._report_signing_key = report_signing_key

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.keys import EcPrivateKey, EcPublicKey, generate_keypair
-from repro.crypto.rng import HmacDrbg, default_rng
+from repro.crypto.rng import HmacDrbg
 from repro.errors import IasError, QuoteError, ReproError
 from repro.ias.report import AttestationVerificationReport, sign_report
 from repro.ias.revocation_lists import PrivRl, SigRl
@@ -39,10 +39,10 @@ class IasService:
         group_id: EPID group identifier.
     """
 
-    def __init__(self, rng: Optional[HmacDrbg] = None,
+    def __init__(self, rng: HmacDrbg,
                  now: Callable[[], int] = lambda: 0,
                  group_id: bytes = b"epid-group-0") -> None:
-        self._rng = rng or default_rng()
+        self._rng = rng
         self._now = now
         self.group = EpidGroup(group_id, self._rng.random_bytes(32))
         self._report_key: EcPrivateKey = generate_keypair(self._rng)

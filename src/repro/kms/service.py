@@ -92,12 +92,9 @@ class KeyManagerService:
 
     # ---------------------------------------------------------- telemetry
     #
-    # Both mirrors emit into the clock's telemetry, read at each use:
-    # per-tenant audit events into ``vnf_sgx_audit_events_total`` and,
-    # after every mutation, shard occupancy into ``vnf_sgx_kms_secrets``.
-
-    def _observe_audit(self, event: AuditEvent) -> None:
-        self._clock.telemetry.observe_audit(event)
+    # After every mutation, shard occupancy goes into the clock's
+    # telemetry (``vnf_sgx_kms_secrets``), read at each use; each
+    # tenant's audit trail counts its own events on the same clock.
 
     def _sync_shard_gauge(self) -> None:
         gauge = self._clock.telemetry.kms_secrets
@@ -110,8 +107,7 @@ class KeyManagerService:
         with self._trails_lock:
             trail = self._trails.get(tenant)
             if trail is None:
-                trail = AuditLog(now=self._clock.now)
-                trail.observer = self._observe_audit
+                trail = AuditLog(self._clock)
                 self._trails[tenant] = trail
             return trail
 

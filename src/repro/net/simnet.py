@@ -66,13 +66,13 @@ class Network:
     """The fabric connecting hosts in a deployment.
 
     Args:
-        clock: shared virtual clock (created if not supplied).
+        clock: the deployment's virtual clock.
         default_profile: link profile for host pairs without an override.
     """
 
-    def __init__(self, clock: Optional[VirtualClock] = None,
+    def __init__(self, clock: VirtualClock,
                  default_profile: LinkProfile = DATACENTER) -> None:
-        self.clock = clock or VirtualClock()
+        self.clock = clock
         self._default_profile = default_profile
         self._listeners: Dict[Address, Acceptor] = {}
         self._profiles: Dict[Tuple[str, str], LinkProfile] = {}
@@ -161,26 +161,24 @@ class Network:
         client_side: Channel
         server_side: Channel
 
-        def make_deliver(direction: str) -> Callable[[Channel, bytes], None]:
-            def deliver(sender: Channel, data: bytes) -> None:
-                if fault_state is not None and self._faults is not None:
-                    from repro.net.faults import FaultPlan
+        def deliver(sender: Channel, data: bytes) -> None:
+            if fault_state is not None and self._faults is not None:
+                from repro.net.faults import FaultPlan
 
-                    if self._faults.on_send(destination, fault_state,
-                                            self.clock):
-                        # Mid-stream drop: the payload is lost, both
-                        # endpoints close, and the send raises.
-                        FaultPlan.tear_down(sender)
-                self.clock.advance(profile.transfer_time(len(data)), "network")
-                with self._lock:
-                    self._message_count += 1
-                    self._messages_by_host[destination.host] = (
-                        self._messages_by_host.get(destination.host, 0) + 1
-                    )
-                receiver = sender.peer
-                if receiver is not None:
-                    receiver._enqueue(data)
-            return deliver
+                if self._faults.on_send(destination, fault_state,
+                                        self.clock):
+                    # Mid-stream drop: the payload is lost, both
+                    # endpoints close, and the send raises.
+                    FaultPlan.tear_down(sender)
+            self.clock.advance(profile.transfer_time(len(data)), "network")
+            with self._lock:
+                self._message_count += 1
+                self._messages_by_host[destination.host] = (
+                    self._messages_by_host.get(destination.host, 0) + 1
+                )
+            receiver = sender.peer
+            if receiver is not None:
+                receiver._enqueue(data)
 
         def notify_close(closing: Channel) -> None:
             if closing.peer is not None:
@@ -188,11 +186,11 @@ class Network:
 
         client_side = Channel(
             f"conn{conn_id}:{source_host}->{destination}",
-            make_deliver("c2s"), notify_close, self.clock,
+            deliver, notify_close, self.clock,
         )
         server_side = Channel(
             f"conn{conn_id}:{destination}<-{source_host}",
-            make_deliver("s2c"), notify_close, self.clock,
+            deliver, notify_close, self.clock,
         )
         client_side._peer = server_side
         server_side._peer = weakref.ref(client_side)

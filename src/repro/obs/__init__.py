@@ -5,8 +5,8 @@ The subsystem has three layers (see ``docs/OBSERVABILITY.md``):
 - :mod:`repro.obs.registry` — Prometheus-style :class:`Counter`,
   :class:`Gauge` and :class:`Histogram` families with labels and
   configurable buckets (a histogram keeps counts, never raw samples),
-  collected by a :class:`MetricsRegistry` (a process-wide default exists
-  for tests).
+  collected by a :class:`MetricsRegistry` (each deployment builds its
+  own; there is no process-wide one).
 - :mod:`repro.obs.tracing` — a :class:`Tracer` producing deterministic
   span trees timestamped from the virtual clock.
 - :mod:`repro.obs.exposition` — the Prometheus text renderer/parser and
@@ -39,8 +39,6 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
-    reset_default_registry,
 )
 from repro.obs.tracing import Span, Tracer
 
@@ -50,8 +48,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_BUCKETS",
-    "default_registry",
-    "reset_default_registry",
     "Span",
     "Tracer",
     "NULL_TELEMETRY",

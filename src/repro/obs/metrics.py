@@ -21,11 +21,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
-from repro.obs.registry import (
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-)
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.tracing import Span, Tracer
 
 # ------------------------------------------------------------- metric names
@@ -66,15 +62,15 @@ class Telemetry:
     """Registry + tracer + clock, with the standard instruments created.
 
     Args:
-        registry: metrics registry (defaults to the process-wide one).
+        registry: the metrics registry to record into.
         now: simulated-time source; pass ``deployment.clock.now``.
         tracer: span tracer (created on ``now`` if not supplied).
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
+    def __init__(self, registry: MetricsRegistry,
                  now: Callable[[], float] = lambda: 0.0,
                  tracer: Optional[Tracer] = None) -> None:
-        self.registry = registry if registry is not None else default_registry()
+        self.registry = registry
         self.now = now
         self.tracer = tracer or Tracer(now=now)
         r = self.registry
@@ -247,7 +243,8 @@ class Telemetry:
     # ------------------------------------------------------------- hooks
 
     def observe_audit(self, event) -> None:
-        """AuditLog observer: one counter increment per recorded event."""
+        """One counter increment per recorded audit event
+        (:meth:`repro.core.events.AuditLog.record` calls it)."""
         self.audit_events.labels(kind=event.kind).inc()
 
     def observe_handshake(self, role: str, resumed: bool,

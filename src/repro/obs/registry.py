@@ -3,9 +3,10 @@
 Modeled on the Prometheus client-library data model: a *metric family* has
 a name, a help string and a fixed set of label names; each distinct
 combination of label values materialises one *child* holding the actual
-numbers.  A process-wide default registry exists for convenience
-(:func:`default_registry`) and can be swapped out wholesale for test
-isolation (:func:`reset_default_registry`).
+numbers.  There is no process-wide registry: each
+:class:`~repro.obs.Telemetry` takes the registry its caller built (a
+deployment builds one of its own), so two deployments in one process
+never share a metric.
 
 Observing a metric never touches the virtual clock — telemetry watches the
 simulation, it does not participate in it — so enabling instrumentation
@@ -413,21 +414,3 @@ class MetricsRegistry:
         """Remove a family entirely."""
         with self._lock:
             self._families.pop(name, None)
-
-
-# --------------------------------------------------------------------------
-# Process-wide default registry
-
-_default_registry = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry."""
-    return _default_registry
-
-
-def reset_default_registry() -> MetricsRegistry:
-    """Replace the process-wide registry with a fresh one (for tests)."""
-    global _default_registry
-    _default_registry = MetricsRegistry()
-    return _default_registry

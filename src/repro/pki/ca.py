@@ -54,8 +54,8 @@ class CertificateAuthority:
         validity: root-certificate lifetime in seconds.
     """
 
-    def __init__(self, name: DistinguishedName, now: int = 0,
-                 rng: Optional[HmacDrbg] = None,
+    def __init__(self, name: DistinguishedName, now: int = 0, *,
+                 rng: HmacDrbg,
                  validity: int = 10 * DEFAULT_VALIDITY) -> None:
         self.name = name
         self._key: EcPrivateKey = generate_keypair(rng)

@@ -8,7 +8,7 @@ trusted-HTTPS client authentication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 from repro.crypto.keys import EcPrivateKey, EcPublicKey
 from repro.errors import CertificateRevoked, EncodingError

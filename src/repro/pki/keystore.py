@@ -62,18 +62,6 @@ class Keystore:
                 raise KeystoreError(f"no trusted entry {alias!r}")
             del self._trusted[alias]
 
-    def get_trusted(self, alias: str) -> Certificate:
-        """Fetch the trusted certificate stored under ``alias``.
-
-        Raises:
-            KeystoreError: no trusted entry under ``alias``.
-        """
-        with self._lock:
-            try:
-                return self._trusted[alias]
-            except KeyError as exc:
-                raise KeystoreError(f"no trusted entry {alias!r}") from exc
-
     def contains_certificate(self, certificate: Certificate) -> bool:
         """True if an identical certificate is a trusted entry.
 

@@ -236,10 +236,6 @@ class FabricKeystore:
         with self._lock:
             return self._applied_index
 
-    def has_credential(self, subject: str) -> bool:
-        with self._lock:
-            return subject in self._credentials
-
     def credential(self, subject: str) -> Optional[bytes]:
         """The replicated certificate bytes for ``subject`` (or None)."""
         with self._lock:

@@ -83,8 +83,8 @@ class VnfRestClient(ControllerOps):
                  source_host: str, mode: str,
                  truststore: Optional[Truststore] = None,
                  client_chain: Optional[List[Certificate]] = None,
-                 client_key: Optional[EcPrivateKey] = None,
-                 rng: Optional[HmacDrbg] = None) -> None:
+                 client_key: Optional[EcPrivateKey] = None, *,
+                 rng: HmacDrbg) -> None:
         if mode not in (MODE_HTTP, MODE_HTTPS, MODE_TRUSTED):
             raise SdnError(f"unknown mode {mode!r}")
         if mode != MODE_HTTP and truststore is None:

@@ -10,7 +10,6 @@ and the ECALL cycle cost is a swept parameter in the ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.net.clock import VirtualClock
 
@@ -51,11 +50,11 @@ class CostModel:
 class TransitionAccountant:
     """Counts transitions and charges their cost to the virtual clock.
 
-    With a clock, each transition also lands in the clock's telemetry
-    counters, labelled with ``platform`` (the platform's name).
+    Each transition also lands in the clock's telemetry counters,
+    labelled with ``platform`` (the platform's name).
     """
 
-    def __init__(self, model: CostModel, clock: Optional[VirtualClock],
+    def __init__(self, model: CostModel, clock: VirtualClock,
                  platform: str = "") -> None:
         self.model = model
         self._clock = clock
@@ -68,28 +67,23 @@ class TransitionAccountant:
         """Record one ECALL round trip."""
         self.ecalls += 1
         self.bytes_crossed += payload_bytes
-        if self._clock is not None:
-            tel = self._clock.telemetry
-            tel.ecalls.labels(platform=self.platform).inc()
-            tel.boundary_bytes.labels(platform=self.platform).inc(
-                payload_bytes)
-            self._clock.advance(self.model.ecall_cost(payload_bytes), ACCOUNT)
+        tel = self._clock.telemetry
+        tel.ecalls.labels(platform=self.platform).inc()
+        tel.boundary_bytes.labels(platform=self.platform).inc(payload_bytes)
+        self._clock.advance(self.model.ecall_cost(payload_bytes), ACCOUNT)
 
     def charge_ocall(self, payload_bytes: int) -> None:
         """Record one OCALL round trip."""
         self.ocalls += 1
         self.bytes_crossed += payload_bytes
-        if self._clock is not None:
-            tel = self._clock.telemetry
-            tel.ocalls.labels(platform=self.platform).inc()
-            tel.boundary_bytes.labels(platform=self.platform).inc(
-                payload_bytes)
-            self._clock.advance(self.model.ocall_cost(payload_bytes), ACCOUNT)
+        tel = self._clock.telemetry
+        tel.ocalls.labels(platform=self.platform).inc()
+        tel.boundary_bytes.labels(platform=self.platform).inc(payload_bytes)
+        self._clock.advance(self.model.ocall_cost(payload_bytes), ACCOUNT)
 
     def charge_page_fault(self, count: int = 1) -> None:
         """Record EPC paging events."""
-        if self._clock is not None:
-            self._clock.advance(
-                self.model.seconds(self.model.epc_page_fault_cycles * count),
-                ACCOUNT,
-            )
+        self._clock.advance(
+            self.model.seconds(self.model.epc_page_fault_cycles * count),
+            ACCOUNT,
+        )

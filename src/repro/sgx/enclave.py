@@ -150,7 +150,7 @@ class EnclaveApi:
              policy: str = POLICY_MRENCLAVE) -> SealedBlob:
         """Seal data to this enclave's identity."""
         return seal(self._fuse_key, self.identity, plaintext, policy,
-                    self.rng)
+                    rng=self.rng)
 
     def unseal(self, blob: SealedBlob) -> bytes:
         """Unseal data previously sealed on this platform/identity."""

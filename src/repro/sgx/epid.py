@@ -21,13 +21,13 @@ module only needs exactly the properties listed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from repro.crypto.constant_time import ct_bytes_eq
 from repro.crypto.gcm import AesGcm
 from repro.crypto.hkdf import hkdf
 from repro.crypto.hmac import hmac_sha256
-from repro.crypto.rng import HmacDrbg, default_rng
+from repro.crypto.rng import HmacDrbg
 from repro.errors import CryptoError, InvalidTag, QuoteError
 from repro.pki import der
 
@@ -90,9 +90,8 @@ class EpidGroup:
         """The member secret for ``member_id`` (manager-side derivation)."""
         return hmac_sha256(self._master, b"member" + member_id)
 
-    def issue_member(self, rng: Optional[HmacDrbg] = None) -> EpidMemberKey:
+    def issue_member(self, rng: HmacDrbg) -> EpidMemberKey:
         """Provision a new member key (SGX's EPID provisioning protocol)."""
-        rng = rng or default_rng()
         member_id = rng.random_bytes(16)
         return EpidMemberKey(
             group_id=self.group_id,
@@ -144,7 +143,7 @@ def _tag(member_secret: bytes, basename: bytes, message: bytes) -> bytes:
 
 def epid_sign(member: EpidMemberKey, sealing_key: Union[bytes, AesGcm],
               message: bytes, basename: bytes,
-              rng: Optional[HmacDrbg] = None) -> EpidSignature:
+              rng: HmacDrbg) -> EpidSignature:
     """Produce a group signature over ``message``.
 
     ``sealing_key`` is distributed to members at provisioning time so
@@ -152,7 +151,6 @@ def epid_sign(member: EpidMemberKey, sealing_key: Union[bytes, AesGcm],
     many quotes (the quoting enclave) passes the :class:`AesGcm` it
     built from the key once.
     """
-    rng = rng or default_rng()
     nonce = rng.random_bytes(12)
     aead = (sealing_key if isinstance(sealing_key, AesGcm)
             else AesGcm(sealing_key))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.crypto.rng import HmacDrbg, default_rng
+from repro.crypto.rng import HmacDrbg
 from repro.net.clock import VirtualClock
 from repro.sgx.ecall import CostModel, TransitionAccountant
 from repro.sgx.enclave import Enclave, EnclaveImage
@@ -24,18 +24,16 @@ class SgxPlatform:
 
     Args:
         name: platform label (diagnostics and IAS registration).
-        clock: virtual clock that transition costs are charged to
-            (``None`` disables cost accounting).
+        clock: virtual clock that transition costs are charged to.
         rng: randomness source (fuse keys, report keys, quote nonces).
         cost_model: the enclave-transition cost parameters.
     """
 
-    def __init__(self, name: str, clock: Optional[VirtualClock] = None,
-                 rng: Optional[HmacDrbg] = None,
+    def __init__(self, name: str, clock: VirtualClock, rng: HmacDrbg,
                  cost_model: Optional[CostModel] = None) -> None:
         self.name = name
         self.clock = clock
-        self._rng = rng or default_rng()
+        self._rng = rng
         self.cost_model = cost_model or CostModel()
         self.accountant = TransitionAccountant(self.cost_model, clock,
                                                platform=name)

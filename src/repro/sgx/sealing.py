@@ -11,11 +11,10 @@ provisioned credentials across restarts (experiment E8).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.crypto.gcm import AesGcm
 from repro.crypto.hkdf import hkdf
-from repro.crypto.rng import HmacDrbg, default_rng
+from repro.crypto.rng import HmacDrbg
 from repro.errors import CryptoError, SealingError
 from repro.pki import der
 
@@ -62,8 +61,8 @@ def _derive_seal_key(fuse_key: bytes, identity, policy: str, key_id: bytes,
 
 
 def seal(fuse_key: bytes, identity, plaintext: bytes,
-         policy: str = POLICY_MRENCLAVE,
-         rng: Optional[HmacDrbg] = None) -> SealedBlob:
+         policy: str = POLICY_MRENCLAVE, *,
+         rng: HmacDrbg) -> SealedBlob:
     """Seal ``plaintext`` to the calling enclave's identity.
 
     Args:
@@ -72,8 +71,8 @@ def seal(fuse_key: bytes, identity, plaintext: bytes,
         identity: the sealing enclave's identity.
         plaintext: secret bytes.
         policy: ``POLICY_MRENCLAVE`` or ``POLICY_MRSIGNER``.
+        rng: draws the key id and the nonce.
     """
-    rng = rng or default_rng()
     key_id = rng.random_bytes(16)
     nonce = rng.random_bytes(12)
     key = _derive_seal_key(fuse_key, identity, policy, key_id,

@@ -91,7 +91,7 @@ class TlsClient:
                  tel: Telemetry) -> TlsConnection:
         records = RecordLayer()
         buffer = hs.HandshakeBuffer()
-        rng = self._config.effective_rng()
+        rng = self._config.rng
         client_random = rng.random_bytes(RANDOM_SIZE)
 
         offered_session = (self._resumption.get(server_name)
@@ -189,7 +189,7 @@ class TlsClient:
                 hs.CertificateMsg(config.certificate_chain).encode()
             )
 
-        ecdhe = generate_keypair(config.effective_rng())
+        ecdhe = generate_keypair(config.rng)
         pre_master = ecdh_shared_secret(
             ecdhe.scalar, EcPublicKey.from_bytes(ske.public_point).point
         )

@@ -66,11 +66,6 @@ class RecordLayer:
         """Switch the inbound direction to encrypted records."""
         self._recv.activate(suite, key, fixed_iv)
 
-    @property
-    def send_encrypted(self) -> bool:
-        """True once outbound protection is active."""
-        return self._send.aead is not None
-
     # ------------------------------------------------------------- encoding
 
     def encode(self, content_type: int, payload: bytes) -> bytes:

@@ -166,7 +166,7 @@ class _ServerHandshake:
 
     def _on_client_hello(self, hello: hs.ClientHello) -> None:
         config = self._config
-        rng = config.effective_rng()
+        rng = config.rng
         self._client_random = hello.random
         self._server_random = rng.random_bytes(RANDOM_SIZE)
         self._suite = negotiate(hello.cipher_suites)

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.sanitizer import make_rlock, shared_state
 from repro.crypto.keys import EcPrivateKey
-from repro.crypto.rng import HmacDrbg, default_rng
+from repro.crypto.rng import HmacDrbg
 from repro.errors import TlsError
 from repro.pki.certificate import Certificate
 from repro.pki.crl import CertificateRevocationList
@@ -99,6 +98,7 @@ class TlsConfig:
     """Everything an endpoint needs to run handshakes.
 
     Attributes:
+        rng: randomness source (handshake randoms, ECDHE keys).
         certificate_chain: this endpoint's certificate chain, leaf first
             (empty for an unauthenticated client).
         private_key: the leaf certificate's private key.
@@ -115,7 +115,6 @@ class TlsConfig:
             handshake (the RA-TLS verifier denies resumption for
             revoked attested identities).
         crl: optional revocation list consulted during peer validation.
-        rng: randomness source.
         session_cache: resumption cache (server side, or shared).
         cipher_suites: client-side offer order (suite ids); ``None``
             offers every supported suite in default order.
@@ -124,20 +123,16 @@ class TlsConfig:
     validity against the clock of the channel they handshake on.
     """
 
+    rng: HmacDrbg
     certificate_chain: List[Certificate] = field(default_factory=list)
     private_key: Optional[EcPrivateKey] = None
     truststore: Optional[Truststore] = None
     require_client_auth: bool = False
     client_validator: Optional[ClientValidator] = None
     crl: Optional[CertificateRevocationList] = None
-    rng: Optional[HmacDrbg] = None
     session_cache: Optional[SessionCache] = None
     cipher_suites: Optional[List[int]] = None  # client offer order
     resumption_validator: Optional[ResumptionValidator] = None
-
-    def effective_rng(self) -> HmacDrbg:
-        """The configured RNG or the process default."""
-        return self.rng or default_rng()
 
     def validate(self, server_side: bool) -> None:
         """Fail fast on inconsistent configurations."""

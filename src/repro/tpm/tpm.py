@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.crypto.keys import EcPrivateKey, EcPublicKey, generate_keypair
 from repro.crypto.rng import HmacDrbg
@@ -22,7 +22,7 @@ class TpmDevice:
     entire security argument of experiment E7.
     """
 
-    def __init__(self, rng: Optional[HmacDrbg] = None) -> None:
+    def __init__(self, rng: HmacDrbg) -> None:
         self._pcrs: List[Pcr] = [Pcr() for _ in range(NUM_PCRS)]
         self._aik: EcPrivateKey = generate_keypair(rng)
         self.quote_count = 0

@@ -1,7 +1,7 @@
 """Seeded LOCK002 — analyzed as core/events.py (the 'audit' leaf lock).
 
-Invoking an observer that reaches the VM *inside* the audit lock is the
-inversion AuditLog.record avoids by calling observers after release.
+Calling out to the VM *inside* the audit lock is the inversion
+AuditLog.record avoids by counting its event after release.
 """
 
 

@@ -46,12 +46,14 @@ class TestSeededViolations:
                       if f.rule_id == "HYG005"]
             assert len(hyg005) == 3, path
 
-    def test_rng_module_may_seed_from_os(self):
-        findings = analyze_fixture("hygiene_bad.py", "crypto/rng.py",
-                                   checkers=[HygieneChecker()])
-        assert not [f for f in findings if "os.urandom" in f.message]
-        # the other bypasses still fire there
-        assert [f for f in findings if "time.time" in f.message]
+    def test_rng_module_may_not_seed_from_os(self):
+        def hyg003(path):
+            return [f.message for f in _bad(virtual_path=path)
+                    if f.rule_id == "HYG003"]
+
+        under_rng = hyg003("crypto/rng.py")
+        assert [m for m in under_rng if "os.urandom" in m]
+        assert under_rng == hyg003("core/fixture.py")
 
 
 class TestCleanFixture:

@@ -4,8 +4,6 @@ baseline, the CLI verb behaves, and rule selection works."""
 import re
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import all_rules, analyze_tree
 from repro.analysis.baseline import DEFAULT_BASELINE_NAME
 from repro.cli import main

@@ -5,7 +5,7 @@ from collections import Counter
 
 from repro.analysis import SecretFlowChecker, module_in_enclave
 
-from tests.analysis.conftest import analyze_fixture, fixture_context
+from tests.analysis.conftest import analyze_fixture
 
 
 def _bad(virtual_path="core/leaky.py"):

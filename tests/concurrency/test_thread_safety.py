@@ -274,8 +274,9 @@ def test_tracer_concurrent_span_stacks_are_thread_local():
 
 def test_audit_log_concurrent_records():
     from repro.core.events import AuditLog
+    from repro.net.clock import VirtualClock
 
-    log = AuditLog()
+    log = AuditLog(VirtualClock())
 
     def worker(index):
         for i in range(ROUNDS):

@@ -13,6 +13,7 @@ import pytest
 import repro
 from repro.crypto.keys import EcPrivateKey, generate_keypair
 from repro.crypto.rng import HmacDrbg
+from repro.net.clock import VirtualClock
 from repro.net.simnet import Network
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import Certificate
@@ -43,7 +44,7 @@ def rng() -> HmacDrbg:
 @pytest.fixture
 def network() -> Network:
     """A fresh simulated network with its own virtual clock."""
-    return Network()
+    return Network(VirtualClock())
 
 
 class PkiFixture(NamedTuple):

@@ -6,6 +6,7 @@ from repro.containers.host import ContainerHost
 from repro.containers.image import build_image
 from repro.containers.registry import Registry
 from repro.crypto.sha256 import sha256
+from repro.net.clock import VirtualClock
 
 
 @pytest.fixture
@@ -17,7 +18,7 @@ def registry():
 
 @pytest.fixture
 def host(rng):
-    host = ContainerHost("host-t", rng=rng)
+    host = ContainerHost("host-t", VirtualClock(), rng)
     host.boot()
     return host
 
@@ -65,7 +66,7 @@ def test_hide_measurement_restores_consistency(host):
 
 
 def test_tpm_configuration(rng):
-    host = ContainerHost("host-tpm", rng=rng, with_tpm=True)
+    host = ContainerHost("host-tpm", VirtualClock(), rng, with_tpm=True)
     host.boot()
     assert host.tpm is not None
     assert host.tpm.read_pcr(10) == host.ima.iml.aggregate()
@@ -76,7 +77,7 @@ def test_tpm_configuration(rng):
 
 
 def test_custom_os_files(rng):
-    host = ContainerHost("min", rng=rng,
+    host = ContainerHost("min", VirtualClock(), rng,
                          os_files={"/usr/bin/only": b"one"})
     host.boot()
     assert {e.path for e in host.ima.iml} == {"boot_aggregate",

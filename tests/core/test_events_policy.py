@@ -2,13 +2,16 @@
 
 from repro.core.events import AuditLog
 from repro.core.policy import DeploymentPolicy
+from repro.net.clock import VirtualClock
 
 
 def test_audit_records_and_filters():
-    times = iter([1.0, 2.0, 3.0])
-    log = AuditLog(now=lambda: next(times))
+    clock = VirtualClock(1.0)
+    log = AuditLog(clock)
     log.record("host-attested", "host-1")
+    clock.advance(1.0)
     log.record("vnf-attested", "vnf-1", "details")
+    clock.advance(1.0)
     log.record("host-attested", "host-2")
     assert len(log) == 3
     assert [e.subject for e in log.events("host-attested")] == ["host-1",

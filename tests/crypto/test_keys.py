@@ -6,7 +6,6 @@ from repro.crypto.ec import P256
 from repro.crypto.keys import (
     EcPrivateKey,
     EcPublicKey,
-    ephemeral_pair,
     from_scalar,
     generate_keypair,
 )
@@ -60,8 +59,3 @@ def test_fingerprint_is_stable_and_distinct(rng):
     assert a.public.fingerprint() == a.public.fingerprint()
     assert a.public.fingerprint() != b.public.fingerprint()
     assert len(a.public.fingerprint()) == 32
-
-
-def test_ephemeral_pair(rng):
-    scalar, point = ephemeral_pair(rng)
-    assert P256.multiply_generator(scalar) == point

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.rng import HmacDrbg, default_rng, set_default_rng
+from repro.crypto.rng import HmacDrbg
 from repro.errors import EntropyError
 
 
@@ -69,13 +69,3 @@ def test_random_int_covers_small_range():
 def test_negative_length_rejected():
     with pytest.raises(EntropyError):
         HmacDrbg(b"seed").random_bytes(-1)
-
-
-def test_default_rng_replaceable():
-    original = default_rng()
-    try:
-        fixed = HmacDrbg(b"fixed-for-test")
-        set_default_rng(fixed)
-        assert default_rng() is fixed
-    finally:
-        set_default_rng(original)

@@ -13,6 +13,7 @@ from repro.net.faults import (
     FaultPlan,
 )
 from repro.net.framing import send_frame, try_recv_frame
+from repro.net.clock import VirtualClock
 from repro.net.simnet import Network
 
 SERVER = Address("server", 9000)
@@ -97,7 +98,7 @@ def test_drop_after_sends_tears_down_mid_stream(network):
 
 def test_drop_send_probability_is_deterministic(network):
     def run(seed):
-        net = Network()
+        net = Network(VirtualClock())
         echo_listener(net)
         plan = FaultPlan(seed=seed).drop_send_probability(SERVER, 0.5)
         net.install_faults(plan)

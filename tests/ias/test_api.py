@@ -46,13 +46,13 @@ def test_nonce_mismatch_detected(wired, quote, ias, monkeypatch):
         client.verify_quote(quote.to_bytes(), nonce="fresh-nonce")
 
 
-def test_malformed_request_gets_400(wired, quote):
+def test_malformed_request_gets_400(wired, quote, rng):
     network, http, _ = wired
     # Hand-roll a bad request over TLS to check the endpoint's hardening.
     from repro.net.rest import HttpParser, HttpRequest
     from repro.tls import TlsClient, TlsConfig
 
-    tls_client = TlsClient(TlsConfig(truststore=http.ias_truststore))
+    tls_client = TlsClient(TlsConfig(truststore=http.ias_truststore, rng=rng))
     conn = tls_client.connect(network.connect("vm", http.address))
     conn.send(HttpRequest("POST", "/attestation/v4/report",
                           body=b"not json").encode())
@@ -61,13 +61,13 @@ def test_malformed_request_gets_400(wired, quote):
     assert response.status == 400
 
 
-def test_sigrl_endpoint(wired, ias, quote):
+def test_sigrl_endpoint(wired, ias, quote, rng):
     network, http, _ = wired
     ias.revoke_quote_signature(quote)
     from repro.net.rest import HttpParser, HttpRequest
     from repro.tls import TlsClient, TlsConfig
 
-    tls_client = TlsClient(TlsConfig(truststore=http.ias_truststore))
+    tls_client = TlsClient(TlsConfig(truststore=http.ias_truststore, rng=rng))
     conn = tls_client.connect(network.connect("vm", http.address))
     conn.send(HttpRequest("GET", "/attestation/v4/sigrl").encode())
     parser = HttpParser(is_server_side=False)

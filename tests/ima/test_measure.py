@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.rng import HmacDrbg
 from repro.crypto.sha256 import sha256
 from repro.ima.filesystem import SimulatedFilesystem
 from repro.ima.measure import IMA_PCR_INDEX, MeasurementAgent
@@ -57,7 +58,7 @@ def test_unmeasured_path_returns_none(agent):
 
 
 def test_tpm_extended_in_lockstep(fs):
-    tpm = TpmDevice()
+    tpm = TpmDevice(HmacDrbg(b"ima-lockstep-tpm"))
     agent = MeasurementAgent(fs, ImaPolicy.default_host_policy(), tpm=tpm)
     agent.measure_all()
     assert agent.tpm_anchored

@@ -49,11 +49,12 @@ def test_appraisal_rejects_violations(agent):
 
 
 def test_violation_extends_tpm_too():
+    from repro.crypto.rng import HmacDrbg
     from repro.tpm.tpm import TpmDevice
 
     fs = SimulatedFilesystem()
     fs.write_file("/usr/bin/dockerd", b"docker")
-    tpm = TpmDevice()
+    tpm = TpmDevice(HmacDrbg(b"ima-violation-tpm"))
     agent = MeasurementAgent(fs, ImaPolicy.default_host_policy(), tpm=tpm)
     agent.measure_all()
     agent.record_violation("/usr/bin/dockerd")

@@ -24,6 +24,7 @@ from repro.crypto.gcm import AesGcm
 from repro.kms import KmsClient
 from repro.net.address import Address
 from repro.net.channel import Channel
+from repro.net.clock import VirtualClock
 from repro.net.simnet import Network
 from repro.sdn.controller import FloodlightController
 from repro.sdn.northbound import (
@@ -98,7 +99,7 @@ def _northbound(mode: str) -> Callable:
     def build(pki, rng) -> Callable[[], None]:
         controller = FloodlightController()
         controller.register_switch(Switch("s1"))
-        network = Network()
+        network = Network(VirtualClock())
         address = Address("controller", 8443)
         tls = None if mode == MODE_HTTP else TlsConfig(
             certificate_chain=[pki.server_cert], private_key=pki.server_key,

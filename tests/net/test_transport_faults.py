@@ -42,6 +42,7 @@ from repro.kms import KmsClient
 from repro.net.address import Address
 from repro.net.faults import FaultPlan
 from repro.net.retry import NO_RETRY, RetryPolicy
+from repro.net.clock import VirtualClock
 from repro.net.simnet import Network
 from repro.obs import MetricsRegistry, Telemetry
 from repro.obs.exposition import TRACES_PATH, TelemetryEndpoint, scrape
@@ -125,7 +126,7 @@ def _vnf_rest(mode: str) -> Callable[[], Subject]:
 
 
 def _scrape() -> Subject:
-    network = Network()
+    network = Network(VirtualClock())
     address = Address("verification-manager", 9100)
     TelemetryEndpoint(
         Telemetry(registry=MetricsRegistry(), now=network.clock.now),

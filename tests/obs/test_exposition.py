@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConnectionRefused, RestError
 from repro.net.address import Address
+from repro.net.clock import VirtualClock
 from repro.net.simnet import Network
 from repro.obs import (
     MetricsRegistry,
@@ -110,7 +111,7 @@ def test_parse_skips_comments_and_blanks():
 
 @pytest.fixture
 def served(registry):
-    network = Network()
+    network = Network(VirtualClock())
     telemetry = Telemetry(registry=registry, now=network.clock.now)
     address = Address("vm", 9100)
     endpoint = TelemetryEndpoint(telemetry, network, address)

@@ -11,8 +11,6 @@ from repro.obs import (
     Counter,
     Histogram,
     MetricsRegistry,
-    default_registry,
-    reset_default_registry,
 )
 
 
@@ -185,15 +183,6 @@ def test_registry_unregister(registry):
     registry.counter("x_total")
     registry.unregister("x_total")
     assert "x_total" not in registry
-
-
-def test_default_registry_swap():
-    first = default_registry()
-    first.counter("probe_total").inc()
-    fresh = reset_default_registry()
-    assert fresh is default_registry()
-    assert fresh is not first
-    assert "probe_total" not in fresh
 
 
 def test_families_are_typed(registry):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ControllerUnavailable
 from repro.net.faults import FaultPlan
+from repro.net.clock import VirtualClock
 from repro.net.simnet import Network
 from repro.sdn.fabric import TrustedFabric
 
@@ -41,7 +42,7 @@ OPS = st.lists(
 
 
 def _build_fabric():
-    network = Network()
+    network = Network(VirtualClock())
     network.install_faults(FaultPlan())
     fabric = TrustedFabric(network, replica_count=REPLICAS)
     dpids = fabric.add_endpoints(ENDPOINTS)

@@ -69,7 +69,7 @@ def test_sealing_roundtrip_property(secret, policy):
 
     rng = HmacDrbg(b"prop-seal")
     identity = EnclaveIdentity(b"\x01" * 32, b"\x02" * 32, 1, 3)
-    blob = seal(b"fuse" * 8, identity, secret, policy, rng)
+    blob = seal(b"fuse" * 8, identity, secret, policy, rng=rng)
     assert unseal(b"fuse" * 8, identity, blob) == secret
 
 

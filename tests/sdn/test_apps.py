@@ -13,14 +13,14 @@ from repro.sdn.vnf import VnfRestClient
 
 
 @pytest.fixture
-def world(network):
+def world(network, rng):
     ctl = FloodlightController()
     ctl.register_switch(Switch("s1"))
     ctl.topology.attach_host("h1", "s1", 1)
     ctl.topology.attach_host("h2", "s1", 2)
     NorthboundEndpoint(ctl, network, Address("ctl", 8080), MODE_HTTP)
     client = VnfRestClient(network, Address("ctl", 8080), "vnf-host",
-                           MODE_HTTP)
+                           MODE_HTTP, rng=rng)
     return ctl, client
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ControllerUnavailable, FabricError
 from repro.net.faults import FaultPlan
+from repro.net.clock import VirtualClock
 from repro.net.simnet import Network
 from repro.sdn.fabric import TrustedFabric
 from repro.sdn.northbound import FABRIC_STATUS_PATH
@@ -11,7 +12,7 @@ from repro.sdn.northbound import FABRIC_STATUS_PATH
 
 @pytest.fixture()
 def fabric():
-    network = Network()
+    network = Network(VirtualClock())
     network.install_faults(FaultPlan())
     return TrustedFabric(network, replica_count=3)
 
@@ -151,4 +152,4 @@ def test_deployment_fabric_serves_status_over_northbound():
 
 def test_fabric_replica_count_validation():
     with pytest.raises(FabricError):
-        TrustedFabric(Network(), replica_count=0)
+        TrustedFabric(Network(VirtualClock()), replica_count=0)

@@ -25,7 +25,8 @@ def served(network, pki, rng):
 
 
 def test_persistent_connection_reused(served, network, pki, rng):
-    client = VnfRestClient(network, Address("ctl", 8080), "vnf", MODE_HTTP)
+    client = VnfRestClient(network, Address("ctl", 8080), "vnf", MODE_HTTP,
+                           rng=rng)
     client.summary()
     opened = network.connections_opened
     client.summary()
@@ -34,7 +35,8 @@ def test_persistent_connection_reused(served, network, pki, rng):
 
 
 def test_reconnect_after_close(served, network, pki, rng):
-    client = VnfRestClient(network, Address("ctl", 8080), "vnf", MODE_HTTP)
+    client = VnfRestClient(network, Address("ctl", 8080), "vnf", MODE_HTTP,
+                           rng=rng)
     client.summary()
     client.close()
     opened = network.connections_opened
@@ -42,24 +44,28 @@ def test_reconnect_after_close(served, network, pki, rng):
     assert network.connections_opened == opened + 1
 
 
-def test_close_is_idempotent(served, network):
-    client = VnfRestClient(network, Address("ctl", 8080), "vnf", MODE_HTTP)
+def test_close_is_idempotent(served, network, rng):
+    client = VnfRestClient(network, Address("ctl", 8080), "vnf", MODE_HTTP,
+                           rng=rng)
     client.close()
     client.close()
 
 
-def test_https_requires_truststore(served, network):
+def test_https_requires_truststore(served, network, rng):
     with pytest.raises(SdnError):
-        VnfRestClient(network, Address("ctl", 8443), "vnf", MODE_HTTPS)
+        VnfRestClient(network, Address("ctl", 8443), "vnf", MODE_HTTPS,
+                      rng=rng)
 
 
-def test_unknown_mode_rejected(served, network):
+def test_unknown_mode_rejected(served, network, rng):
     with pytest.raises(SdnError):
-        VnfRestClient(network, Address("ctl", 8080), "vnf", "gopher")
+        VnfRestClient(network, Address("ctl", 8080), "vnf", "gopher",
+                      rng=rng)
 
 
-def test_error_statuses_raise_with_context(served, network):
-    client = VnfRestClient(network, Address("ctl", 8080), "vnf", MODE_HTTP)
+def test_error_statuses_raise_with_context(served, network, rng):
+    client = VnfRestClient(network, Address("ctl", 8080), "vnf", MODE_HTTP,
+                           rng=rng)
     with pytest.raises(SdnError) as excinfo:
         client.delete_flow("never-existed")
     assert "400" in str(excinfo.value)

@@ -31,13 +31,6 @@ def test_accountant_charges_clock():
     assert clock.now() > 0
 
 
-def test_accountant_without_clock_counts_only():
-    accountant = TransitionAccountant(CostModel(), None)
-    accountant.charge_ecall(10)
-    accountant.charge_page_fault()
-    assert accountant.ecalls == 1
-
-
 def test_higher_ecall_cycles_cost_more_time():
     cheap, dear = VirtualClock(), VirtualClock()
     TransitionAccountant(CostModel(ecall_cycles=8000), cheap).charge_ecall(0)

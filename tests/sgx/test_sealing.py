@@ -24,7 +24,7 @@ def identity(mrenclave=b"\x11" * 32, mrsigner=b"\x22" * 32, prod=1, svn=2):
 
 def test_roundtrip_both_policies(rng):
     for policy in (POLICY_MRENCLAVE, POLICY_MRSIGNER):
-        blob = seal(FUSE_A, identity(), b"secret", policy, rng)
+        blob = seal(FUSE_A, identity(), b"secret", policy, rng=rng)
         assert unseal(FUSE_A, identity(), blob) == b"secret"
 
 
@@ -41,20 +41,20 @@ def test_wrong_platform_fails(rng):
 
 
 def test_mrenclave_policy_binds_measurement(rng):
-    blob = seal(FUSE_A, identity(), b"secret", POLICY_MRENCLAVE, rng)
+    blob = seal(FUSE_A, identity(), b"secret", POLICY_MRENCLAVE, rng=rng)
     other = identity(mrenclave=b"\x99" * 32)
     with pytest.raises(SealingError):
         unseal(FUSE_A, other, blob)
 
 
 def test_mrsigner_policy_survives_code_update(rng):
-    blob = seal(FUSE_A, identity(), b"secret", POLICY_MRSIGNER, rng)
+    blob = seal(FUSE_A, identity(), b"secret", POLICY_MRSIGNER, rng=rng)
     updated_code = identity(mrenclave=b"\x99" * 32)  # same signer/product
     assert unseal(FUSE_A, updated_code, blob) == b"secret"
 
 
 def test_mrsigner_policy_binds_signer_and_product(rng):
-    blob = seal(FUSE_A, identity(), b"secret", POLICY_MRSIGNER, rng)
+    blob = seal(FUSE_A, identity(), b"secret", POLICY_MRSIGNER, rng=rng)
     with pytest.raises(SealingError):
         unseal(FUSE_A, identity(mrsigner=b"\x33" * 32), blob)
     with pytest.raises(SealingError):
@@ -92,7 +92,7 @@ def test_tampered_nonce_length_raises_sealing_error(rng):
 
 def test_unknown_policy_rejected(rng):
     with pytest.raises(SealingError):
-        seal(FUSE_A, identity(), b"s", "mystery", rng)
+        seal(FUSE_A, identity(), b"s", "mystery", rng=rng)
     blob = seal(FUSE_A, identity(), b"s", rng=rng)
     import dataclasses
 

@@ -13,6 +13,7 @@ import pytest
 from repro.core import Deployment
 from repro.crypto.keys import generate_keypair
 from repro.errors import CertificateExpired, TlsAlert
+from repro.net.clock import VirtualClock
 from repro.net.simnet import Network
 from repro.pki.csr import create_csr
 from repro.pki.name import DistinguishedName
@@ -30,7 +31,7 @@ def _advance_past(clock, not_after):
 
 
 def test_one_client_config_follows_each_channels_clock(pki, rng):
-    early, late = Network(), Network()
+    early, late = Network(VirtualClock()), Network(VirtualClock())
     checked_at = _advance_past(late.clock, pki.server_cert.not_after)
     client = TlsClient(TlsConfig(truststore=pki.truststore, rng=rng))
 

@@ -118,9 +118,9 @@ def test_expired_server_cert_rejected(network, pki, rng, client_config):
         world.connect(client)
 
 
-def test_client_requires_truststore():
+def test_client_requires_truststore(rng):
     with pytest.raises(TlsError):
-        TlsClient(TlsConfig())
+        TlsClient(TlsConfig(rng=rng))
 
 
 def test_large_transfer_fragments(world, client_config):

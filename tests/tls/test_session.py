@@ -110,12 +110,12 @@ def test_finished_verify_data_direction_asymmetric():
 
 def test_config_validation(pki, rng):
     with pytest.raises(TlsError):
-        TlsConfig().validate(server_side=True)  # no cert/key
+        TlsConfig(rng=rng).validate(server_side=True)  # no cert/key
     with pytest.raises(TlsError):
         TlsConfig(certificate_chain=[pki.server_cert],
                   private_key=pki.server_key,
-                  require_client_auth=True).validate(server_side=True)
+                  require_client_auth=True, rng=rng).validate(server_side=True)
     # key/cert mismatch
     with pytest.raises(TlsError):
         TlsConfig(certificate_chain=[pki.server_cert],
-                  private_key=pki.client_key).validate(server_side=False)
+                  private_key=pki.client_key, rng=rng).validate(server_side=False)
