@@ -21,16 +21,10 @@ def provision_cost(variant: str, trial: int) -> float:
     deployment = Deployment(seed=f"e9-{variant}-{trial}".encode(),
                             vnf_count=1)
     deployment.vm.attest_host(deployment.agent_client, deployment.host.name)
-    address = str(deployment.controller_address())
-    if variant == "csr":
-        action = lambda: deployment.vm.enroll_vnf_csr(
-            deployment.agent_client, deployment.host.name, "vnf-1", address
-        )
-    else:
-        action = lambda: deployment.vm.enroll_vnf(
-            deployment.agent_client, deployment.host.name, "vnf-1", address
-        )
-    measurement = measure(deployment.clock, action)
+    measurement = measure(deployment.clock, lambda: deployment.vm.enroll_vnf(
+        deployment.agent_client, deployment.host.name, "vnf-1",
+        str(deployment.controller_address()), csr=variant == "csr",
+    ))
     assert deployment.credential_enclaves["vnf-1"].has_credentials()
     # Either way the enrolled VNF must reach the controller.
     assert deployment.enclave_client("vnf-1").summary()
@@ -58,9 +52,9 @@ def test_e9_provisioning_variants(benchmark):
     deployment = Deployment(seed=b"e9-bench", vnf_count=1)
     deployment.vm.attest_host(deployment.agent_client, deployment.host.name)
     benchmark.pedantic(
-        lambda: deployment.vm.enroll_vnf_csr(
+        lambda: deployment.vm.enroll_vnf(
             deployment.agent_client, deployment.host.name, "vnf-1",
-            str(deployment.controller_address()),
+            str(deployment.controller_address()), csr=True,
         ),
         rounds=1, iterations=1,
     )

@@ -42,14 +42,14 @@ class Measurement:
     wall_seconds: float
 
 
-def measure(clock: Optional[VirtualClock], fn: Callable[[], Any]) -> Measurement:
+def measure(clock: VirtualClock, fn: Callable[[], Any]) -> Measurement:
     """Run ``fn`` and capture simulated + wall time around it."""
-    sim_start = clock.now() if clock is not None else 0.0
+    sim_start = clock.now()
     wall_start = time.perf_counter()
     result = fn()
     return Measurement(
         result=result,
-        simulated_seconds=(clock.now() - sim_start) if clock is not None else 0.0,
+        simulated_seconds=clock.now() - sim_start,
         wall_seconds=time.perf_counter() - wall_start,
     )
 

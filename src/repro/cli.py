@@ -199,24 +199,11 @@ def _cmd_attest(args, out) -> int:
 def _cmd_enroll(args, out) -> int:
     deployment = _build_deployment(args)
     for vnf_name in deployment.vnf_names:
-        host = deployment.vnf_host[vnf_name]
-        agent = deployment.agent_clients[host.name]
-        if not deployment.vm.host_trusted(host.name):
-            deployment.vm.attest_host(agent, host.name).raise_if_failed(
-                host.name
-            )
-        address = str(deployment.controller_address())
-        if args.csr:
-            certificate = deployment.vm.enroll_vnf_csr(
-                agent, host.name, vnf_name, address
-            )
-        else:
-            certificate = deployment.vm.enroll_vnf(
-                agent, host.name, vnf_name, address
-            )
+        session = deployment.enroll(vnf_name, csr=args.csr)
         summary = deployment.enclave_client(vnf_name).summary()
         out.write(
-            f"{vnf_name}: serial {certificate.serial} on {host.name}; "
+            f"{vnf_name}: serial {session.certificate_serial} on "
+            f"{session.host_name}; "
             f"controller says {summary['controller']} "
             f"v{summary['version']}\n"
         )

@@ -95,7 +95,10 @@ class StepTimer:
 
 @dataclass
 class EnrollmentSession(StepTimer):
-    """Drives one VNF from untrusted to enrolled.
+    """Drives one VNF from untrusted to enrolled, one step at a time:
+    :meth:`attest_host`, :meth:`provision`, then :meth:`connect`
+    (:meth:`repro.core.Deployment.enroll` runs them, with the keystore
+    update between the last two).
 
     Args:
         vm: the Verification Manager.
@@ -103,6 +106,10 @@ class EnrollmentSession(StepTimer):
         host_name: the container host.
         vnf_name: the VNF to enrol.
         controller_address: where the enrolled VNF should connect.
+        csr: the key custody of step 5: ``False`` has the VM generate
+            and deliver the key pair (the paper's path), ``True`` has the
+            enclave generate it and send a CSR, so the private key never
+            leaves the enclave.
 
     The session runs on the Verification Manager's clock: its steps are
     timed and traced there, and each step follows that clock's retry
@@ -128,6 +135,7 @@ class EnrollmentSession(StepTimer):
     #: ``"ExceptionType: message"`` once a workflow run recorded this
     #: session's failure (see ``WorkflowTrace.failed``).
     error: Optional[str] = None
+    csr: bool = False
 
     @property
     def clock(self) -> VirtualClock:
@@ -172,7 +180,7 @@ class EnrollmentSession(StepTimer):
                 serial = None
             return self.vm.enroll_vnf(
                 self.agent, self.host_name, self.vnf_name,
-                self.controller_address, serial=serial,
+                self.controller_address, serial=serial, csr=self.csr,
             )
 
         certificate = self._timed(
@@ -193,13 +201,6 @@ class EnrollmentSession(StepTimer):
         )
         self.state = STATE_ENROLLED
         return summary
-
-    def run(self, client) -> List[StepTiming]:
-        """Run all steps; returns the timing breakdown."""
-        self.attest_host()
-        self.provision()
-        self.connect(client)
-        return list(self.timings)
 
     @property
     def succeeded(self) -> bool:

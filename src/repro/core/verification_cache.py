@@ -69,9 +69,8 @@ def evidence_key(quote_bytes: bytes, nonce: str) -> bytes:
 class VerificationCache:
     """Bounded LRU of successful IAS verdicts, keyed by evidence digest."""
 
-    def __init__(self, capacity: int = 1024,
-                 max_age: Optional[float] = None,
-                 now: Callable[[], float] = lambda: 0.0) -> None:
+    def __init__(self, now: Callable[[], float], capacity: int = 1024,
+                 max_age: Optional[float] = None) -> None:
         if capacity <= 0:
             raise ValueError("verification cache capacity must be positive")
         self.capacity = capacity

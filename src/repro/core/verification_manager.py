@@ -19,7 +19,7 @@ Responsibilities implemented here, keyed to Figure 1:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.sanitizer import make_rlock
 from repro.core import events as ev
@@ -41,9 +41,18 @@ from repro.net.clock import VirtualClock
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import Certificate, KEY_USAGE_CLIENT_AUTH
 from repro.pki.crl import REASON_PLATFORM_UNTRUSTED, REASON_UNSPECIFIED
+from repro.pki.csr import CertificateSigningRequest
 from repro.pki.name import DistinguishedName
 from repro.pki.truststore import Truststore
 from repro.sgx.quote import Quote
+
+
+def _custody(csr: bool) -> Tuple[str, str, str]:
+    """A key custody's telemetry variant, the name of the key its quote
+    binds, and the suffix of its audit details."""
+    if csr:
+        return "csr", "CSR key", " (csr)"
+    return "delivery", "delivery key", ""
 
 
 class HostTrustRecord:
@@ -89,7 +98,7 @@ class VerificationManager:
         self.audit = ev.AuditLog(self.clock)
         #: Memoised IAS verdicts for byte-identical evidence (retry storms
         #: re-submit the same quote+nonce).  Revocation paths flush it.
-        self.verification_cache = VerificationCache(now=self.clock.now)
+        self.verification_cache = VerificationCache(self.clock.now)
         #: Guards the trust-state maps below plus the revocation paths.
         #: Lock ordering: the VM lock may be taken *before* the CA lock
         #: and the cache locks, never after (``docs/CONCURRENCY.md``).
@@ -226,22 +235,43 @@ class VerificationManager:
 
     def attest_vnf(self, agent: HostAgentClient, host_name: str,
                    vnf_name: str) -> bytes:
-        """Attest a VNF enclave; returns its bound delivery public key.
+        """Attest a VNF enclave; returns its bound delivery public key."""
+        return self._attest_vnf(agent, host_name, vnf_name, csr=False)
+
+    def _attest_vnf(self, agent: HostAgentClient, host_name: str,
+                    vnf_name: str, csr: bool
+                    ) -> Union[bytes, CertificateSigningRequest]:
+        """Steps 3-4: attest a VNF enclave and return the key its quote
+        binds: the delivery public key, or with ``csr`` the enclave's
+        verified :class:`~repro.pki.csr.CertificateSigningRequest`.
 
         The host must have passed appraisal first ("the protocol continues
         only if the host is considered trustworthy").
         """
+        variant, label, suffix = _custody(csr)
         tel = self.clock.telemetry
         with tel.span("enclave-attestation", vnf=vnf_name, host=host_name), \
-                tel.time(tel.vnf_attestation_seconds.labels(
-                    variant="delivery")):
+                tel.time(tel.vnf_attestation_seconds.labels(variant=variant)):
             if not self.host_trusted(host_name):
                 raise AttestationFailed(
                     f"refusing to attest VNF {vnf_name}: host {host_name} "
                     "is not trusted"
                 )
             vm_nonce = self._rng.random_bytes(16)
-            delivery_public = agent.begin_provisioning(vnf_name, vm_nonce)
+            if csr:
+                key = CertificateSigningRequest.from_bytes(
+                    agent.generate_csr(vnf_name, vnf_name, vm_nonce)
+                )
+                key.verify_proof_of_possession()
+                if key.subject.common_name != vnf_name:
+                    raise AttestationFailed(
+                        f"CSR names {key.subject.common_name!r}, expected "
+                        f"{vnf_name!r}"
+                    )
+                public_key = key.public_key_bytes
+            else:
+                key = public_key = agent.begin_provisioning(vnf_name,
+                                                            vm_nonce)
             quote = Quote.from_bytes(agent.quote_vnf(vnf_name,
                                                      self.policy.basename))
             self._verify_quote_with_ias(quote, vm_nonce, vnf_name)
@@ -249,26 +279,31 @@ class VerificationManager:
                 quote, self.policy.expected_credential_mrenclave,
                 vnf_name, "credential enclave",
             )
-            if quote.report_data != binding_hash(delivery_public, vm_nonce):
+            if quote.report_data != binding_hash(public_key, vm_nonce):
                 self.audit.record(ev.EVENT_VNF_REJECTED, vnf_name,
-                                  "delivery key binding mismatch")
+                                  f"{label} binding mismatch")
                 raise AttestationFailed(
-                    f"{vnf_name}: quote does not bind the delivery key"
+                    f"{vnf_name}: quote does not bind the {label}"
                 )
             self.audit.record(ev.EVENT_VNF_ATTESTED, vnf_name,
-                              f"on {host_name}")
-            return delivery_public
+                              f"on {host_name}{suffix}")
+            return key
 
     # --------------------------------------------------------------- step 5
 
     def enroll_vnf(self, agent: HostAgentClient, host_name: str,
                    vnf_name: str, controller_address: str,
-                   server_anchors: Optional[Truststore] = None,
-                   serial: Optional[int] = None) -> Certificate:
+                   serial: Optional[int] = None,
+                   csr: bool = False) -> Certificate:
         """Attest, issue, and provision credentials for one VNF.
 
-        Returns the issued client certificate.  The private key is
-        generated here, delivered encrypted, and never stored by the VM.
+        Returns the issued client certificate.  By default the VM
+        generates the private key and delivers it encrypted to the
+        attested enclave, never storing it (the paper's step 5).  With
+        ``csr`` the enclave generates the key pair itself and sends a
+        CSR whose public key its quote binds, so the private key never
+        exists outside the enclave; the VM installs the signed
+        certificate.
 
         Args:
             serial: a certificate serial previously obtained from
@@ -276,38 +311,51 @@ class VerificationManager:
                 ``None`` allocates the next one.  Fleet schedulers reserve
                 serials in submission order so pooled and serial
                 enrollments issue byte-identical certificates.
+            csr: the key custody: ``True`` keeps the key in the enclave.
         """
+        variant, _, suffix = _custody(csr)
         tel = self.clock.telemetry
         with tel.span("credential-provisioning", vnf=vnf_name,
-                      variant="delivery"), \
-                tel.time(tel.provisioning_seconds.labels(variant="delivery")):
-            delivery_public = self.attest_vnf(agent, host_name, vnf_name)
-            credential_rng = self._credential_rng(vnf_name)
-
+                      variant=variant), \
+                tel.time(tel.provisioning_seconds.labels(variant=variant)):
+            key = self._attest_vnf(agent, host_name, vnf_name, csr)
             with tel.span("credential-issuance", vnf=vnf_name):
-                client_key = generate_keypair(credential_rng)
-                certificate = self.ca.issue(
-                    subject=DistinguishedName(vnf_name, "vnf"),
-                    public_key_bytes=client_key.public.to_bytes(),
-                    now=self.clock.now_seconds(),
-                    validity=self.policy.credential_validity,
-                    key_usage=(KEY_USAGE_CLIENT_AUTH,),
-                    serial=serial,
-                )
+                if csr:
+                    certificate = self.ca.issue_from_csr(
+                        key, now=self.clock.now_seconds(),
+                        validity=self.policy.credential_validity,
+                        serial=serial,
+                    )
+                else:
+                    credential_rng = self._credential_rng(vnf_name)
+                    client_key = generate_keypair(credential_rng)
+                    certificate = self.ca.issue(
+                        subject=DistinguishedName(vnf_name, "vnf"),
+                        public_key_bytes=client_key.public.to_bytes(),
+                        now=self.clock.now_seconds(),
+                        validity=self.policy.credential_validity,
+                        key_usage=(KEY_USAGE_CLIENT_AUTH,),
+                        serial=serial,
+                    )
             self.audit.record(ev.EVENT_CREDENTIAL_ISSUED, vnf_name,
-                              f"serial {certificate.serial}")
-            anchors = server_anchors or self.controller_truststore()
-            bundle = CredentialBundle(
-                private_key_bytes=client_key.to_bytes(),
-                certificate_chain=(certificate.to_bytes(),),
-                controller_anchors=tuple(
-                    anchor.to_bytes() for anchor in anchors.anchors()
-                ),
-                controller_address=controller_address,
-            )
-            message = encrypt_bundle(delivery_public, bundle, credential_rng)
-            subject = agent.complete_provisioning(vnf_name,
-                                                  message.to_bytes())
+                              f"serial {certificate.serial}{suffix}")
+            anchors = tuple(anchor.to_bytes() for anchor
+                            in self.controller_truststore().anchors())
+            if csr:
+                subject = agent.install_certificate(
+                    vnf_name, certificate.to_bytes(), anchors,
+                    controller_address,
+                )
+            else:
+                bundle = CredentialBundle(
+                    private_key_bytes=client_key.to_bytes(),
+                    certificate_chain=(certificate.to_bytes(),),
+                    controller_anchors=anchors,
+                    controller_address=controller_address,
+                )
+                message = encrypt_bundle(key, bundle, credential_rng)
+                subject = agent.complete_provisioning(vnf_name,
+                                                      message.to_bytes())
             if subject != vnf_name:
                 raise VnfSgxError(
                     f"provisioning confirmation mismatch: {subject!r}"
@@ -316,84 +364,8 @@ class VerificationManager:
                 self._issued[vnf_name] = certificate
                 self._vnf_host[vnf_name] = host_name
             self.audit.record(ev.EVENT_CREDENTIAL_PROVISIONED, vnf_name,
-                              f"serial {certificate.serial}")
-        tel.credentials_issued.labels(variant="delivery").inc()
-        tel.enrolled_vnfs.set(len(self._issued))
-        return certificate
-
-    def enroll_vnf_csr(self, agent: HostAgentClient, host_name: str,
-                       vnf_name: str, controller_address: str,
-                       server_anchors: Optional[Truststore] = None,
-                       serial: Optional[int] = None
-                       ) -> Certificate:
-        """The CSR provisioning variant: the key pair is generated *inside*
-        the enclave and never exists anywhere else — not even at the VM.
-
-        The enclave's quote binds the CSR's public key (same report-data
-        construction as the delivery key), so a man-in-the-middle cannot
-        substitute its own CSR; the CSR's self-signature proves key
-        possession on top.
-        """
-        from repro.pki.csr import CertificateSigningRequest
-
-        tel = self.clock.telemetry
-        with tel.span("credential-provisioning", vnf=vnf_name,
-                      variant="csr"), \
-                tel.time(tel.provisioning_seconds.labels(variant="csr")):
-            if not self.host_trusted(host_name):
-                raise AttestationFailed(
-                    f"refusing to enrol VNF {vnf_name}: host {host_name} is "
-                    "not trusted"
-                )
-            vm_nonce = self._rng.random_bytes(16)
-            csr_bytes = agent.generate_csr(vnf_name, vnf_name, vm_nonce)
-            csr = CertificateSigningRequest.from_bytes(csr_bytes)
-            csr.verify_proof_of_possession()
-            if csr.subject.common_name != vnf_name:
-                raise AttestationFailed(
-                    f"CSR names {csr.subject.common_name!r}, expected "
-                    f"{vnf_name!r}"
-                )
-            quote = Quote.from_bytes(agent.quote_vnf(vnf_name,
-                                                     self.policy.basename))
-            self._verify_quote_with_ias(quote, vm_nonce, vnf_name)
-            self._check_identity(
-                quote, self.policy.expected_credential_mrenclave,
-                vnf_name, "credential enclave",
-            )
-            if quote.report_data != binding_hash(csr.public_key_bytes,
-                                                 vm_nonce):
-                self.audit.record(ev.EVENT_VNF_REJECTED, vnf_name,
-                                  "CSR key binding mismatch")
-                raise AttestationFailed(
-                    f"{vnf_name}: quote does not bind the CSR key"
-                )
-            self.audit.record(ev.EVENT_VNF_ATTESTED, vnf_name,
-                              f"on {host_name} (csr)")
-            certificate = self.ca.issue_from_csr(
-                csr, now=self.clock.now_seconds(),
-                validity=self.policy.credential_validity,
-                serial=serial,
-            )
-            self.audit.record(ev.EVENT_CREDENTIAL_ISSUED, vnf_name,
-                              f"serial {certificate.serial} (csr)")
-            anchors = server_anchors or self.controller_truststore()
-            subject = agent.install_certificate(
-                vnf_name, certificate.to_bytes(),
-                [anchor.to_bytes() for anchor in anchors.anchors()],
-                controller_address,
-            )
-            if subject != vnf_name:
-                raise VnfSgxError(
-                    f"certificate installation confirmation mismatch: "
-                    f"{subject!r}"
-                )
-            with self._lock:
-                self._issued[vnf_name] = certificate
-                self._vnf_host[vnf_name] = host_name
-            self.audit.record(ev.EVENT_CREDENTIAL_PROVISIONED, vnf_name,
-                              f"serial {certificate.serial} (csr)")
-        tel.credentials_issued.labels(variant="csr").inc()
+                              f"serial {certificate.serial}{suffix}")
+        tel.credentials_issued.labels(variant=variant).inc()
         tel.enrolled_vnfs.set(len(self._issued))
         return certificate
 

@@ -606,14 +606,22 @@ class Deployment:
 
     # -------------------------------------------------------------- running
 
-    def enroll(self, vnf_name: str) -> EnrollmentSession:
-        """Run steps 1-6 for one VNF; returns the completed session."""
-        session = self._session(vnf_name)
+    def enroll(self, vnf_name: str, csr: bool = False) -> EnrollmentSession:
+        """Run steps 1-6 for one VNF; returns the completed session.
+
+        ``csr`` picks the key custody of step 5: by default the
+        Verification Manager generates the key pair and delivers it to
+        the attested enclave (the paper's path); with ``csr=True`` the
+        enclave generates it and the VM signs its CSR, so the private key
+        never leaves the enclave (experiment E9).  Either way the VNF
+        takes the same steps, retries, keystore update and spans.
+        """
+        session = self._session(vnf_name, csr=csr)
         self._drive(session, EnrollmentSession.attest_host)
         return session
 
-    def _session(self, vnf_name: str,
-                 serial: Optional[int] = None) -> EnrollmentSession:
+    def _session(self, vnf_name: str, serial: Optional[int] = None,
+                 csr: bool = False) -> EnrollmentSession:
         """A fresh enrollment session for one VNF (``serial``: one
         reserved in submission order by a fleet run)."""
         host = self.vnf_host[vnf_name]
@@ -624,6 +632,7 @@ class Deployment:
             vnf_name=vnf_name,
             controller_address=str(self.controller_address(MODE_TRUSTED)),
             reserved_serial=serial,
+            csr=csr,
         )
 
     def _drive(self, session: EnrollmentSession,

@@ -39,8 +39,7 @@ class IasService:
         group_id: EPID group identifier.
     """
 
-    def __init__(self, rng: HmacDrbg,
-                 now: Callable[[], int] = lambda: 0,
+    def __init__(self, rng: HmacDrbg, now: Callable[[], int],
                  group_id: bytes = b"epid-group-0") -> None:
         self._rng = rng
         self._now = now

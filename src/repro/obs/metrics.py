@@ -21,6 +21,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
+from repro.crypto.ec import P256
 from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.tracing import Span, Tracer
 
@@ -67,8 +68,7 @@ class Telemetry:
         tracer: span tracer (created on ``now`` if not supplied).
     """
 
-    def __init__(self, registry: MetricsRegistry,
-                 now: Callable[[], float] = lambda: 0.0,
+    def __init__(self, registry: MetricsRegistry, now: Callable[[], float],
                  tracer: Optional[Tracer] = None) -> None:
         self.registry = registry
         self.now = now
@@ -254,18 +254,15 @@ class Telemetry:
             role=role, resumed="true" if resumed else "false"
         ).observe(seconds)
 
-    def sync_ec_stats(self, curve=None) -> None:
-        """Mirror the EC engine's plain-integer counters into ``ec_ops``.
+    def sync_ec_stats(self) -> None:
+        """Mirror the P-256 engine's plain-integer counters into ``ec_ops``.
 
         The crypto layer counts with bare ``int += 1`` so the hot ladders
         never touch the registry; this pull-style sync (called by the
         ``/metrics`` endpoint before rendering, or manually) copies the
-        current snapshot into gauge children.  Passing ``curve`` overrides
-        the default P-256 instance (tests use private curves).
+        current snapshot into gauge children.
         """
-        if curve is None:
-            from repro.crypto.ec import P256 as curve  # noqa: N813
-        for op, value in curve.stats.snapshot().items():
+        for op, value in P256.stats.snapshot().items():
             self.ec_ops.labels(op=op).set(value)
 
     # ------------------------------------------------------------ reading
@@ -357,7 +354,8 @@ class _NullTracer:
 #: from this module, not from the :mod:`repro.obs` package: the package
 #: imports :mod:`repro.net`, so while it initialises a low layer would
 #: find it half built.
-NULL_TELEMETRY = Telemetry(registry=_NullRegistry(), tracer=_NullTracer())
+NULL_TELEMETRY = Telemetry(registry=_NullRegistry(), now=lambda: 0.0,
+                           tracer=_NullTracer())
 
 
 __all__ = [

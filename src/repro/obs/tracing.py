@@ -141,7 +141,7 @@ class Tracer:
             deterministic traces).
     """
 
-    def __init__(self, now: Callable[[], float] = lambda: 0.0) -> None:
+    def __init__(self, now: Callable[[], float]) -> None:
         self._now = now
         self._tls = threading.local()   # per-thread open-span stack
         self._lock = make_rlock("tracer")  # guards roots + counters

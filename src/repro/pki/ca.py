@@ -41,6 +41,8 @@ from repro.pki.csr import CertificateSigningRequest
 from repro.pki.name import DistinguishedName
 
 DEFAULT_VALIDITY = 365 * 24 * 3600  # one simulated year
+#: Seconds from a CRL's issuance to its ``next_update``.
+CRL_UPDATE_INTERVAL = 24 * 3600
 
 
 @shared_state("_next_serial", "_issued", "_revoked", "_crl_cache")
@@ -63,11 +65,11 @@ class CertificateAuthority:
         self._lock = make_rlock("ca")
         self._issued: Dict[int, Certificate] = {}
         self._revoked: List[RevokedEntry] = []
-        # (now, update_interval, revocation count) -> signed CRL.  One
-        # entry is enough: callers re-request the *current* CRL far more
-        # often than time advances or revocations land, and each signing
-        # is a full ECDSA operation.
-        self._crl_cache: Optional[Tuple[Tuple[int, int, int],
+        # (now, revocation count) -> signed CRL.  One entry is enough:
+        # callers re-request the *current* CRL far more often than time
+        # advances or revocations land, and each signing is a full ECDSA
+        # operation.
+        self._crl_cache: Optional[Tuple[Tuple[int, int],
                                         CertificateRevocationList]] = None
         self.certificate = self._self_sign(now, validity)
 
@@ -195,23 +197,22 @@ class CertificateAuthority:
                 return  # already revoked: idempotent
             self._revoked.append(RevokedEntry(serial, now, reason))
 
-    def current_crl(self, now: int,
-                    update_interval: int = 24 * 3600) -> CertificateRevocationList:
-        """The current signed CRL.
+    def current_crl(self, now: int) -> CertificateRevocationList:
+        """The current signed CRL, valid for :data:`CRL_UPDATE_INTERVAL`.
 
         Re-signing is skipped when nothing observable changed since the
-        last call (same issuance time, same interval, same revocation
-        count) — every CRL subscriber push used to pay a fresh ECDSA
-        signature for identical bytes.  CRL objects are immutable, so
-        sharing the cached instance is safe.
+        last call (same issuance time, same revocation count) — every CRL
+        subscriber push used to pay a fresh ECDSA signature for identical
+        bytes.  CRL objects are immutable, so sharing the cached instance
+        is safe.
         """
         with self._lock:
-            key = (now, update_interval, len(self._revoked))
+            key = (now, len(self._revoked))
             if self._crl_cache is not None and self._crl_cache[0] == key:
                 return self._crl_cache[1]
             revoked = list(self._revoked)
         crl = sign_crl(
-            self._key, self.name, now, now + update_interval, revoked
+            self._key, self.name, now, now + CRL_UPDATE_INTERVAL, revoked
         )
         with self._lock:
             self._crl_cache = (key, crl)

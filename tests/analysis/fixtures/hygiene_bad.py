@@ -42,7 +42,7 @@ def ambient_entropy():
 
 def rogue_process_pool(jobs):
     from concurrent.futures import ProcessPoolExecutor  # HYG005
-    import multiprocessing                               # HYG005
+    import multiprocessing                               # HYG005  # noqa: F401
     with ProcessPoolExecutor(max_workers=2) as pool:
         return list(pool.map(len, jobs))
 

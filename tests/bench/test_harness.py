@@ -59,12 +59,6 @@ def test_measure_captures_both_clocks():
     assert measurement.wall_seconds >= 0
 
 
-def test_measure_without_clock():
-    measurement = measure(None, lambda: 7)
-    assert measurement.result == 7
-    assert measurement.simulated_seconds == 0.0
-
-
 def test_summarize_basic_percentiles():
     summary = summarize([5.0, 1.0, 3.0, 2.0, 4.0])
     assert summary == Summary(count=5, minimum=1.0, median=3.0,

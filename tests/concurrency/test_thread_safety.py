@@ -110,7 +110,7 @@ def test_verification_cache_concurrent_accounting():
     class FakeAvr:
         pass
 
-    cache = VerificationCache(capacity=64)
+    cache = VerificationCache(lambda: 0.0, capacity=64)
     avr = FakeAvr()
 
     def worker(index):

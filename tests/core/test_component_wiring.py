@@ -139,7 +139,9 @@ def test_session_built_before_telemetry_records_its_steps():
     )
     telemetry = deployment.enable_telemetry(serve=False)
     try:
-        session.run(deployment.enclave_client("vnf-1"))
+        session.attest_host()
+        session.provision()
+        session.connect(deployment.enclave_client("vnf-1"))
         steps = [timing.step for timing in session.timings]
         names = [span["name"] for span in telemetry.tracer.export_flat()]
         assert len(steps) == 3

@@ -51,7 +51,9 @@ def test_failure_marks_session(deployment):
 
 def test_timings_recorded_per_step(deployment):
     session = make_session(deployment)
-    session.run(deployment.enclave_client("vnf-1"))
+    session.attest_host()
+    session.provision()
+    session.connect(deployment.enclave_client("vnf-1"))
     assert len(session.timings) == 3
     steps = [timing.step for timing in session.timings]
     assert "host-attestation (steps 1-2)" in steps[0]

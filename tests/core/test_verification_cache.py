@@ -35,7 +35,7 @@ class _Clock:
 
 
 def test_store_then_lookup_hits_and_counts():
-    cache = VerificationCache(capacity=4)
+    cache = VerificationCache(_Clock().now, capacity=4)
     avr = _FakeAvr("a")
     assert cache.lookup(b"quote", "nonce") is None
     cache.store(b"quote", "nonce", "host-1", avr)
@@ -57,11 +57,11 @@ def test_evidence_key_is_injective_across_the_split():
 
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
-        VerificationCache(capacity=0)
+        VerificationCache(_Clock().now, capacity=0)
 
 
 def test_lru_eviction_at_capacity():
-    cache = VerificationCache(capacity=2)
+    cache = VerificationCache(_Clock().now, capacity=2)
     cache.store(b"q1", "n", "s", _FakeAvr(1))
     cache.store(b"q2", "n", "s", _FakeAvr(2))
     # Touch q1 so q2 becomes the LRU-oldest entry.
@@ -74,7 +74,7 @@ def test_lru_eviction_at_capacity():
 
 
 def test_restoring_existing_key_does_not_evict():
-    cache = VerificationCache(capacity=2)
+    cache = VerificationCache(_Clock().now, capacity=2)
     cache.store(b"q1", "n", "s", _FakeAvr(1))
     cache.store(b"q2", "n", "s", _FakeAvr(2))
     fresh = _FakeAvr("fresh")
@@ -86,7 +86,7 @@ def test_restoring_existing_key_does_not_evict():
 
 def test_max_age_expiry_drops_on_access():
     clock = _Clock()
-    cache = VerificationCache(capacity=4, max_age=10.0, now=clock.now)
+    cache = VerificationCache(clock.now, capacity=4, max_age=10.0)
     cache.store(b"q", "n", "s", _FakeAvr("a"))
     clock.t = 9.0
     assert cache.lookup(b"q", "n") is not None
@@ -97,7 +97,7 @@ def test_max_age_expiry_drops_on_access():
 
 
 def test_invalidate_subject_and_where():
-    cache = VerificationCache(capacity=8)
+    cache = VerificationCache(_Clock().now, capacity=8)
     cache.store(b"q1", "n", "host-1", _FakeAvr(1))
     cache.store(b"q2", "n", "vnf-1", _FakeAvr(2))
     cache.store(b"q3", "n", "vnf-1", _FakeAvr(3))
@@ -109,7 +109,7 @@ def test_invalidate_subject_and_where():
 
 
 def test_clear_keeps_counters():
-    cache = VerificationCache(capacity=4)
+    cache = VerificationCache(_Clock().now, capacity=4)
     cache.store(b"q", "n", "s", _FakeAvr("a"))
     cache.lookup(b"q", "n")
     cache.lookup(b"zzz", "n")

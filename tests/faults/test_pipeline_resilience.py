@@ -64,6 +64,26 @@ def test_enrollment_survives_transient_ias_and_agent_faults():
     assert deployment.telemetry.workflow_vnf_failures.value == 0
 
 
+def test_csr_enrollment_survives_transient_ias_and_agent_faults():
+    """(a) for the in-enclave key custody: the same faults are absorbed by
+    the same step retries."""
+    deployment = Deployment(seed=b"resilience", vnf_count=2,
+                            retry_policy=POLICY)
+    plan = (FaultPlan(seed=b"resilience-plan")
+            .http_error(IAS_ADDRESS, 503, count=2)
+            .refuse_connections(deployment.agent.address, count=1)
+            .drop_after_sends(deployment.agent.address, sends=3,
+                              connections=1))
+    deployment.install_faults(plan)
+
+    for vnf_name in deployment.vnf_names:
+        assert deployment.enroll(vnf_name, csr=True).succeeded
+    assert sum(plan.injected.values()) >= 4
+    provisioned = deployment.vm.audit.events("credential-provisioned")
+    assert [event.details[-5:] for event in provisioned] == ["(csr)"] * 2
+    assert deployment.clock.charges().get("retry-backoff", 0.0) > 0.0
+
+
 def test_fleet_workflow_records_partial_failure():
     """(b): one permanently unreachable host fails its VNFs' enrollment,
     the rest of the fleet enrolls, and nothing raises."""

@@ -11,13 +11,14 @@ import time
 
 import pytest
 
+from repro.net.clock import VirtualClock
 from repro.obs import NULL_TELEMETRY, MetricsRegistry, Telemetry
 from repro.obs.registry import MetricFamily
 
 
 @pytest.fixture
 def real():
-    return Telemetry(registry=MetricsRegistry())
+    return Telemetry(registry=MetricsRegistry(), now=VirtualClock().now)
 
 
 def _families(telemetry):
@@ -100,7 +101,7 @@ def test_new_metric_needs_no_null_object_edit():
                 labelnames=("kind",), buckets=(0.1, 1.0),
             )
 
-    null = Extended(registry=NULL_TELEMETRY.registry,
+    null = Extended(registry=NULL_TELEMETRY.registry, now=NULL_TELEMETRY.now,
                     tracer=NULL_TELEMETRY.tracer)
     null.extra_seconds.labels(kind="k").observe(0.5)
     assert null.registry.collect() == []
