@@ -6,8 +6,6 @@ its result table (visible with ``-s``; captured otherwise) and asserts the
 sits — since absolute numbers depend on the host machine.
 """
 
-import pytest
-
 
 def pytest_configure(config):
     # The benchmark files live outside the tests/ rootdir default.

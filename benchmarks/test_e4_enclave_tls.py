@@ -15,8 +15,6 @@ grows (loopback -> datacenter -> WAN), and the absolute overhead scales
 with the modelled ECALL cycle cost (DESIGN.md ablation knob #3).
 """
 
-import json
-
 import pytest
 
 from repro.bench.harness import (

@@ -10,10 +10,12 @@ The RA-TLS alternative collapses steps 3-6 into the TLS handshake
 itself: the enclave generates its key, quotes the key binding, and
 self-signs a quote-bearing certificate *locally* (no VM round trips,
 no CA issuance); the controller's :class:`~repro.tls.ratls.RatlsVerifier`
-then attests the quote during the handshake, reusing the memoised IAS
-verdict on every reconnect.  Experiment E14 measures both effects:
-O(1) IAS calls across reconnects and the multi-× cut in enrollment
-round trips at fleet scale.
+then attests the quote during the handshake.  Reconnects resume the
+TLS session without re-validating, and a full re-handshake with the
+same certificate (after a restore from the sealed bundle) reuses the
+memoised IAS verdict.  Experiment E14 measures both effects: O(1) IAS
+calls across reconnects and the multi-× cut in enrollment round trips
+at fleet scale.
 """
 
 from __future__ import annotations

@@ -131,10 +131,4 @@ class ReattestationMonitor:
             # completed) local revocation.  Anything else propagates.
             with contextlib.suppress(IasError):
                 self._ias_service.revoke_platform(host_name)
-            # EPID revocation at IAS changes the verdict future submissions
-            # of this platform's old quotes would get, so any memoised
-            # verdict for the host is now stale.  ``distrust_host`` already
-            # flushed the cache; this keeps the invariant even if the
-            # distrust/IAS ordering ever changes.
-            self._vm.verification_cache.invalidate_subject(host_name)
         return revoked

@@ -37,6 +37,7 @@ from repro.crypto.keys import EcPublicKey, generate_keypair
 from repro.crypto.rng import HmacDrbg
 from repro.errors import AttestationFailed, RevocationError, VnfSgxError
 from repro.ias.api import IasClient
+from repro.ias.report import AttestationVerificationReport
 from repro.net.clock import VirtualClock
 from repro.pki.ca import CertificateAuthority
 from repro.pki.certificate import Certificate, KEY_USAGE_CLIENT_AUTH
@@ -96,9 +97,9 @@ class VerificationManager:
             now=self.clock.now_seconds(), rng=self._rng,
         )
         self.audit = ev.AuditLog(self.clock)
-        #: Memoised IAS verdicts for byte-identical evidence (retry storms
-        #: re-submit the same quote+nonce).  Revocation paths flush it.
-        self.verification_cache = VerificationCache(self.clock.now)
+        #: Memoised IAS verdicts for RA-TLS quotes, which repeat byte for
+        #: byte on a full re-handshake.  Revocation paths flush it.
+        self.verification_cache = VerificationCache()
         #: Guards the trust-state maps below plus the revocation paths.
         #: Lock ordering: the VM lock may be taken *before* the CA lock
         #: and the cache locks, never after (``docs/CONCURRENCY.md``).
@@ -377,12 +378,24 @@ class VerificationManager:
 
         The nonce is **empty** by design: the quote inside an RA-TLS
         certificate is generated once (report-data binds the leaf key,
-        not a challenge) and re-presented verbatim on every reconnect,
-        so the :class:`VerificationCache` answers every handshake after
-        the first without an IAS round trip.  Handshake freshness comes
-        from the TLS proof of key possession instead.
+        not a challenge) and re-presented verbatim on every full
+        handshake, so the :class:`VerificationCache` answers each one
+        after the first without an IAS round trip.  Handshake freshness
+        comes from the TLS proof of key possession instead.
         """
-        self._verify_quote_with_ias(quote, b"", subject)
+        quote_bytes = quote.to_bytes()
+        avr = self.verification_cache.lookup(quote_bytes)
+        self.clock.telemetry.verification_cache_events.labels(
+            result="miss" if avr is None else "hit"
+        ).inc()
+        if avr is None:
+            avr = self._verify_quote_with_ias(quote, b"", subject)
+            self.verification_cache.store(quote_bytes, subject, avr)
+        else:
+            # A hit still faces the body-binding and verdict checks, so
+            # a cache bug can never turn a rejected quote into an
+            # accepted one.
+            self._check_verdict(quote, avr, subject)
 
     def check_credential_identity(self, quote: Quote, subject: str) -> None:
         """RA-TLS identity hook: the embedded quote must name the
@@ -441,8 +454,7 @@ class VerificationManager:
                                self.clock.now_seconds(), reason)
                 self._publish_crl()
             # A revoked VNF must not keep a memoised "trustworthy"
-            # verdict: a retry replaying its old evidence has to face IAS
-            # again.
+            # verdict: its RA-TLS quote has to face IAS again.
             self.verification_cache.invalidate_subject(vnf_name)
         # RA-TLS identities hold no CA serial, so the CRL cannot reach
         # them: the verifier denylists the subject and evicts its cached
@@ -484,28 +496,20 @@ class VerificationManager:
                 revoked.append(vnf_name)
             if revoked:
                 self._publish_crl()
-            # Flush memoised IAS verdicts for the host *and* everything
-            # that was enrolled on it (SessionCache.invalidate_where
-            # pattern): the platform's trust state just changed, so
-            # byte-identical evidence must be re-verified, not replayed
-            # from cache.
-            doomed = set(revoked) | {host_name}
-            self.verification_cache.invalidate_where(
-                lambda entry: entry.subject in doomed
-            )
             verifiers = list(self._ratls_verifiers)
         # RA-TLS identities enrolled on the host: denylist them and evict
-        # their sessions (outside the VM lock — see revoke_vnf), then
-        # flush their memoised IAS verdicts too.
+        # their sessions (outside the VM lock — see revoke_vnf).
         ratls_doomed = set()
         for verifier in verifiers:
             ratls_doomed.update(verifier.revoke_host(host_name))
-        ratls_doomed -= set(revoked)
-        if ratls_doomed:
-            revoked.extend(sorted(ratls_doomed))
-            self.verification_cache.invalidate_where(
-                lambda entry: entry.subject in ratls_doomed
-            )
+        revoked.extend(sorted(ratls_doomed - set(revoked)))
+        # One flush over every subject revoked here, CA-issued ones too:
+        # a name enrolled both ways has its RA-TLS verdict stored under
+        # that name (SessionCache.invalidate_where pattern).
+        doomed = set(revoked)
+        self.verification_cache.invalidate_where(
+            lambda entry: entry.subject in doomed
+        )
         return revoked
 
     def _publish_crl(self) -> None:
@@ -535,23 +539,22 @@ class VerificationManager:
                 raise VnfSgxError(f"{vnf_name!r} is not enrolled") from exc
 
     def _verify_quote_with_ias(self, quote: Quote, nonce: bytes,
-                               subject: str) -> None:
+                               subject: str) -> AttestationVerificationReport:
+        """Have IAS verify ``quote`` and check its verdict; returns the
+        checked report.  Steps 1-4 call this for every quote: each
+        attempt draws a fresh nonce, so their verdicts are never memoised.
+        """
         tel = self.clock.telemetry
-        quote_bytes = quote.to_bytes()
-        nonce_hex = nonce.hex()
-        avr = self.verification_cache.lookup(quote_bytes, nonce_hex)
-        cached = avr is not None
-        tel.verification_cache_events.labels(
-            result="hit" if cached else "miss"
-        ).inc()
-        if not cached:
-            with tel.span("ias-verification", subject=subject) as span, \
-                    tel.time(tel.ias_verification_seconds.labels()):
-                avr = self._ias.verify_quote(quote_bytes, nonce=nonce_hex)
-                span.set_attribute("status", avr.quote_status)
-        # The binding / verdict checks run even on a cache hit: they are
-        # cheap, and keeping them unconditional means a cache bug can
-        # never turn a rejected quote into an accepted one.
+        with tel.span("ias-verification", subject=subject) as span, \
+                tel.time(tel.ias_verification_seconds.labels()):
+            avr = self._ias.verify_quote(quote.to_bytes(), nonce=nonce.hex())
+            span.set_attribute("status", avr.quote_status)
+        self._check_verdict(quote, avr, subject)
+        return avr
+
+    def _check_verdict(self, quote: Quote,
+                       avr: AttestationVerificationReport,
+                       subject: str) -> None:
         if avr.isv_enclave_quote_body != quote.body_bytes().hex():
             raise AttestationFailed(
                 f"{subject}: AVR covers a different quote body"
@@ -562,10 +565,6 @@ class VerificationManager:
             raise AttestationFailed(
                 f"{subject}: IAS verdict {avr.quote_status}"
             )
-        if not cached:
-            # Only verdicts that passed every check above are memoised.
-            self.verification_cache.store(quote_bytes, nonce_hex, subject,
-                                          avr)
 
     def _check_identity(self, quote: Quote, expected_mrenclave: bytes,
                         subject: str, kind: str) -> None:

@@ -31,7 +31,7 @@ from repro.crypto.rng import HmacDrbg
 from repro.crypto.sha256 import sha256
 from repro.errors import NamespaceError, TenantAuthError, TenantQuotaExceeded
 from repro.kms.shard import SecretShard, shard_identity
-from repro.kms.store import KmsCostModel, ShardedSecretStore
+from repro.kms.store import ShardedSecretStore
 from repro.kms.tenancy import TenantQuota, TenantRegistry, valid_name
 from repro.net.clock import VirtualClock
 from repro.pki.ca import CertificateAuthority
@@ -48,14 +48,11 @@ class KeyManagerService:
         clock: the deployment's virtual clock.
         seed: DRBG seed for the KMS's own randomness stream.
         shard_count: enclave-sealed shards to create.
-        cost_model: simulated operation costs (default
-            :class:`~repro.kms.store.KmsCostModel`).
         keystore: where shard identities are parked (private by default).
     """
 
     def __init__(self, ca: CertificateAuthority, clock: VirtualClock,
                  seed: bytes = b"kms-service", shard_count: int = 4,
-                 cost_model: Optional[KmsCostModel] = None,
                  keystore: Optional[Keystore] = None) -> None:
         self._ca = ca
         self._clock = clock
@@ -75,8 +72,7 @@ class KeyManagerService:
             fuse_key = self._rng.random_bytes(16)
             shards.append(SecretShard(label, fuse_key, identity, self._rng))
             self._park_shard_identity(label)
-        self.store_backend = ShardedSecretStore(
-            shards, clock, cost_model or KmsCostModel())
+        self.store_backend = ShardedSecretStore(shards, clock)
 
     def _park_shard_identity(self, label: str) -> None:
         """Give one shard a CA-issued server identity in the keystore."""

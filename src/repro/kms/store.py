@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.errors import KmsError
-from repro.kms.hashring import DEFAULT_VNODES, HashRing
+from repro.kms.hashring import HashRing
 from repro.kms.shard import SecretShard
 from repro.net.clock import VirtualClock
 
@@ -38,27 +38,29 @@ class KmsCostModel:
     delete_seconds: float = 50e-6
 
 
+#: The costs every store charges (``ShardedSecretStore.cost_model``).
+COST_MODEL = KmsCostModel()
+
+
 class ShardedSecretStore:
     """Route ``tenant/name`` keys onto sealed shards.
 
     Args:
         shards: the shard set (ring membership == shard labels).
         clock: the deployment's virtual clock.
-        cost_model: simulated operation costs.
-        vnodes: virtual nodes per shard on the ring.
     """
 
-    def __init__(self, shards: Sequence[SecretShard], clock: VirtualClock,
-                 cost_model: KmsCostModel = KmsCostModel(),
-                 vnodes: int = DEFAULT_VNODES) -> None:
+    cost_model = COST_MODEL
+
+    def __init__(self, shards: Sequence[SecretShard],
+                 clock: VirtualClock) -> None:
         if not shards:
             raise KmsError("the store needs at least one shard")
         self._shards: Dict[str, SecretShard] = {s.label: s for s in shards}
         if len(self._shards) != len(shards):
             raise KmsError("shard labels must be unique")
-        self._ring = HashRing(list(self._shards.keys()), vnodes=vnodes)
+        self._ring = HashRing(list(self._shards.keys()))
         self._clock = clock
-        self.cost_model = cost_model
 
     # ------------------------------------------------------------- routing
 

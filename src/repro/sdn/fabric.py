@@ -1,6 +1,6 @@
 """The trusted SDN fabric: replicated controllers, failover, fan-out.
 
-This is the TruSDN-scale control plane (ROADMAP open item 5): N
+This is the TruSDN-scale control plane that experiment E15 measures: N
 :class:`~repro.sdn.controller.FloodlightController` replicas share one
 forwarding-plane :class:`~repro.sdn.topology.Topology` and replicate a
 CA-cert keystore through a leader-based log (:mod:`repro.sdn.replication`)
@@ -76,6 +76,12 @@ REHOME_COST = 0.002
 #: Simulated time burned establishing that a dead replica is dead (a
 #: refused connect is otherwise free on the virtual clock).
 PROBE_TIMEOUT = 0.002
+
+#: Source host of the fabric's management-plane dials.
+CLIENT_HOST = "fabric-manager"
+
+#: Replica ``rank``'s host name is this prefix followed by the rank.
+REPLICA_HOST_PREFIX = "controller-r"
 
 ACCOUNT_PROBE = "fabric-probe"
 ACCOUNT_FANOUT = "fabric-fanout"
@@ -281,20 +287,17 @@ class TrustedFabric:
         vm: optional :class:`~repro.core.verification_manager.
             VerificationManager`; when attached, fabric revocations
             delegate to it first (CA + CRL + RA-TLS eviction).
-        client_host: source host name for management-plane dials.
     """
 
     def __init__(self, network: Network, replica_count: int = 3,
                  topology: Optional[Topology] = None,
                  primary_controller: Optional[FloodlightController] = None,
-                 vm=None, client_host: str = "fabric-manager",
-                 host_prefix: str = "controller-r") -> None:
+                 vm=None) -> None:
         if replica_count < 1:
             raise FabricError("need at least one controller replica")
         self.network = network
         self.clock = network.clock
         self.topology = topology if topology is not None else Topology()
-        self.client_host = client_host
         self._vm = vm
         self._by_rank: Dict[int, ControllerReplica] = {}
         self._switches: Dict[str, Switch] = {}
@@ -309,7 +312,7 @@ class TrustedFabric:
         for rank in range(replica_count):
             controller = primary_controller if rank == 0 else None
             replica = ControllerReplica(
-                rank, network, f"{host_prefix}{rank}", self.topology,
+                rank, network, f"{REPLICA_HOST_PREFIX}{rank}", self.topology,
                 controller=controller,
             )
             self._by_rank[rank] = replica
@@ -595,8 +598,7 @@ class TrustedFabric:
 
     def _exchange(self, address: Address,
                   payload: Dict[str, object]) -> Dict[str, object]:
-        return _call_replica(self.network, self.client_host, address,
-                             payload)
+        return _call_replica(self.network, CLIENT_HOST, address, payload)
 
     # ------------------------------------------------------------- failover
 

@@ -16,6 +16,8 @@ from repro.crypto.sha256 import SHA256
 
 PAGE_SIZE = 4096
 EXTEND_CHUNK = 256
+#: Save-state-area frames per thread (part of ECREATE's input).
+SSA_FRAME_SIZE = 1
 
 _ECREATE_TAG = b"\x45\x43\x52\x45\x41\x54\x45\x00"  # "ECREATE\0"
 _EADD_TAG = b"\x45\x41\x44\x44\x00\x00\x00\x00"      # "EADD\0\0\0\0"
@@ -33,13 +35,11 @@ def _paginate(code: bytes) -> list:
     return pages
 
 
-def measure_image(code: bytes, ssa_frame_size: int = 1,
-                  attributes: int = 0) -> bytes:
+def measure_image(code: bytes, attributes: int = 0) -> bytes:
     """Compute the MRENCLAVE of an enclave image.
 
     Args:
         code: the enclave's code/data image bytes.
-        ssa_frame_size: save-state-area frames (part of ECREATE's input).
         attributes: enclave attribute flags (DEBUG, 64-bit, ...).
 
     Returns:
@@ -49,7 +49,7 @@ def measure_image(code: bytes, ssa_frame_size: int = 1,
     running = SHA256()
     running.update(
         _ECREATE_TAG
-        + struct.pack("<IQ", ssa_frame_size, len(pages) * PAGE_SIZE)
+        + struct.pack("<IQ", SSA_FRAME_SIZE, len(pages) * PAGE_SIZE)
         + struct.pack("<Q", attributes)
         + b"\x00" * 36
     )

@@ -9,12 +9,13 @@ TLS proof of key possession authenticates the peer *as that enclave* —
 no out-of-band attestation round and no CA-issued credential needed
 before the first byte of application data.
 
-Two properties make reconnects cheap:
+Two properties make repeat handshakes cheap:
 
 * **Verdict reuse** — the quote bytes inside the certificate never
-  change between reconnects, so the Verification Manager's
-  ``VerificationCache`` answers every handshake after the first without
-  an IAS round trip.  Freshness does not need a per-handshake nonce:
+  change, so when the enclave handshakes in full again (restored from
+  its sealed bundle, or after the server evicted its session) the
+  Verification Manager's ``VerificationCache`` answers without an IAS
+  round trip.  Freshness does not need a per-handshake nonce:
   the CertificateVerify/key-exchange signature proves *live* possession
   of the quoted key, which is the RA-TLS replacement for the enrollment
   protocol's nonce-in-report-data.
@@ -205,7 +206,8 @@ class RatlsVerifier:
         Checks, in order: self-signature over the TBS bytes, validity
         window at the clock's time, quote extraction, report-data key
         binding, the revocation denylist, enclave identity, and the IAS
-        evidence path (which memoizes verdicts, so reconnects are free).
+        evidence path (which memoizes verdicts, so a full re-handshake
+        with the same certificate skips IAS).
 
         Raises:
             RatlsError: on any failure — a :class:`PkiError` subclass,

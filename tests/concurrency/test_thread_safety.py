@@ -110,18 +110,18 @@ def test_verification_cache_concurrent_accounting():
     class FakeAvr:
         pass
 
-    cache = VerificationCache(lambda: 0.0, capacity=64)
+    cache = VerificationCache(capacity=64)
     avr = FakeAvr()
 
     def worker(index):
         for i in range(ROUNDS):
             quote = b"quote-%d-%d" % (index, i % 100)
-            cache.lookup(quote, "nonce")
-            cache.store(quote, "nonce", f"subject-{index}", avr)
+            cache.lookup(quote)
+            cache.store(quote, f"subject-{index}", avr)
             # Concurrent stores may LRU-evict the entry before the
             # readback (capacity 64 < live keyspace) — the cache promises
             # "the stored verdict or a miss", never a foreign object.
-            got = cache.lookup(quote, "nonce")
+            got = cache.lookup(quote)
             assert got is avr or got is None
 
     _hammer(worker)

@@ -2,8 +2,9 @@
 
 Integration tests over a full :class:`~repro.core.Deployment`: local
 credential preparation, in-handshake attestation at the ``ratls-https``
-northbound endpoint, verdict reuse across reconnects, and
-resumption-safe revocation through the Verification Manager.
+northbound endpoint, resumed reconnects, IAS verdict reuse when a
+restored enclave handshakes in full, and resumption-safe revocation
+through the Verification Manager.
 """
 
 import pytest
@@ -93,6 +94,23 @@ class TestReconnects:
         assert verifier.validations == 1       # resumed, not re-validated
         assert verifier.resumption_checks == 5
         assert verifier.resumptions_denied == 0
+
+    def test_restored_enclave_rehandshakes_from_the_memo(self, deployment):
+        telemetry = deployment.enable_telemetry(serve=False)
+        verifier = deployment.build_ratls()
+        deployment.enroll_ratls("vnf-1")
+        verified = deployment.ias.quotes_verified
+        enclave = deployment.credential_enclaves["vnf-1"]
+        sealed = enclave.seal_credentials()
+        enclave.wipe()
+        enclave.restore_credentials(sealed)
+        deployment.enclave_client("vnf-1").summary()
+        # The restored enclave holds no TLS session, so it handshakes in
+        # full; its certificate's quote is unchanged, so the memo answers.
+        assert verifier.validations == 2
+        assert deployment.ias.quotes_verified == verified
+        events = telemetry.verification_cache_events
+        assert events.labels(result="hit").value == 1
 
 
 class TestRevocation:

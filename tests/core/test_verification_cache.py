@@ -1,18 +1,19 @@
-"""Verification cache: memoised IAS verdicts for byte-identical evidence.
+"""Verification cache: memoised IAS verdicts for RA-TLS quotes.
 
 Unit tests pin the :class:`~repro.core.verification_cache.VerificationCache`
-contract (LRU bounds, ``max_age`` expiry, subject/predicate invalidation,
-counter semantics, evidence-key injectivity).  Integration tests drive the
-Verification Manager with captured real evidence and prove (a) a replayed
-quote+nonce pair skips the IAS round trip, (b) the binding and verdict
-checks still run on a cache hit — a poisoned cache cannot launder a
-mismatched AVR — and (c) revocation (``revoke_vnf`` / ``distrust_host``)
-flushes exactly the affected subjects' verdicts.
+contract (LRU bounds, subject/predicate invalidation, counter semantics).
+Integration tests drive the Verification Manager's RA-TLS evidence hook
+with real quotes and prove (a) a replayed quote skips the IAS round trip,
+(b) the binding and verdict checks still run on a cache hit — a poisoned
+cache cannot launder a mismatched AVR — (c) revocation (``revoke_vnf`` /
+``distrust_host``) flushes exactly the affected subjects' verdicts, and
+(d) Figure 1's nonced attestations never touch the memo.
 """
 
 import pytest
 
-from repro.core.verification_cache import VerificationCache, evidence_key
+from repro.core import Deployment
+from repro.core.verification_cache import VerificationCache
 from repro.errors import AttestationFailed
 
 
@@ -23,96 +24,66 @@ class _FakeAvr:
         self.tag = tag
 
 
-class _Clock:
-    def __init__(self):
-        self.t = 0.0
-
-    def now(self):
-        return self.t
-
-
 # ------------------------------------------------------------------ unit
 
 
 def test_store_then_lookup_hits_and_counts():
-    cache = VerificationCache(_Clock().now, capacity=4)
+    cache = VerificationCache(capacity=4)
     avr = _FakeAvr("a")
-    assert cache.lookup(b"quote", "nonce") is None
-    cache.store(b"quote", "nonce", "host-1", avr)
-    assert cache.lookup(b"quote", "nonce") is avr
-    assert cache.lookup(b"quote", "other-nonce") is None
-    assert cache.lookup(b"other-quote", "nonce") is None
-    assert (cache.hits, cache.misses) == (1, 3)
+    assert cache.lookup(b"quote") is None
+    cache.store(b"quote", "vnf-1", avr)
+    assert cache.lookup(b"quote") is avr
+    assert cache.lookup(b"other-quote") is None
+    assert (cache.hits, cache.misses) == (1, 2)
     assert len(cache) == 1
-
-
-def test_evidence_key_is_injective_across_the_split():
-    # Length prefix: moving bytes between quote and nonce changes the key.
-    assert evidence_key(b"ab", "c") != evidence_key(b"a", "bc")
-    assert evidence_key(b"", "abc") != evidence_key(b"abc", "")
-    assert evidence_key(b"q", "n") != evidence_key(b"q", "m")
-    assert evidence_key(b"q", "n") != evidence_key(b"r", "n")
-    assert evidence_key(b"q", "n") == evidence_key(b"q", "n")
 
 
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
-        VerificationCache(_Clock().now, capacity=0)
+        VerificationCache(capacity=0)
 
 
 def test_lru_eviction_at_capacity():
-    cache = VerificationCache(_Clock().now, capacity=2)
-    cache.store(b"q1", "n", "s", _FakeAvr(1))
-    cache.store(b"q2", "n", "s", _FakeAvr(2))
+    cache = VerificationCache(capacity=2)
+    cache.store(b"q1", "s", _FakeAvr(1))
+    cache.store(b"q2", "s", _FakeAvr(2))
     # Touch q1 so q2 becomes the LRU-oldest entry.
-    assert cache.lookup(b"q1", "n") is not None
-    cache.store(b"q3", "n", "s", _FakeAvr(3))
+    assert cache.lookup(b"q1") is not None
+    cache.store(b"q3", "s", _FakeAvr(3))
     assert len(cache) == 2
-    assert cache.lookup(b"q2", "n") is None   # evicted
-    assert cache.lookup(b"q1", "n") is not None
-    assert cache.lookup(b"q3", "n") is not None
+    assert cache.lookup(b"q2") is None   # evicted
+    assert cache.lookup(b"q1") is not None
+    assert cache.lookup(b"q3") is not None
 
 
 def test_restoring_existing_key_does_not_evict():
-    cache = VerificationCache(_Clock().now, capacity=2)
-    cache.store(b"q1", "n", "s", _FakeAvr(1))
-    cache.store(b"q2", "n", "s", _FakeAvr(2))
+    cache = VerificationCache(capacity=2)
+    cache.store(b"q1", "s", _FakeAvr(1))
+    cache.store(b"q2", "s", _FakeAvr(2))
     fresh = _FakeAvr("fresh")
-    cache.store(b"q1", "n", "s", fresh)       # overwrite, not insert
+    cache.store(b"q1", "s", fresh)       # overwrite, not insert
     assert len(cache) == 2
-    assert cache.lookup(b"q1", "n") is fresh
-    assert cache.lookup(b"q2", "n") is not None
-
-
-def test_max_age_expiry_drops_on_access():
-    clock = _Clock()
-    cache = VerificationCache(clock.now, capacity=4, max_age=10.0)
-    cache.store(b"q", "n", "s", _FakeAvr("a"))
-    clock.t = 9.0
-    assert cache.lookup(b"q", "n") is not None
-    clock.t = 20.0
-    assert cache.lookup(b"q", "n") is None    # expired -> miss
-    assert len(cache) == 0                    # dropped, not just hidden
-    assert (cache.hits, cache.misses) == (1, 1)
+    assert cache.lookup(b"q1") is fresh
+    assert cache.lookup(b"q2") is not None
 
 
 def test_invalidate_subject_and_where():
-    cache = VerificationCache(_Clock().now, capacity=8)
-    cache.store(b"q1", "n", "host-1", _FakeAvr(1))
-    cache.store(b"q2", "n", "vnf-1", _FakeAvr(2))
-    cache.store(b"q3", "n", "vnf-1", _FakeAvr(3))
+    cache = VerificationCache(capacity=8)
+    cache.store(b"q1", "vnf-2", _FakeAvr(1))
+    cache.store(b"q2", "vnf-1", _FakeAvr(2))
+    cache.store(b"q3", "vnf-1", _FakeAvr(3))
     assert cache.invalidate_subject("vnf-1") == 2
     assert cache.invalidate_subject("vnf-1") == 0
     assert len(cache) == 1
-    assert cache.invalidate_where(lambda e: e.subject.startswith("host")) == 1
+    assert cache.invalidate_where(lambda e: e.subject.endswith("-2")) == 1
     assert len(cache) == 0
 
 
 def test_clear_keeps_counters():
-    cache = VerificationCache(_Clock().now, capacity=4)
-    cache.store(b"q", "n", "s", _FakeAvr("a"))
-    cache.lookup(b"q", "n")
-    cache.lookup(b"zzz", "n")
+    cache = VerificationCache(capacity=4)
+    cache.store(b"q", "s", _FakeAvr("a"))
+    cache.lookup(b"q")
+    cache.lookup(b"zzz")
     cache.clear()
     assert len(cache) == 0
     assert (cache.hits, cache.misses) == (1, 1)
@@ -136,39 +107,35 @@ class _CountingIas:
         return getattr(self._inner, name)
 
 
-def _captured_evidence(deployment):
-    """A real (quote, nonce) pair, collected outside the VM (the VM's own
-    flows draw a fresh DRBG nonce per attestation, so byte-identical
-    replays only occur on *retries* — which tests drive explicitly)."""
-    nonce = b"\x42" * 16
-    evidence = deployment.agent_client.attest_host(
-        nonce, deployment.vm.policy.basename
+def _ratls_quote(deployment, vnf_name="vnf-1"):
+    """A real RA-TLS quote: it binds a fresh in-enclave leaf key and no
+    nonce, so the VM may see these exact bytes again."""
+    return deployment.credential_enclaves[vnf_name].ratls_begin(
+        deployment.vm.policy.basename
     )
-    return evidence.quote, nonce
+
+
+def _subjects(cache):
+    return sorted(entry.subject for entry in cache._entries.values())
 
 
 def test_replayed_evidence_skips_ias_round_trip(deployment):
     vm = deployment.vm
     counting = _CountingIas(vm._ias)
     vm._ias = counting
-    quote, nonce = _captured_evidence(deployment)
+    quote = _ratls_quote(deployment)
 
-    vm._verify_quote_with_ias(quote, nonce, deployment.host.name)
+    vm.verify_ratls_evidence(quote, "vnf-1")
     assert counting.calls == 1
-    assert vm.verification_cache.misses >= 1
-    hits_before = vm.verification_cache.hits
+    assert (vm.verification_cache.hits, vm.verification_cache.misses) == (0, 1)
 
-    # Byte-identical retry: verdict served from cache, no IAS traffic.
-    vm._verify_quote_with_ias(quote, nonce, deployment.host.name)
+    # Byte-identical quote: verdict served from the memo, no IAS traffic.
+    vm.verify_ratls_evidence(quote, "vnf-1")
     assert counting.calls == 1
-    assert vm.verification_cache.hits == hits_before + 1
+    assert vm.verification_cache.hits == 1
 
-    # Different nonce over the same quote is new evidence: IAS again.
-    other_nonce = b"\x43" * 16
-    other = deployment.agent_client.attest_host(other_nonce,
-                                                vm.policy.basename)
-    vm._verify_quote_with_ias(other.quote, other_nonce,
-                              deployment.host.name)
+    # A quote over a new leaf key is new evidence: IAS again.
+    vm.verify_ratls_evidence(_ratls_quote(deployment), "vnf-1")
     assert counting.calls == 2
 
 
@@ -176,60 +143,79 @@ def test_binding_check_runs_even_on_cache_hit(deployment):
     # Poison the cache: a verdict for quote A stored under quote B's key
     # must still be rejected by the unconditional body-binding check.
     vm = deployment.vm
-    quote_a, nonce_a = _captured_evidence(deployment)
-    vm._verify_quote_with_ias(quote_a, nonce_a, deployment.host.name)
-    avr_a = vm.verification_cache.lookup(quote_a.to_bytes(), nonce_a.hex())
+    quote_a = _ratls_quote(deployment)
+    vm.verify_ratls_evidence(quote_a, "vnf-1")
+    avr_a = vm.verification_cache.lookup(quote_a.to_bytes())
     assert avr_a is not None
 
-    nonce_b = b"\x99" * 16
-    quote_b = deployment.agent_client.attest_host(
-        nonce_b, vm.policy.basename
-    ).quote
-    vm.verification_cache.store(quote_b.to_bytes(), nonce_b.hex(),
-                                deployment.host.name, avr_a)
+    quote_b = _ratls_quote(deployment)
+    vm.verification_cache.store(quote_b.to_bytes(), "vnf-1", avr_a)
     with pytest.raises(AttestationFailed, match="different quote body"):
-        vm._verify_quote_with_ias(quote_b, nonce_b, deployment.host.name)
+        vm.verify_ratls_evidence(quote_b, "vnf-1")
 
 
 def test_rejected_verdicts_are_never_cached(deployment):
     vm = deployment.vm
-    deployment.ias.revoke_platform(deployment.host.name)
-    quote, nonce = _captured_evidence(deployment)
+    deployment.ias.revoke_platform(deployment.vnf_host["vnf-1"].name)
+    quote = _ratls_quote(deployment)
     for _ in range(2):
         with pytest.raises(AttestationFailed):
-            vm._verify_quote_with_ias(quote, nonce, deployment.host.name)
+            vm.verify_ratls_evidence(quote, "vnf-1")
     assert len(vm.verification_cache) == 0
     assert vm.verification_cache.hits == 0
     assert vm.verification_cache.misses == 2  # second try re-faced IAS
 
 
-def test_revoke_vnf_flushes_only_that_subject(deployment):
-    deployment.enroll("vnf-1")
-    vm = deployment.vm
-    cache = vm.verification_cache
-    subjects = {entry.subject for entry in cache._entries.values()}
-    assert "vnf-1" in subjects
-    assert deployment.host.name in subjects
-    vm.revoke_vnf("vnf-1")
-    remaining = {entry.subject for entry in cache._entries.values()}
-    assert "vnf-1" not in remaining
-    assert deployment.host.name in remaining  # host verdict untouched
+def test_revoke_vnf_flushes_only_that_subject(two_vnf_deployment):
+    deployment = two_vnf_deployment
+    deployment.build_ratls()
+    deployment.enroll_ratls("vnf-1")
+    deployment.enroll_ratls("vnf-2")
+    cache = deployment.vm.verification_cache
+    assert _subjects(cache) == ["vnf-1", "vnf-2"]
+    deployment.vm.revoke_vnf("vnf-1")
+    assert _subjects(cache) == ["vnf-2"]
 
 
-def test_distrust_host_flushes_host_and_its_vnfs(deployment):
+def test_distrust_host_flushes_every_subject_it_revoked():
+    # vnf-1 (both ways) and vnf-3 (RA-TLS) run on host 1, vnf-2 on host 2.
+    deployment = Deployment(seed=b"cache-distrust", vnf_count=3,
+                            host_count=2)
+    deployment.build_ratls()
+    for name in deployment.vnf_names:
+        deployment.enroll_ratls(name)
     deployment.enroll("vnf-1")
-    vm = deployment.vm
-    assert len(vm.verification_cache) >= 2   # host + vnf verdicts
-    vm.distrust_host(deployment.host.name)
-    assert len(vm.verification_cache) == 0
+    cache = deployment.vm.verification_cache
+    assert _subjects(cache) == ["vnf-1", "vnf-2", "vnf-3"]
+    host = deployment.vnf_host["vnf-1"].name
+    assert deployment.vnf_host["vnf-3"].name == host
+    # vnf-1 is revoked as a CA-issued credential, vnf-3 as an RA-TLS
+    # identity; one flush covers both.
+    assert deployment.vm.distrust_host(host) == ["vnf-1", "vnf-3"]
+    assert _subjects(cache) == ["vnf-2"]
 
 
 def test_telemetry_counts_cache_hits_and_misses(deployment):
     telemetry = deployment.enable_telemetry(serve=False)
     vm = deployment.vm
-    quote, nonce = _captured_evidence(deployment)
-    vm._verify_quote_with_ias(quote, nonce, deployment.host.name)
-    vm._verify_quote_with_ias(quote, nonce, deployment.host.name)
+    quote = _ratls_quote(deployment)
+    vm.verify_ratls_evidence(quote, "vnf-1")
+    vm.verify_ratls_evidence(quote, "vnf-1")
     events = telemetry.verification_cache_events
-    assert events.labels(result="miss").value >= 1
+    assert events.labels(result="miss").value == 1
     assert events.labels(result="hit").value == 1
+
+
+# ------------------------------------------------------------------ flows
+
+
+def test_figure1_paths_never_touch_the_memo(two_vnf_deployment):
+    deployment = two_vnf_deployment
+    telemetry = deployment.enable_telemetry(serve=False)
+    deployment.run_workflow()
+    deployment.enroll_fleet(workers=4)
+    deployment.enroll("vnf-1", csr=True)
+    cache = deployment.vm.verification_cache
+    assert len(cache) == 0
+    assert (cache.hits, cache.misses) == (0, 0)
+    assert telemetry.verification_cache_events.children() == []

@@ -1,7 +1,5 @@
 """The northbound API in its three security modes."""
 
-import json
-
 import pytest
 
 from repro.errors import ReproError, SdnError
