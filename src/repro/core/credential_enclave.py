@@ -156,8 +156,8 @@ class CredentialEnclaveBehavior:
 
         No VM nonce: RA-TLS freshness comes from the TLS handshake's
         proof of key possession, not from a per-run challenge — that is
-        what lets the IAS verdict for this quote be reused verbatim on
-        every reconnect.
+        what lets the IAS verdict for this quote be reused verbatim on a
+        full re-handshake (a resumed reconnect validates nothing).
         """
         from repro.tls.ratls import ratls_report_data
 
@@ -200,6 +200,9 @@ class CredentialEnclaveBehavior:
         return subject_name
 
     def _install_bundle(self, bundle: CredentialBundle) -> None:
+        # The open session was authenticated by the old credential: the
+        # next request must handshake with the new one.
+        self.disconnect()
         private_key = EcPrivateKey.from_bytes(bundle.private_key_bytes)
         chain = [Certificate.from_bytes(c) for c in bundle.certificate_chain]
         anchors = Truststore(

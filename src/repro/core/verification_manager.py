@@ -364,6 +364,7 @@ class VerificationManager:
             with self._lock:
                 self._issued[vnf_name] = certificate
                 self._vnf_host[vnf_name] = host_name
+                self._refresh_stale_crl()
             self.audit.record(ev.EVENT_CREDENTIAL_PROVISIONED, vnf_name,
                               f"serial {certificate.serial}{suffix}")
         tel.credentials_issued.labels(variant=variant).inc()
@@ -511,6 +512,16 @@ class VerificationManager:
             lambda entry: entry.subject in doomed
         )
         return revoked
+
+    def _refresh_stale_crl(self) -> None:
+        # Callers hold the VM lock.  No timer re-publishes the CRL, so an
+        # issuance does it when the installed one is past its next
+        # update; otherwise the new credential's first full handshake
+        # would be refused on the stale CRL.
+        now = self.clock.now_seconds()
+        if any(not config.crl.is_current(now)
+               for config in self._crl_subscribers):
+            self._publish_crl()
 
     def _publish_crl(self) -> None:
         # Callers hold the VM lock; subscriber TLS configs are refreshed

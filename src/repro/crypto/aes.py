@@ -105,9 +105,8 @@ def _build_tables() -> tuple:
 
 _T0, _T1, _T2, _T3, _D0, _D1, _D2, _D3 = _build_tables()
 
-# Lane-sliced encryption: byte-wise S-box and xtime (multiply by x) tables.
+# Lane-sliced encryption: the byte-wise S-box table.
 _SBOX_BYTES = bytes(SBOX)
-_XTIME_BYTES = bytes(_gf_mul(v, 2) for v in range(256))
 # Lanes are laid out row-major: lane 4*r + c holds state row r, column c,
 # which is byte 4*c + r of every block.
 _LANE_BYTE = tuple(4 * (p % 4) + p // 4 for p in range(16))
@@ -234,11 +233,11 @@ class AES:
         ``c``), each lane ``n`` bytes long.  SubBytes is one ``translate``
         over the buffer; ShiftRows rotates row ``r`` by ``r`` lanes with
         slices; MixColumns is XORs of the state as a big int with its rows
-        rotated, plus one ``translate`` for xtime.  Each round-key byte is
-        spread over its lane by translating a public lane-number template,
-        so no table is indexed by key bytes.  The cost per round is a fixed
-        ~25 C-level calls plus linear work, instead of one Python-level
-        block transform per block.
+        rotated, and xtime is shifts, masks and one multiply on that int.
+        Each round-key byte is spread over its lane by translating a public
+        lane-number template, so no table is indexed by key bytes.  The
+        cost per round is a fixed ~25 C-level calls plus linear work,
+        instead of one Python-level block transform per block.
         """
         size = len(data)
         if size % BLOCK_SIZE:
@@ -248,6 +247,10 @@ class AES:
         row_bits = 8 * row
         mask = (1 << 4 * row_bits) - 1
         frombytes = int.from_bytes
+        # xtime of every byte at once: shift left within the byte, then
+        # reduce each byte whose top bit fell out by 0x1B.
+        ones = frombytes(b"\x01" * size, "big")
+        high7 = ones * 0xFE
         template = b"".join([bytes((p,)) * n for p in range(16)])
         lane_keys = self._lane_keys
         state = (frombytes(b"".join([data[i::16] for i in _LANE_BYTE]), "big")
@@ -273,8 +276,7 @@ class AES:
                            | (shifted >> 3 * row_bits))
             state = (shifted ^ u
                      ^ (((u << 2 * row_bits) & mask) | (u >> 2 * row_bits))
-                     ^ frombytes(u.to_bytes(size, "big").translate(_XTIME_BYTES),
-                                 "big")
+                     ^ ((u << 1) & high7) ^ ((u >> 7) & ones) * 0x1B
                      ^ round_lanes)
         lanes = state.to_bytes(size, "big")
         out = bytearray(size)

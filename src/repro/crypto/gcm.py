@@ -4,8 +4,11 @@ GHASH uses per-nibble-position multiplication tables precomputed from the
 hash subkey (32 positions x 16 entries: the 4-bit tables of McGrew &
 Viega's GCM specification, kept per position so no reduction step is
 needed), reducing each GF(2^128) multiplication to 32 table lookups and
-XORs.  A record's CTR keystream, tag mask included, comes from one call
-to the lane-sliced :meth:`AES.encrypt_blocks`.
+XORs.  A key whose GHASH input reaches :data:`BYTE_TABLE_BLOCKS` blocks
+also builds 16 x 256 byte tables from them, once, and hashes that input
+and every later one with 16 lookups per block.  A record's CTR
+keystream, tag mask included, comes from one call to the lane-sliced
+:meth:`AES.encrypt_blocks`.
 
 Reference oracles stay beside the fast paths: :class:`_Ghash` (16 x 256
 byte tables) and :class:`_ReferenceAesGcm`, the AEAD run on ``_Ghash``
@@ -29,6 +32,13 @@ _R = 0xE1 << 120  # the GCM reduction polynomial in the reflected convention
 # Split each byte of a block into its high and low nibble.
 _HI_NIBBLE = bytes(v >> 4 for v in range(256))
 _LO_NIBBLE = bytes(v & 15 for v in range(256))
+
+#: The GHASH input length, in blocks, from which a key builds byte
+#: tables.  Building them costs about 160 us and saves about 0.75 us per
+#: block (0.96 against 1.7 us; idle 2.1 GHz vCPU), so they break even at
+#: about 215 blocks.  4 KB leaves a margin, so the one input that builds
+#: them repays the build by itself.
+BYTE_TABLE_BLOCKS = 256
 
 
 def _double(x: int) -> int:
@@ -91,6 +101,13 @@ class _NibbleGhash:
     ``H*x^(127-p)``; ``tables[k][v]`` XORs those powers over the bits of
     nibble value ``v`` at nibble index ``k`` (``k = 0`` is the most
     significant nibble).  512 entries per key instead of 4096.
+
+    The first input of :data:`BYTE_TABLE_BLOCKS` blocks or more builds
+    the 4096-entry byte tables from the nibble tables and keeps them;
+    that input and every later one then take 16 lookups per block
+    instead of 32.  A key that never sees such an input allocates
+    nothing more.  Two threads racing on a key's first long input both
+    build the tables and one store wins: they are a pure function of H.
     """
 
     def __init__(self, h: bytes) -> None:
@@ -111,9 +128,21 @@ class _NibbleGhash:
                 p12 ^ p3,
             ))
         self._tables = tables
+        self._byte_tables = None
+
+    def _build_byte_tables(self) -> list:
+        """16 x 256 tables: byte ``v`` at byte index ``b`` is its high
+        nibble's entry at nibble index ``2b`` XOR its low nibble's at
+        ``2b + 1``."""
+        nibbles = self._tables
+        return [[hi ^ lo for hi in nibbles[2 * b] for lo in nibbles[2 * b + 1]]
+                for b in range(16)]
 
     def __call__(self, data: bytes) -> int:
         """GHASH of ``data``, which must be a multiple of 16 bytes."""
+        if (self._byte_tables is not None
+                or len(data) >= 16 * BYTE_TABLE_BLOCKS):
+            return self._hash_bytes(data)
         (t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14,
          t15, t16, t17, t18, t19, t20, t21, t22, t23, t24, t25, t26, t27,
          t28, t29, t30, t31) = self._tables
@@ -131,6 +160,27 @@ class _NibbleGhash:
                  ^ t20[hi[10]] ^ t21[lo[10]] ^ t22[hi[11]] ^ t23[lo[11]]
                  ^ t24[hi[12]] ^ t25[lo[12]] ^ t26[hi[13]] ^ t27[lo[13]]
                  ^ t28[hi[14]] ^ t29[lo[14]] ^ t30[hi[15]] ^ t31[lo[15]])
+        return y
+
+    def _hash_bytes(self, data: bytes) -> int:
+        """GHASH of ``data`` on the byte tables, building them first if
+        this key has none yet."""
+        tables = self._byte_tables
+        if tables is None:
+            tables = self._byte_tables = self._build_byte_tables()
+        (b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12, b13, b14,
+         b15) = tables
+        frombytes, tobytes = int.from_bytes, int.to_bytes
+        y = 0
+        # Every block as an int first: the chained loop then does one
+        # XOR, one to_bytes and the 16 lookups per block.
+        for x in [frombytes(data[i:i + 16], "big")
+                  for i in range(0, len(data), 16)]:
+            xb = tobytes(y ^ x, 16, "big")
+            y = (b0[xb[0]] ^ b1[xb[1]] ^ b2[xb[2]] ^ b3[xb[3]]
+                 ^ b4[xb[4]] ^ b5[xb[5]] ^ b6[xb[6]] ^ b7[xb[7]]
+                 ^ b8[xb[8]] ^ b9[xb[9]] ^ b10[xb[10]] ^ b11[xb[11]]
+                 ^ b12[xb[12]] ^ b13[xb[13]] ^ b14[xb[14]] ^ b15[xb[15]])
         return y
 
 

@@ -48,7 +48,8 @@ def validate_chain(leaf: Certificate, truststore: Truststore, now: int,
 
     Checks, in order: path construction, per-certificate validity windows,
     CA bits and cert-sign usage on issuing certificates, all signatures,
-    revocation (if a CRL is supplied), and the leaf's key usage.
+    revocation (if a CRL is supplied: its signature, that it is current
+    at ``now``, and its entries), and the leaf's key usage.
 
     Returns the validated chain for inspection.
     """
@@ -79,6 +80,12 @@ def validate_chain(leaf: Certificate, truststore: Truststore, now: int,
 
     if crl is not None:
         crl.verify_signature(_issuer_key(path, crl))
+        # A CRL past its next update may miss later revocations.
+        if not crl.is_current(now):
+            raise CertificateError(
+                f"stale CRL at {now}: issued {crl.issued_at}, "
+                f"next update {crl.next_update}"
+            )
         for cert in path[:-1]:
             crl.check(cert.serial)
 

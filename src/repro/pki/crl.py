@@ -83,6 +83,10 @@ class CertificateRevocationList:
         """Verify the issuer's signature over the CRL body."""
         issuer_key.verify(self.tbs_bytes(), self.signature)
 
+    def is_current(self, now: int) -> bool:
+        """True from ``issued_at`` until just before ``next_update``."""
+        return self.issued_at <= now < self.next_update
+
     def is_revoked(self, serial: int) -> bool:
         """True if ``serial`` appears on the list."""
         return any(entry.serial == serial for entry in self.entries)

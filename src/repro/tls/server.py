@@ -227,6 +227,9 @@ class _ServerHandshake:
         * the cached peer certificate is rechecked against the CRL and
           the validity window at the channel's clock — a certificate
           revoked or expired after caching must not keep resuming;
+        * a CRL past its next update answers nothing, so the client
+          handshakes in full, which refuses on that CRL until the VM
+          publishes a current one (the session stays cached);
         * the application's ``resumption_validator`` (e.g. the RA-TLS
           verifier's revocation denylist) gets the final word.
 
@@ -241,11 +244,14 @@ class _ServerHandshake:
         if config.require_client_auth and cert is None:
             return False
         if cert is not None:
+            now = self._channel.clock.now_seconds()
+            if config.crl is not None and not config.crl.is_current(now):
+                return False
             stale = (config.crl is not None
                      and config.crl.is_revoked(cert.serial))
             if not stale:
                 try:
-                    cert.check_validity(self._channel.clock.now_seconds())
+                    cert.check_validity(now)
                 except PkiError:
                     stale = True
             if stale:

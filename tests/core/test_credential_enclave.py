@@ -84,6 +84,18 @@ def test_disconnect_then_reconnect(enrolled):
     assert client.summary()["controller"] == "floodlight"
 
 
+def test_reenrollment_after_revocation_handshakes_anew(enrolled):
+    # Step 6 of the second enrollment must authenticate with the new
+    # certificate, not ride the session the revoked one opened.
+    telemetry = enrolled.enable_telemetry()
+    full = telemetry.histogram("vnf_sgx_tls_handshake_seconds").labels(
+        role="client", resumed="false")
+    enrolled.vm.revoke_vnf("vnf-1")
+    session = enrolled.enroll("vnf-1")
+    assert session.state == "enrolled"
+    assert full.count == 1
+
+
 def test_seal_restore_cycle(enrolled):
     enclave = enrolled.credential_enclaves["vnf-1"]
     sealed = enclave.seal_credentials()

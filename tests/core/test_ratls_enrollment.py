@@ -83,6 +83,16 @@ class TestEnrollment:
         assert standard.state == "enrolled"
         assert dep.vm.issued_certificate("vnf-2") is not None
 
+    def test_ratls_after_ca_enrollment_attests_its_connect(self, deployment):
+        # The CA-issued credential's controller session must not carry
+        # the RA-TLS "attested connect": installing the RA-TLS
+        # certificate closes it, so the connect handshakes with the quote.
+        verifier = deployment.build_ratls()
+        deployment.enroll("vnf-1")
+        session = deployment.enroll_ratls("vnf-1")
+        assert session.state == STATE_ENROLLED
+        assert verifier.validations == verifier.accepted == 1
+
 
 class TestReconnects:
     def test_reconnects_are_ias_free(self, deployment):

@@ -53,6 +53,18 @@ def test_crl_blocks_revoked_leaf(pki):
     validate_chain(pki.server_cert, pki.truststore, now=10, crl=crl)
 
 
+def test_crl_outside_its_window_refused(pki):
+    crl = pki.ca.current_crl(now=6)
+    for now in (6, crl.next_update - 1):
+        validate_chain(pki.client_cert, pki.truststore, now=now, crl=crl)
+    # Issued in the future, or past its next update: it may miss
+    # revocations, so nothing validates against it.
+    for now in (5, crl.next_update, crl.next_update + 1):
+        with pytest.raises(CertificateError, match="stale CRL"):
+            validate_chain(pki.client_cert, pki.truststore, now=now,
+                           crl=crl)
+
+
 def test_intermediate_chain(pki, rng):
     # Root -> intermediate CA -> leaf.
     intermediate_key = generate_keypair(rng)

@@ -102,6 +102,25 @@ class TestRevokedOrExpiredResumption:
             world.connect(client)
         assert len(world.server._config.session_cache) == 0
 
+    def test_stale_crl_forces_a_full_handshake(self, network, pki, rng,
+                                               client_config):
+        world = make_world(network, pki, rng, require_client_auth=True)
+        now = int(network.clock.now_seconds())
+        crl = world.server._config.crl = pki.ca.current_crl(now)
+        client = TlsClient(client_config)
+        _connect_full(world, client)
+
+        # Past the CRL's next update nothing resumes, and the full
+        # handshake refuses on the stale CRL; the session is not stale
+        # and stays cached.
+        network.clock.advance(float(crl.next_update - now))
+        with pytest.raises(TlsAlert, match="stale CRL"):
+            world.connect(client)
+        assert len(world.server._config.session_cache) == 1
+        world.server._config.crl = pki.ca.current_crl(
+            int(network.clock.now_seconds()))
+        assert world.connect(client).resumed
+
     def test_unexpired_unrevoked_session_resumes(self, network, pki, rng,
                                                  client_config):
         world = make_world(network, pki, rng, require_client_auth=True)
