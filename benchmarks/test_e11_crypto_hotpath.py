@@ -23,13 +23,17 @@ The AEAD rows time AES-GCM against ``_ReferenceAesGcm``: 16x256 GHASH
 tables and one ``encrypt_block`` per counter on the same ``AES`` key
 schedule.  It is an oracle, not the previous code, so ``aead-setup``
 (gated >=3x) compares the two GHASH keyings on top of that shared
-schedule rather than the old and new set-up cost as a whole.  A 4 KB
-encryption (``aead-bulk-4096``) is gated >=3x.  Recorded ungated: a
-128-byte record, a 16 KB record on one long-lived key
-(``aead-bulk-16384``, a northbound session key's shape) and a 4 KB
-record under a fresh key per call (``aead-bulk-4096-fresh-key``, a KMS
-seal's shape, where the fast path builds its GHASH byte tables and
-repays them inside the call).  Every row cross-checks the ciphertext
+schedule rather than the old and new set-up cost as a whole.  The fast
+path keys GHASH in its first call, from the hash subkey that rides in
+that call's keystream, so ``aead-setup`` times a construction plus one
+16-byte record on each side.  A 4 KB encryption (``aead-bulk-4096``) is
+gated >=3x.  Recorded ungated: a 128-byte record, a 16 KB record on one
+long-lived key (``aead-bulk-16384``, a northbound session key's shape),
+a 4 KB record under a fresh key per call (``aead-bulk-4096-fresh-key``,
+a KMS seal's shape, where the fast path builds its GHASH byte tables and
+repays them inside the call) and a fresh key carrying a 16-byte, a
+100-byte and a 2-byte record (``aead-reconnect-short``, one side of a
+resumed reconnect).  Every row cross-checks the ciphertext
 byte-for-byte.
 
 A further table tracks the streaming SHA-256 fix: doubling the message
@@ -238,17 +242,23 @@ def test_e11_aead_hotpath(e11_report):
     keys = [rng.random_bytes(16) for _ in range(ITERS)]
     nonce = rng.random_bytes(12)
     aad = rng.random_bytes(13)
-    sample = rng.random_bytes(100)
+    first = rng.random_bytes(16)
 
     # Key setup: one AEAD construction per fresh key, as every seal,
-    # unseal and TLS key schedule pays.  Byte-identity: each key's
+    # unseal and TLS key schedule pays, plus the key's first record,
+    # which keys the fast path's GHASH.  Byte-identity: each key's
     # ciphertext from both constructions.
+    def setup_ref(key):
+        return _ReferenceAesGcm(key).encrypt(nonce, first, aad)
+
+    def setup_fast(key):
+        return AesGcm(key).encrypt(nonce, first, aad)
+
     for key in keys:
-        assert (AesGcm(key).encrypt(nonce, sample, aad)
-                == _ReferenceAesGcm(key).encrypt(nonce, sample, aad))
-    setup_ref = _timed_batch(_ReferenceAesGcm, [(key,) for key in keys])
-    setup_fast = _timed_batch(AesGcm, [(key,) for key in keys])
-    rows = [("aead-setup", len(keys), setup_ref, setup_fast)]
+        assert setup_fast(key) == setup_ref(key)
+    rows = [("aead-setup", len(keys),
+             _timed_batch(setup_ref, [(key,) for key in keys]),
+             _timed_batch(setup_fast, [(key,) for key in keys]))]
 
     # Bulk: one key, records of 4096, 16384 and 128 bytes.
     fast, ref = AesGcm(keys[0]), _ReferenceAesGcm(keys[0])
@@ -278,6 +288,24 @@ def test_e11_aead_hotpath(e11_report):
                  _timed_batch(seal_ref, fresh),
                  _timed_batch(seal_fast, fresh)))
 
+    # One side of a resumed reconnect: a fresh key carrying a 16-byte
+    # Finished record, a ~100-byte request and a 2-byte record.
+    def reconnect_ref(key, records):
+        aead = _ReferenceAesGcm(key)
+        return [aead.encrypt(nonce, record, aad) for record in records]
+
+    def reconnect_fast(key, records):
+        aead = AesGcm(key)
+        return [aead.encrypt(nonce, record, aad) for record in records]
+
+    short = [(key, [rng.random_bytes(size) for size in (16, 100, 2)])
+             for key in keys]
+    for key, records in short:
+        assert reconnect_fast(key, records) == reconnect_ref(key, records)
+    rows.append(("aead-reconnect-short", len(short),
+                 _timed_batch(reconnect_ref, short),
+                 _timed_batch(reconnect_fast, short)))
+
     table = Table(
         "E11: AES-GCM fast paths vs. reference oracles",
         ["op", "iters", "ref_ms", "fast_ms", "speedup"],
@@ -294,7 +322,7 @@ def test_e11_aead_hotpath(e11_report):
 
     # Gates: key setup and a 4 KB record.  A 128-byte record gains about
     # 2x (its GHASH and per-call costs are unchanged) and is recorded
-    # only, as are the 16 KB and fresh-key rows.
+    # only, as are the 16 KB, fresh-key and reconnect rows.
     for name in ("aead-setup", "aead-bulk-4096"):
         assert speedups[name] >= SPEEDUP_GATE, (
             f"{name} speedup {speedups[name]:.2f}x < {SPEEDUP_GATE}x"

@@ -8,7 +8,9 @@ XORs.  A key whose GHASH input reaches :data:`BYTE_TABLE_BLOCKS` blocks
 also builds 16 x 256 byte tables from them, once, and hashes that input
 and every later one with 16 lookups per block.  A record's CTR
 keystream, tag mask included, comes from one call to the lane-sliced
-:meth:`AES.encrypt_blocks`.
+:meth:`AES.encrypt_lanes`, whose lanes are built straight from the nonce
+and the counters.  The hash subkey H rides in a key's first such call,
+as one more block.
 
 Reference oracles stay beside the fast paths: :class:`_Ghash` (16 x 256
 byte tables) and :class:`_ReferenceAesGcm`, the AEAD run on ``_Ghash``
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.crypto.aes import AES
+from repro.crypto.aes import AES, lane_layout
 from repro.crypto.constant_time import ct_bytes_eq
 from repro.errors import CryptoError, InvalidTag
 
@@ -190,13 +192,6 @@ def _pad16(data: bytes) -> bytes:
     return data if rem == 0 else data + b"\x00" * (16 - rem)
 
 
-def _xor(data: bytes, stream: bytes) -> bytes:
-    """``data`` XOR the first ``len(data)`` bytes of ``stream``."""
-    size = len(data)
-    return (int.from_bytes(data, "big")
-            ^ int.from_bytes(stream[:size], "big")).to_bytes(size, "big")
-
-
 class AesGcm:
     """AES-GCM with a 16/24/32-byte key and 12-byte nonces.
 
@@ -209,17 +204,44 @@ class AesGcm:
 
     def __init__(self, key: bytes) -> None:
         self._aes = AES(key)
-        self._ghash = _NibbleGhash(self._aes.encrypt_block(b"\x00" * 16))
+        # Keyed by the first keystream call, which also yields H.
+        self._ghash = None
 
     def _keystream(self, nonce: bytes, n_blocks: int, start_counter: int) -> bytes:
         """CTR keystream: AES(nonce || counter) for consecutive counters,
-        all counter blocks encrypted at once by ``AES.encrypt_blocks``."""
-        blocks = bytearray((nonce + bytes(4)) * n_blocks)
+        all counter blocks encrypted at once by ``AES.encrypt_lanes``.
+
+        The lanes are built directly: the 12 nonce lanes by translating
+        the public lane template, the 4 counter lanes from one
+        ``struct.pack``.  A key's first call carries one block more, at
+        the lanes' last position: the all-zero block, whose encryption is
+        the hash subkey H, from which it keys GHASH.  Two threads racing
+        on that call both key it and one store wins: H is a pure
+        function of the key.
+        """
+        fresh = self._ghash is None
+        n = n_blocks + fresh
+        # The template's marks 0-15 and 16-31 (the last position): a
+        # fresh key's last block is all-zero, every other carries the
+        # nonce, with zero counter bytes for now.
+        block = nonce + bytes(4)
+        table = block + (bytes(240) if fresh else block + bytes(224))
         counters = struct.pack(f">{n_blocks}I",
-                               *range(start_counter, start_counter + n_blocks))
-        for j in range(4):
-            blocks[NONCE_SIZE + j::16] = counters[j::4]
-        return self._aes.encrypt_blocks(blocks)
+                               *range(start_counter,
+                                      start_counter + n_blocks)) + bytes(4 * fresh)
+        # Counter byte j fills lane 4j + 3, i.e. row j of column 3.
+        layout = lane_layout(n)
+        frombytes = int.from_bytes
+        state = (frombytes(layout[0].translate(table), "big")
+                 ^ frombytes(counters[0::4], "big") << 96 * n
+                 ^ frombytes(counters[1::4], "big") << 64 * n
+                 ^ frombytes(counters[2::4], "big") << 32 * n
+                 ^ frombytes(counters[3::4], "big"))
+        stream = self._aes.encrypt_lanes(state, layout)
+        if fresh:
+            self._ghash = _NibbleGhash(stream[-16:])
+            return stream[:-16]
+        return stream
 
     def _auth_tag(self, ek_y0: bytes, ciphertext: bytes, aad: bytes) -> bytes:
         """GHASH over ``aad`` and ``ciphertext``, masked with E(K, Y0)."""
@@ -231,14 +253,26 @@ class AesGcm:
         s = self._ghash(ghash_input)
         return (s ^ int.from_bytes(ek_y0, "big")).to_bytes(16, "big")
 
+    def _ctr(self, nonce: bytes, data: bytes) -> bytes:
+        """The tag mask E(K, Y0), then ``data`` XOR the payload keystream.
+
+        Counter 1 masks the tag; counters 2, 3, ... cover the payload.
+        One XOR on the keystream's leading ``16 + len(data)`` bytes
+        yields both, the mask untouched.
+        """
+        size = len(data)
+        stream = self._keystream(nonce, 1 + (size + 15) // 16, 1)
+        return ((int.from_bytes(stream, "big")
+                 >> 8 * (len(stream) - TAG_SIZE - size))
+                ^ int.from_bytes(data, "big")).to_bytes(TAG_SIZE + size, "big")
+
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Encrypt and authenticate; returns ``ciphertext || tag``."""
         if len(nonce) != NONCE_SIZE:
             raise CryptoError(f"GCM nonce must be {NONCE_SIZE} bytes")
-        # Counter 1 masks the tag; counters 2, 3, ... encrypt the payload.
-        stream = self._keystream(nonce, 1 + (len(plaintext) + 15) // 16, 1)
-        ciphertext = _xor(plaintext, stream[TAG_SIZE:])
-        return ciphertext + self._auth_tag(stream[:TAG_SIZE], ciphertext, aad)
+        masked = self._ctr(nonce, plaintext)
+        ciphertext = masked[TAG_SIZE:]
+        return ciphertext + self._auth_tag(masked[:TAG_SIZE], ciphertext, aad)
 
     def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
         """Verify the tag and decrypt; raises :class:`InvalidTag` on failure."""
@@ -249,12 +283,13 @@ class AesGcm:
         ciphertext, tag = data[:-TAG_SIZE], data[-TAG_SIZE:]
         # The tag mask comes with the whole keystream, so a forged record
         # costs as much as a valid one; a separate mask block would cost
-        # every valid record more (docs/PERFORMANCE.md).
-        stream = self._keystream(nonce, 1 + (len(ciphertext) + 15) // 16, 1)
-        expected = self._auth_tag(stream[:TAG_SIZE], ciphertext, aad)
-        if not ct_bytes_eq(expected, tag):
+        # every valid record more (docs/PERFORMANCE.md).  The plaintext
+        # is released only after the tag checks.
+        masked = self._ctr(nonce, ciphertext)
+        if not ct_bytes_eq(self._auth_tag(masked[:TAG_SIZE], ciphertext, aad),
+                           tag):
             raise InvalidTag("GCM tag verification failed")
-        return _xor(ciphertext, stream[TAG_SIZE:])
+        return masked[TAG_SIZE:]
 
 
 class _ReferenceAesGcm(AesGcm):

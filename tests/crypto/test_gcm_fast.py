@@ -1,22 +1,29 @@
 """AES-GCM fast paths pinned byte-for-byte to their reference oracles.
 
-* the lane-sliced keystream (``AES.encrypt_blocks``) against one
-  ``encrypt_block`` per counter;
+* the lane-sliced keystream (``AES.encrypt_lanes``, its lanes built
+  straight from nonce and counters) against one ``encrypt_block`` per
+  counter, on a fresh key, whose first batch also yields the hash subkey
+  H, and on a key already in use;
 * the 32 x 16 nibble-table GHASH against the 16 x 256 byte-table
   ``_Ghash``, below and across ``BYTE_TABLE_BLOCKS``, where a key builds
   byte tables of its own;
-* the whole AEAD on short records, and on a key that has built its byte
-  tables, against ``_ReferenceAesGcm``, which runs on the references
-  only and frames the counters on its own;
-* which keys build byte tables on controller traffic.
+* the whole AEAD on short records, on a fresh key's first call (a
+  forged record included, and two threads racing on it), and on a key
+  that has built its byte tables, against ``_ReferenceAesGcm``, which
+  runs on the references only and frames the counters on its own;
+* the lane layout table's bound, and which keys build byte tables on
+  controller traffic.
 """
+
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Deployment
-from repro.crypto.aes import AES
+from repro.crypto import aes
 from repro.crypto.gcm import (
     BYTE_TABLE_BLOCKS,
     NONCE_SIZE,
@@ -27,7 +34,7 @@ from repro.crypto.gcm import (
     _ReferenceAesGcm,
 )
 from repro.crypto.rng import HmacDrbg
-from repro.errors import InvalidKey, InvalidTag
+from repro.errors import InvalidTag
 from repro.sdn.northbound import FLOW_LIST_PATH
 
 BLOCK_COUNTS = list(range(1, 41)) + [255, 256, 1024]
@@ -46,15 +53,100 @@ def test_lane_keystream_equals_per_block(key_size):
                     ), (n_blocks, start)
 
 
-def test_encrypt_blocks_is_ecb_over_encrypt_block(rng):
-    cipher = AES(rng.random_bytes(16))
-    data = rng.random_bytes(16 * 37)
-    expected = b"".join(cipher.encrypt_block(data[i:i + 16])
-                        for i in range(0, len(data), 16))
-    assert cipher.encrypt_blocks(data) == expected
-    assert cipher.encrypt_blocks(b"") == b""
-    with pytest.raises(InvalidKey):
-        cipher.encrypt_blocks(bytes(17))
+@pytest.mark.parametrize("key_size", [16, 24, 32])
+def test_fresh_key_keystream_carries_h(key_size):
+    """Every key's first batch carries the zero block at its last lane
+    position: the keystream still equals the reference's, and the GHASH
+    it keys is the one H = E(K, 0^128) keys."""
+    rng = HmacDrbg(seed=b"gcm-fast-fresh-keystream-%d" % key_size)
+    for n_blocks in BLOCK_COUNTS:
+        key = rng.random_bytes(key_size)
+        nonce = rng.random_bytes(NONCE_SIZE)
+        start = 1 + n_blocks % 2
+        aead, reference = AesGcm(key), _ReferenceAesGcm(key)
+        assert aead._ghash is None
+        expected = reference._keystream_reference(nonce, n_blocks, start)
+        assert aead._keystream(nonce, n_blocks, start) == expected, n_blocks
+        h = reference._aes.encrypt_block(bytes(16))
+        assert aead._ghash._tables == _NibbleGhash(h)._tables, n_blocks
+        # The key in use builds the same lanes without the zero block.
+        assert aead._keystream(nonce, n_blocks, start) == expected, n_blocks
+
+
+def test_fresh_key_first_call_decrypts_a_forged_record():
+    rng = HmacDrbg(seed=b"gcm-fast-fresh-forged")
+    for key_size in (16, 24, 32):
+        key = rng.random_bytes(key_size)
+        reference = _ReferenceAesGcm(key)
+        nonce, aad = rng.random_bytes(NONCE_SIZE), rng.random_bytes(13)
+        plaintext = rng.random_bytes(43)
+        sealed = reference.encrypt(nonce, plaintext, aad)
+        forged = bytearray(sealed)
+        forged[-1] ^= 0x01
+        aead = AesGcm(key)
+        with pytest.raises(InvalidTag):
+            aead.decrypt(nonce, bytes(forged), aad)
+        assert aead.decrypt(nonce, sealed, aad) == plaintext
+        for size in (0, 16, 100, 2):
+            nonce, payload = rng.random_bytes(NONCE_SIZE), rng.random_bytes(size)
+            assert (aead.encrypt(nonce, payload, aad)
+                    == reference.encrypt(nonce, payload, aad)), (key_size, size)
+
+
+def test_threads_racing_on_a_fresh_key_agree_with_the_reference():
+    rng = HmacDrbg(seed=b"gcm-fast-fresh-race")
+    previous = sys.getswitchinterval()
+    # Switch threads as often as the interpreter allows, so the two
+    # first calls interleave.
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(8):
+            key = rng.random_bytes(16 if round_ % 2 else 32)
+            nonce, aad = rng.random_bytes(NONCE_SIZE), rng.random_bytes(13)
+            payloads = [rng.random_bytes(16 + 37 * i) for i in range(2)]
+            aead = AesGcm(key)
+            barrier = threading.Barrier(2)
+            results = [None, None]
+
+            def first_call(i):
+                barrier.wait(timeout=10)
+                results[i] = aead.encrypt(nonce, payloads[i], aad)
+
+            threads = [threading.Thread(target=first_call, args=(i,))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            reference = _ReferenceAesGcm(key)
+            for payload, sealed in zip(payloads, results):
+                assert sealed == reference.encrypt(nonce, payload, aad)
+                assert aead.decrypt(nonce, sealed, aad) == payload
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def test_layout_table_stays_within_its_bound():
+    """Records of every length up to 16 KB keep layouts for short
+    counts only; longer ones build theirs per call."""
+    rng = HmacDrbg(seed=b"gcm-fast-layout-bound")
+    key = rng.random_bytes(16)
+    aead, reference = AesGcm(key), _ReferenceAesGcm(key)
+    nonce = rng.random_bytes(NONCE_SIZE)
+    for size in range(0, 16 * 1024 + 1, 61):
+        payload = rng.random_bytes(size)
+        sealed = aead.encrypt(nonce, payload)
+        assert aead.decrypt(nonce, sealed) == payload
+        if size % 8 == 0:
+            assert sealed == reference.encrypt(nonce, payload), size
+    assert aes._LAYOUTS
+    assert max(aes._LAYOUTS) <= aes.LAYOUT_TABLE_BLOCKS
+    for n, layout in aes._LAYOUTS.items():
+        assert len(layout[0]) == 16 * n
+        assert (layout[4] is None) == (n > aes.GATHER_BLOCKS)
+    long_count = aes.LAYOUT_TABLE_BLOCKS + 1
+    assert aes.lane_layout(long_count) is not aes.lane_layout(long_count)
 
 
 def test_nibble_ghash_equals_byte_tables():
@@ -149,13 +241,6 @@ def test_short_records_match_reference_and_reject_tampering(size, key_size):
         tampered[index] ^= 0x80
         with pytest.raises(InvalidTag):
             aead.decrypt(nonce, bytes(tampered), aad)
-
-
-def test_gcm_never_builds_the_decrypt_schedule(rng):
-    aead = AesGcm(rng.random_bytes(16))
-    nonce = rng.random_bytes(NONCE_SIZE)
-    aead.decrypt(nonce, aead.encrypt(nonce, rng.random_bytes(100)))
-    assert aead._aes._dec_round_keys is None
 
 
 # A payload of BYTE_TABLE_BLOCKS blocks makes a GHASH input of two more

@@ -6,7 +6,6 @@ import hmac
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES
 from repro.crypto.gcm import AesGcm
 from repro.crypto.hkdf import hkdf
 from repro.crypto.hmac import hmac_sha256
@@ -26,13 +25,6 @@ def test_pure_sha256_agrees_with_hashlib(data):
 @settings(max_examples=60, deadline=None)
 def test_hmac_sha256_agrees_with_stdlib(key, data):
     assert hmac_sha256(key, data) == hmac.new(key, data, hashlib.sha256).digest()
-
-
-@given(KEY16, st.binary(min_size=16, max_size=16))
-@settings(max_examples=50, deadline=None)
-def test_aes_roundtrip(key, block):
-    cipher = AES(key)
-    assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
 
 
 @given(KEY16, NONCE, st.binary(max_size=256), st.binary(max_size=64))
